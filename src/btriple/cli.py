@@ -163,10 +163,10 @@ class CliConfig:
             return BoundaryOperator(matrix=m)
         raise ConfigError(f"unknown boundary_operator kind {kind!r}")
 
-    def suite_config(self, seed, jobs):
+    def suite_config(self, seed):
         return SuiteConfig(models=(self.model_spec,),
                            complex_scan_regions=(self.region,),
-                           seed=seed, jobs=jobs)
+                           seed=seed)
 
 
 def _out_path(args, default_stem, ext, stem=None):
@@ -270,7 +270,7 @@ def cmd_eigs(args):
 
 def cmd_decay(args):
     config = CliConfig.load(args.config, decay_default=True)
-    suite = config.suite_config(args.seed, args.jobs)
+    suite = config.suite_config(args.seed)
     report = run_decay_suite(suite)
     text = decay_samples_csv(report)
     footers = []
@@ -291,7 +291,7 @@ def cmd_decay(args):
 
 def cmd_verify(args):
     config = CliConfig.load(args.config)
-    suite = config.suite_config(args.seed, args.jobs)
+    suite = config.suite_config(args.seed)
     identity = run_identity_suite(suite)
     decay = run_decay_suite(suite)
     cross = run_bs_cross_check(suite)
@@ -334,8 +334,6 @@ def build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, metavar="PATH",
                        help="JSON configuration file")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker threads for suite checks")
         p.add_argument("--allow-uncertified", action="store_true",
                        help="evaluate at lambda outside the certified half-line")
         p.add_argument("--out", default=".", metavar="DIR",

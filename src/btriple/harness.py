@@ -4,10 +4,12 @@ cross-checks, aggregated into serializable reports.
 Every check lands in the report as a record {check_name, model, parameters,
 defect, tolerance, pass}; failures are entries, never exceptions, so the
 report is always complete. A fixed seed makes the whole run deterministic:
-random draws come from SeedSequence children spawned per task in a fixed
-order, and report assembly is an ordered reduction independent of the
-worker count, so re-running with the same configuration produces
-byte-identical JSON up to the timing subtree.
+random draws come from SeedSequence children spawned per model and check
+family in a fixed order, and the checks run one after another in that
+order, so re-running with the same configuration produces byte-identical
+JSON up to the timing subtree. Non-finite numbers (the defect of a failing
+record, for one) are written as JSON null, so a report is strict JSON
+whether or not its checks pass.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import json
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,12 +33,14 @@ from .numerics import (eig_dense, fit_log_slope, smallest_singular_value,
 from .potentials import Potential1D
 from .triple_core import BoundaryOperator
 
-REPORT_SCHEMA = "btriple-report/1"
+REPORT_SCHEMA = "btriple-report/2"
 CSV_SCHEMA = "btriple-report-csv/1"
 DECAY_CSV_SCHEMA = "btriple-decay-csv/1"
 
-# Registry of invariant-backed checks; the coverage test asserts that the
-# default suites emit at least one record per name.
+# Registry of invariant-backed checks. Which names a run emits depends on
+# its model specs: the default SuiteConfig (fd1d only) emits neither
+# weyl_mode_diagonal (disk models) nor bs_reference_match (interior disk
+# with V = 0), and no test yet checks that every name is reachable.
 CHECK_REGISTRY = {
     "green_identity": "abstract Green identity on random carrier pairs",
     "green_on_kernels": "Green identity on gamma-field outputs",
@@ -112,9 +115,14 @@ _DEFAULT_TOLERANCES = {
 }
 
 
+def _json_float(value):
+    value = float(value)
+    return value if np.isfinite(value) else None
+
+
 def _jsonable(value):
     """Recursively convert values into JSON-native structures; complex
-    numbers become [re, im] pairs."""
+    numbers become [re, im] pairs and non-finite floats become None."""
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -124,13 +132,13 @@ def _jsonable(value):
     if isinstance(value, (complex, np.complexfloating)):
         value = complex(value)
         if value.imag == 0.0:
-            return float(value.real)
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, (np.floating,)):
-        return float(value)
+            return _json_float(value.real)
+        return [_json_float(value.real), _json_float(value.imag)]
+    if isinstance(value, (float, np.floating)):
+        return _json_float(value)
     if isinstance(value, (np.integer,)):
         return int(value)
-    if isinstance(value, (bool, int, float, str)) or value is None:
+    if isinstance(value, (bool, int, str)) or value is None:
         return value
     return str(value)
 
@@ -273,7 +281,6 @@ class SuiteConfig:
     complex_scan_regions: tuple = ()
     tolerances: dict = field(default_factory=dict)
     seed: int = 7
-    jobs: int = 1
 
     def __post_init__(self):
         models = []
@@ -291,9 +298,6 @@ class SuiteConfig:
         for key, value in self.tolerances.items():
             if not value > 0.0:
                 raise ConfigError(f"tolerance override {key!r} must be positive")
-        if int(self.jobs) < 1:
-            raise ConfigError("jobs must be at least 1")
-        object.__setattr__(self, "jobs", int(self.jobs))
         object.__setattr__(self, "seed", int(self.seed))
 
     def model_specs(self):
@@ -304,7 +308,7 @@ class SuiteConfig:
         if not isinstance(data, dict):
             raise ConfigError("suite config must be a mapping")
         known = {"models", "lambda_grid", "complex_scan_regions",
-                 "tolerances", "seed", "jobs"}
+                 "tolerances", "seed"}
         extra = set(data) - known
         if extra:
             raise ConfigError(f"unknown suite keys {sorted(extra)}")
@@ -316,9 +320,8 @@ class SuiteConfig:
                 kwargs[key] = tuple(data[key])
         if "tolerances" in data:
             kwargs["tolerances"] = dict(data["tolerances"])
-        for key in ("seed", "jobs"):
-            if key in data:
-                kwargs[key] = int(data[key])
+        if "seed" in data:
+            kwargs["seed"] = int(data["seed"])
         return cls(**kwargs)
 
     def tolerance(self, check, kind):
@@ -350,16 +353,21 @@ class CheckRecord:
             "check_name": self.check_name,
             "model": self.model,
             "parameters": _jsonable(self.parameters),
-            "defect": float(self.defect),
-            "tolerance": float(self.tolerance),
+            "defect": _json_float(self.defect),
+            "tolerance": _json_float(self.tolerance),
             "pass": bool(self.passed),
         }
 
     @classmethod
     def from_dict(cls, data):
+        # as_dict writes a non-finite defect (a failure) as null
+        def number(x):
+            return float("inf") if x is None else x
+
         return cls(check_name=data["check_name"], model=data["model"],
-                   parameters=data["parameters"], defect=data["defect"],
-                   tolerance=data["tolerance"])
+                   parameters=data["parameters"],
+                   defect=number(data["defect"]),
+                   tolerance=number(data["tolerance"]))
 
 
 def _environment():
@@ -403,7 +411,7 @@ class VerificationReport:
         }
         if include_timings:
             payload["timings"] = self.timings
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text):
@@ -782,27 +790,13 @@ _IDENTITY_FAMILIES = (
 )
 
 
-def _run_tasks(config, tasks):
-    """tasks: list of callables returning record lists; executed on a pool,
-    reduced in submission order."""
-    if config.jobs == 1:
-        chunks = [task() for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            chunks = list(pool.map(lambda t: t(), tasks))
-    records = []
-    for chunk in chunks:
-        records.extend(chunk)
-    return records
-
-
 def run_identity_suite(config=None):
     """Every operator-identity invariant, on every configured model, as one
     report. Failures are failing records, not exceptions."""
     config = config or SuiteConfig()
     t0 = time.perf_counter()
     root = np.random.SeedSequence(config.seed)
-    tasks = []
+    records = []
     specs = config.model_specs()
     model_seeds = root.spawn(len(specs))
     for spec, mseed in zip(specs, model_seeds):
@@ -810,9 +804,7 @@ def run_identity_suite(config=None):
         kind = _model_kind(model)
         family_seeds = mseed.spawn(len(_IDENTITY_FAMILIES))
         for fam, fseed in zip(_IDENTITY_FAMILIES, family_seeds):
-            tasks.append(lambda fam=fam, fseed=fseed, model=model, kind=kind:
-                         fam(config, model, kind, fseed.spawn(1)))
-    records = _run_tasks(config, tasks)
+            records.extend(fam(config, model, kind, fseed.spawn(1)))
     timings = {"wall_seconds": time.perf_counter() - t0}
     return VerificationReport.from_records(records, timings)
 

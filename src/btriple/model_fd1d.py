@@ -78,6 +78,9 @@ from .triple_core import TripleModel, _bmatrix, find_xi2
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitter for float64
 
+# spectral points per weyl_batch sweep; bounds the sweep's working arrays
+_BATCH_CHUNK = 256
+
 
 def _two_prod(a, b):
     """Error-free product transform: (p, e) with p + e == a * b exactly."""
@@ -305,6 +308,61 @@ class Fd1dModel(TripleModel):
 
     def solve_bvp(self, lam, g):
         return self._solve_bvp(lam, g, self._v, "solve_bvp")
+
+    def weyl_batch(self, lams, tilde=False):
+        """Weyl matrices at every point of ``lams``, from one Thomas sweep
+        per chunk of at most 256 points that carries both boundary
+        right-hand sides (the columns of M are the boundary values of the
+        solutions with Neumann data e_0 and e_1).
+
+        The sweep does not pivot, so every solution passes the residual
+        guard of ``_solve_banded`` (1e-8 of the same scale); a point that
+        fails it or overflows, as on the Neumann spectrum, gets a NaN row.
+        """
+        lams = np.asarray(lams, dtype=complex).ravel()
+        bands = self._bvp_bands(0.0, self._v_conj if tilde else self._v)
+        out = np.empty((len(lams), 2, 2), dtype=complex)
+        with np.errstate(all="ignore"):
+            for start in range(0, len(lams), _BATCH_CHUNK):
+                stop = start + _BATCH_CHUNK
+                out[start:stop] = self._weyl_sweep(bands, lams[start:stop])
+        return out
+
+    def _weyl_sweep(self, bands, lams):
+        # arrays are (row, [rhs,] point) so each row step is contiguous
+        upper, diag0, lower = bands
+        a = lower[:-1, None]  # a[i - 1] = A[i, i - 1]
+        c = upper[1:, None]   # c[i] = A[i, i + 1]
+        n = self.grid.n
+        diag = np.repeat(diag0[:, None], len(lams), axis=1)
+        diag[1:-1] -= lams  # kernel rows carry -lambda, trace rows do not
+        cp = np.empty((n - 1, len(lams)), dtype=complex)
+        x = np.zeros((n, 2, len(lams)), dtype=complex)
+        x[0, 0] = 1.0
+        x[-1, 1] = 1.0
+        pivot = diag[0]
+        x[0] /= pivot
+        for i in range(1, n):
+            cp[i - 1] = c[i - 1] / pivot
+            pivot = diag[i] - a[i - 1] * cp[i - 1]
+            x[i] -= a[i - 1, :, None] * x[i - 1]
+            x[i] /= pivot
+        for i in range(n - 2, -1, -1):
+            x[i] -= cp[i] * x[i + 1]
+        # residual guard of _solve_banded, per point and right-hand side
+        resid = diag[:, None] * x
+        resid[:-1] += c[:, :, None] * x[1:]
+        resid[1:] += a[:, :, None] * x[:-1]
+        resid[0, 0] -= 1.0
+        resid[-1, 1] -= 1.0
+        band_max = np.maximum(np.abs(bands[[0, 2]]).max(),
+                              np.abs(diag).max(axis=0))
+        scale = band_max * np.abs(x).max(axis=0) + 1.0
+        good = (np.isfinite(x).all(axis=0)
+                & (np.abs(resid).max(axis=0) <= 1e-8 * scale)).all(axis=0)
+        m = np.stack([x[0], x[-1]]).transpose(2, 0, 1)
+        m[~good] = np.nan
+        return m
 
     def solve_bvp_tilde(self, mu, g):
         return self._solve_bvp(mu, g, self._v_conj, "solve_bvp_tilde")

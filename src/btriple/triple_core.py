@@ -25,6 +25,7 @@ import scipy.linalg as sla
 
 from .errors import (
     BirmanSchwingerSingular,
+    BTripleError,
     NoConvergence,
     NotAnEigenvalue,
     NotCertified,
@@ -50,6 +51,10 @@ _BS_SEED_LEVEL = None
 # two refined roots closer than this merge into one
 _ROOT_MERGE_RADIUS = 1e-7
 
+# Newton iterates may leave the scan window by this many window spans (the
+# larger side) before the run is abandoned
+_NEWTON_REACH = 1.0
+
 
 class TripleModel(abc.ABC):
     """Contract every concrete model implements.
@@ -58,6 +63,14 @@ class TripleModel(abc.ABC):
     slots the model needs so that trace0/trace1 are exact linear reads.
     The 𝓗 inner product sees interior samples only; trace slots are domain
     data, not L² mass.
+
+    ``weyl_batch(lams, tilde=False)`` returns the Weyl matrices M(lambda)
+    (M~(lambda) with ``tilde``) of a whole vector of spectral points as one
+    (N, d, d) stack, d = boundary_dim. A point where the model cannot
+    evaluate M, i.e. one on the Neumann spectrum, gets an all-NaN row
+    instead of an exception, so one bad node never aborts a batch. The
+    default evaluates the points one at a time; a model whose solves
+    vectorize over lambda overrides it.
     """
 
     # -- structure ---------------------------------------------------------
@@ -149,6 +162,19 @@ class TripleModel(abc.ABC):
         """Diagonal of the Weyl matrix for models where it is diagonal in
         the boundary basis; None means "build it column by column"."""
         return None
+
+    def weyl_batch(self, lams, tilde=False):
+        """Weyl matrices at every point of ``lams`` as an (N, d, d) stack;
+        NaN rows where the point-wise evaluation fails."""
+        lams = np.asarray(lams, dtype=complex).ravel()
+        dim = self.boundary_dim
+        out = np.full((len(lams), dim, dim), np.nan, dtype=complex)
+        for k, lam in enumerate(lams):
+            try:
+                out[k] = _weyl_matrix(self, complex(lam), tilde)
+            except BTripleError:
+                continue  # Neumann-spectrum point; leave the NaN row
+        return out
 
     def describe(self):
         return type(self).__name__
@@ -436,38 +462,37 @@ def robin_eigs(model, b, region, grid, seed_level=_BS_SEED_LEVEL,
     indicator sigma_min(I - B M) is scanned on the grid; every strict grid
     local minimum (below ``seed_level`` when one is given) seeds a Newton
     refinement on det(I - B M), which is holomorphic where sigma_min is
-    not. Grid nodes where the kernel solve fails (Neumann spectrum) are
-    skipped, and so are seeds whose Newton iterates wander onto such
-    points. Refined roots are kept when |det| <= 1e-9 * scale with scale
+    not. The whole grid is one ``model.weyl_batch`` call; nodes where it
+    returns a NaN row (Neumann spectrum) are skipped, and so are seeds
+    whose Newton iterates wander onto such points. A Newton run is also
+    abandoned before it evaluates a point more than one span (the larger
+    side of the region; ``_NEWTON_REACH`` spans) outside the region: a
+    root found out there would be dropped anyway, and a runaway iterate
+    can otherwise reach |lambda| where a single model solve costs seconds.
+    Refined roots are kept when |det| <= 1e-9 * scale with scale
     the median grid |det|, then merged within ``merge_radius`` and sorted
     by (Re, Im). Spurious seeds cost a few extra det evaluations and are
     dropped by the residual test; a seed cutoff instead risks losing roots
     that sit between grid nodes, which is why the default has none.
     """
-    from .errors import BTripleError
-
     re_min, re_max, im_min, im_max = map(float, region)
     n_re, n_im = map(int, grid)
     if n_re < 2 or n_im < 2:
         raise ValueError("grid must have at least 2 nodes per axis")
     bm = _bmatrix(b, model.boundary_dim)
-    eye = np.eye(model.boundary_dim, dtype=complex)
     res = np.linspace(re_min, re_max, n_re)
     ims = np.linspace(im_min, im_max, n_im)
-    values = np.full((n_re, n_im), np.inf)
-    dets = []
-    for i, x in enumerate(res):
-        for j, y in enumerate(ims):
-            try:
-                m = _weyl_matrix(model, complex(x, y), tilde=False)
-            except BTripleError:
-                continue  # Neumann-spectrum node; leave +inf
-            s = eye - bm @ m
-            values[i, j] = smallest_singular_value(s)
-            dets.append(abs(complex(np.linalg.det(s))))
-    if not dets:
+    nodes = np.empty((n_re, n_im), dtype=complex)  # Re outer, Im inner
+    nodes.real = res[:, None]
+    nodes.imag = ims[None, :]
+    s = np.eye(model.boundary_dim) - bm @ model.weyl_batch(nodes.ravel())
+    ok = np.isfinite(s).all(axis=(1, 2))
+    if not ok.any():
         return []
-    scale = max(float(np.median(dets)), 1e-300)
+    values = np.full(n_re * n_im, np.inf)
+    values[ok] = np.linalg.svd(s[ok], compute_uv=False)[:, -1]
+    values = values.reshape(n_re, n_im)
+    scale = max(float(np.median(np.abs(np.linalg.det(s[ok])))), 1e-300)
     det_tol = 1e-9 * scale
 
     level = float("inf") if seed_level is None else float(seed_level)
@@ -482,10 +507,17 @@ def robin_eigs(model, b, region, grid, seed_level=_BS_SEED_LEVEL,
                 seeds.append(complex(res[i], ims[j]))
 
     span = max(re_max - re_min, im_max - im_min)
+    reach = _NEWTON_REACH * span
+
+    def det_at(z):
+        if not (re_min - reach <= z.real <= re_max + reach
+                and im_min - reach <= z.imag <= im_max + reach):
+            raise NoConvergence(f"Newton iterate {z} left the scan window")
+        return _bs_det(model, b, z)
 
     def newton_from(z0, exclude):
         def fun(z):
-            d = _bs_det(model, b, z)
+            d = det_at(z)
             for r in exclude:
                 d /= (z - r)
             return d
@@ -496,8 +528,7 @@ def robin_eigs(model, b, region, grid, seed_level=_BS_SEED_LEVEL,
         if exclude:
             # deflation only steers the iteration into the right basin;
             # the returned root must satisfy the raw residual criterion
-            root = complex_newton(lambda z: _bs_det(model, b, z), root,
-                                  det_tol)
+            root = complex_newton(det_at, root, det_tol)
         return root
 
     def in_window(z):

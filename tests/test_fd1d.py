@@ -1,6 +1,8 @@
 """Staggered finite-difference interval model: grid geometry, the exact
 discrete boundary pairing, closed-form Neumann-to-Dirichlet maps, and the
 dense Robin matrices."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from btriple import (
     eig_dense,
     weyl,
 )
+from btriple.triple_core import _weyl_matrix
 
 from .conftest import complex_bump
 from .oracles import (
@@ -210,3 +213,29 @@ class TestCertifiedThreshold:
 
     def test_always_negative(self, fd_complex):
         assert fd_complex.certified_threshold() < 0.0
+
+
+class TestWeylBatch:
+    POWER = Potential1D.power_singularity(1.0 - 0.5j, 0.4, 0.4, 2.0)
+
+    @pytest.mark.parametrize("tilde", [False, True])
+    @pytest.mark.parametrize("power", [False, True])
+    def test_matches_pointwise_weyl(self, power, tilde):
+        # 96 x 33 = 3168 points, so the sweep crosses its 256-point chunks
+        model = build_fd1d(n=96, potential=self.POWER if power else None)
+        lams = (np.linspace(-20.0, 60.0, 96)[:, None]
+                + 1j * np.linspace(-6.0, 6.0, 33)[None, :]).ravel()
+        batch = model.weyl_batch(lams, tilde=tilde)
+        assert batch.shape == (len(lams), 2, 2)
+        for lam, m in zip(lams, batch):
+            ref = _weyl_matrix(model, lam, tilde)
+            assert np.abs(m - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_neumann_eigenvalue_gives_nan_row(self, fd_v0):
+        # lambda = 0 is the bottom of the V = 0 Neumann spectrum, where the
+        # pointwise solve raises BvpSolveFailure
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = fd_v0.weyl_batch([0.0, -1.0])
+        assert np.isnan(batch[0]).all()
+        assert np.allclose(batch[1], weyl(fd_v0, -1.0).m, rtol=1e-12)

@@ -12,6 +12,7 @@ from btriple import (
     NotPositiveDefinite,
     Potential1D,
     SpectralPoint,
+    TripleModel,
     bs_indicator,
     bs_kernel_lift,
     build_fd1d,
@@ -35,6 +36,8 @@ from btriple import (
     weyl_decay_study,
     weyl_symmetry_defect,
 )
+
+from btriple.triple_core import _weyl_matrix
 
 from .conftest import complex_bump
 from .oracles import (
@@ -357,6 +360,38 @@ class TestBirmanSchwinger:
         for z in inside:
             assert min(abs(z - r) for r in roots) < 1e-6
 
+    def test_newton_stays_within_one_span_of_window(self):
+        # the scan grid goes through weyl_batch, so every recorded solve is
+        # a Newton evaluation; unbounded, these reached |lambda| ~ 1e38
+        model = build_fd1d(n=96, potential=Potential1D.from_callable(
+            complex_bump))
+        seen = []
+        solve = model.solve_bvp
+
+        def recording(lam, g):
+            seen.append(complex(lam))
+            return solve(lam, g)
+
+        model.solve_bvp = recording
+        rng = np.random.default_rng(0)
+        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        re0, re1, im0, im1 = region = (-20.0, 30.0, -6.0, 6.0)
+        roots = robin_eigs(model, b, region, (96, 33))
+        span = max(re1 - re0, im1 - im0)
+        assert seen
+        for z in seen:
+            assert re0 - span <= z.real <= re1 + span
+            assert im0 - span <= z.imag <= im1 + span
+        def inset(zs):
+            return [z for z in zs if re0 + 0.1 <= z.real <= re1 - 0.1
+                    and im0 + 0.024 <= z.imag <= im1 - 0.024]
+
+        dense = inset(eig_dense(dense_robin_matrix(model, b=b)))
+        found = inset(roots)
+        assert len(found) == len(dense) > 0
+        for z in dense:
+            assert min(abs(z - r) for r in found) < 1e-6
+
     def test_disk_window_with_degenerate_pair(self, disk_int_v0):
         # the (12, 14) window holds the mode-0 root and the doubly
         # degenerate |k| = 1 root; deflation must not lose either
@@ -365,6 +400,21 @@ class TestBirmanSchwinger:
         assert len(roots) == 2
         assert abs(roots[0] - DISK_ROBIN_T2[1.0][0]) < 1e-8
         assert abs(roots[1] - DISK_ROBIN_T2[1.0][3]) < 1e-8
+
+
+class TestWeylBatchDefault:
+    def test_disk_loop_matches_pointwise(self, disk_int_v0):
+        lams = np.array([-3.0, 2.5 + 0.5j, 14.0 - 0.3j])
+        batch = disk_int_v0.weyl_batch(lams)
+        assert batch.shape == (3, 9, 9)
+        for lam, m in zip(lams, batch):
+            assert np.array_equal(m, _weyl_matrix(disk_int_v0, lam, False))
+
+    def test_failed_point_gives_nan_row(self, fd_v0):
+        # the contract's own loop, not the fd1d sweep
+        batch = TripleModel.weyl_batch(fd_v0, [0.0, -1.0])
+        assert np.isnan(batch[0]).all()
+        assert np.array_equal(batch[1], weyl(fd_v0, -1.0).m)
 
 
 class TestSectorialFactorization:
