@@ -29,9 +29,9 @@ from . import triple_core as tc
 from .errors import (BirmanSchwingerSingular, BTripleError, ConfigError,
                      InvalidPotential, MatchingSingular, NotAnEigenvalue,
                      NotCertified)
-from .harness import (SuiteConfig, VerificationReport, decay_samples_csv,
-                      model_from_spec, run_bs_cross_check, run_decay_suite,
-                      run_identity_suite)
+from .harness import (SuiteConfig, VerificationReport, _as_complex,
+                      decay_samples_csv, model_from_spec, run_bs_cross_check,
+                      run_decay_suite, run_identity_suite)
 from .triple_core import BoundaryOperator, SpectralPoint
 
 WEYL_CSV_SCHEMA = "btriple-weyl-csv/1"
@@ -54,15 +54,6 @@ _DEFAULT_LAMBDAS = (-1.0, -2.5, -6.0)
 def _fmt(x):
     """Shortest round-trip decimal form."""
     return repr(float(x))
-
-
-def _as_complex(value, where):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{where}: expected a number or [re, im] pair")
 
 
 class CliConfig:

@@ -68,11 +68,6 @@ class MatchingSingular(BTripleError):
     hits the Neumann spectrum of the continuum operator."""
 
 
-class OverflowGuard(BTripleError):
-    """A special-function evaluation was requested at an argument whose
-    exponential factor overflows double precision."""
-
-
 class NoRootInBracket(BTripleError):
     """A bracketing scan found no sign change in the searched interval."""
 

@@ -37,9 +37,19 @@ c I_k(s r) with s = sqrt(-lam), Re s > 0, and the mode Weyl values are
     interior  m_k = I_k(s) / (s I_k'(s)),
     exterior  m_k = (K_k + rho I_k)(s) / (-s (K_k' + rho I_k')(s)),
 
-with rho = -K_k(s r_cut) / I_k(s r_cut) the Dirichlet truncation weight
-(rho underflows harmlessly to 0 once Re(s) r_cut is large). Interior V = 0
-kernel samples come from the ascending I series, exact to rounding.
+with rho = -K_k(s r_cut) / I_k(s r_cut) the Dirichlet truncation weight.
+Both are ratios, so they are formed from the exponentially scaled
+scipy.special functions ive(k, z) = e^{-|Re z|} I_k(z) and
+kve(k, z) = e^{z} K_k(z) (Amos, ACM TOMS 644), with no cap on |lambda|:
+
+    interior  f = ive(k, s),   f' = s ive'(k, s),
+    exterior  f = e^{s} (K_k + rho I_k)(s) = kve(k, s) + rho' ive(k, s),
+              rho' = -kve(k, s r_cut) / ive(k, s r_cut)
+                     * exp(-(s + Re s)(r_cut - 1)),
+
+where rho' underflows to 0 once Re(s)(r_cut - 1) is large. Interior V = 0
+kernel samples are ive(k, s r) exp(Re s (r - 1)) = e^{-Re s} I_k(s r), the
+same factor f and f' carry, so the normalized kernel is unchanged.
 
 The exterior domain is the truncation at r_cut with a Dirichlet far end;
 that truncated operator, not the unbounded-domain one, is what every solve
@@ -62,14 +72,16 @@ bound studies; they are statements about the matrices themselves.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, block_diag, eigvalsh, lu_factor, lu_solve
+from scipy.optimize import brentq
+from scipy.special import ive, jv, jvp, kve
 
-from .bessel import bessel_i, bessel_j, bessel_k
 from .errors import (InvalidPotential, MatchingSingular, NoRootInBracket,
                      TruncationWarning)
 from .grids import PanelGrid, _bary_weights, graded_edges
@@ -77,6 +89,42 @@ from .potentials import Potential1D
 from .triple_core import BoundaryOperator, TripleModel
 
 _TWO_PI = 2.0 * np.pi
+
+
+def _neighbour_orders(k, z):
+    """(|k - 1|, k, k + 1) and z as a finite complex number."""
+    z = complex(z)
+    if k < 0:
+        raise ValueError("order must be nonnegative")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError("argument must be finite")
+    return np.array([abs(k - 1), k, k + 1], dtype=float), z
+
+
+def bessel_i(k, z):
+    """(ive(k, z), scaled I_k'(z)): both carry the factor e^{-|Re z|}, and
+    I_k' = (I_{k-1} + I_{k+1}) / 2 with I_{-1} = I_1."""
+    lo, mid, hi = ive(*_neighbour_orders(k, z))
+    return mid, 0.5 * (lo + hi)
+
+
+def bessel_k(k, z):
+    """(kve(k, z), scaled K_k'(z)) for Re z > 0: both carry the factor e^{z},
+    and K_k' = -(K_{k-1} + K_{k+1}) / 2 with K_{-1} = K_1."""
+    orders, z = _neighbour_orders(k, z)
+    if z.real <= 0.0:
+        raise ValueError("K_k requires Re z > 0")
+    lo, mid, hi = kve(orders, z)
+    return mid, -0.5 * (lo + hi)
+
+
+def bessel_j(k, x):
+    """(J_k(x), J_k'(x)) for integer k >= 0 and real x >= 0."""
+    if k < 0:
+        raise ValueError("order must be nonnegative")
+    if not float(x) >= 0.0:
+        raise ValueError("argument must be nonnegative")
+    return float(jv(k, x)), float(jvp(k, x))
 
 
 @dataclass(frozen=True)
@@ -120,34 +168,6 @@ class DiskModelConfig:
                 raise InvalidPotential(
                     f"support window {self.support} invalid for {self.side} side"
                 )
-
-
-def _i_nodes_pair(k, z):
-    """Vectorized (I_k, I_k') over an argument array via the ascending
-    series; falls back to scalar evaluation when |z| gets large enough for
-    the series to lose accuracy."""
-    z = np.asarray(z, dtype=complex)
-    if z.size and float(np.max(np.abs(z))) > 60.0:
-        pairs = np.array([bessel_i(k, zz) for zz in z])
-        return pairs[:, 0], pairs[:, 1]
-
-    def series(kk):
-        half = 0.5 * z
-        term = half ** kk / math.factorial(kk)
-        total = term.copy()
-        zz4 = half * half
-        for m in range(600):
-            term = term * zz4 / ((m + 1.0) * (m + 1.0 + kk))
-            total = total + term
-            if float(np.max(np.abs(term))) <= 1e-17 * max(
-                    float(np.max(np.abs(total))), 1e-300):
-                break
-        return total
-
-    ik = series(k)
-    if k == 0:
-        return ik, series(1)
-    return ik, 0.5 * (series(k - 1) + series(k + 1))
 
 
 def _support_aligned(edges, support):
@@ -231,16 +251,6 @@ class DiskModel(TripleModel):
     @property
     def boundary_dim(self):
         return self._nm
-
-    def describe(self):
-        return (f"disk({self.config.side}, k_max={self.config.k_max}, "
-                f"potential={self.config.radial_potential.kind})")
-
-    def radial_nodes(self):
-        return self._r.copy()
-
-    def sample_positions(self):
-        return np.tile(self._r, self._nm)
 
     def interior_values(self, f):
         return np.asarray(f)[:self._nm * self._nr]
@@ -403,24 +413,21 @@ class DiskModel(TripleModel):
         return s
 
     def _exact_scalars(self, lam, k):
-        """Boundary data (f(1), f'(1)) of the V = 0 kernel solution."""
+        """Boundary data (f(1), f'(1)) of the V = 0 kernel solution, both
+        scaled by one common factor (module docstring)."""
         s = self._s_of(lam)
+        ib, ibp = bessel_i(k, s)
         if self.config.side == "interior":
-            iv, ivp = bessel_i(k, s)
-            return iv, s * ivp
+            return ib, s * ibp
         kb, kbp = bessel_k(k, s)
         zc = s * self.config.r_cut
-        if zc.real > 300.0:
-            return kb, s * kbp
-        kc = bessel_k(k, zc)[0]
-        ic = bessel_i(k, zc)[0]
-        rho = -kc / ic
-        ib, ibp = bessel_i(k, s)
+        rho = (-bessel_k(k, zc)[0] / bessel_i(k, zc)[0]
+               * cmath.exp(-(s + s.real) * (self.config.r_cut - 1.0)))
         return kb + rho * ib, s * (kbp + rho * ibp)
 
     def _kernel(self, lam, tilde, k, need_values):
         """Kernel-side mode solution, unnormalized: (values_or_None, f(1),
-        f'(1)). Interior V = 0 comes from the exact I series; everything
+        f'(1)). Interior V = 0 comes from the scaled I_k(s r); everything
         else from the collocation solve with unit Neumann derivative."""
         data = self._mode_data(lam, tilde)
         entry = data.get(("kernel", k))
@@ -431,7 +438,7 @@ class DiskModel(TripleModel):
             vals = None
             if need_values:
                 s = self._s_of(lam)
-                vals = _i_nodes_pair(k, s * self._r)[0]
+                vals = ive(k, s * self._r) * np.exp(s.real * (self._r - 1.0))
         else:
             vals = self._colloc_solve(lam, tilde, k, None, 1.0)
             f1 = complex(self._row_u1 @ vals)
@@ -638,52 +645,31 @@ def disk_robin_reference(k, beta):
 
         sqrt(lam) J_k'(sqrt(lam)) = beta J_k(sqrt(lam)),
 
-    located by a fixed-step scan in t = sqrt(lam) (step 0.02, first sign
-    change) followed by bisection. The Bessel evaluations stay accurate for
-    t <= 8.5, which covers the low modes; beyond that the scan gives up with
-    NoRootInBracket."""
+    bracketed by a fixed-step scan in t = sqrt(lam) (step 0.02, first sign
+    change) and refined with brentq. The scan stops at t = 8.5 (lam ~ 72),
+    past the roots of the modes k <= 4 that the suites compare against; a
+    mode whose first root lies beyond it raises NoRootInBracket."""
     k = int(k)
     if k < 0:
         raise ValueError("mode index must be nonnegative")
     beta = float(beta)
 
     def g(t):
-        jv, jd = bessel_j(k, t)
-        return t * jd - beta * jv
+        jv_t, jd_t = bessel_j(k, t)
+        return t * jd_t - beta * jv_t
 
     step = 0.02
     t_max = 8.5
     t_prev = step
     g_prev = g(t_prev)
     t = t_prev + step
-    bracket = None
     while t <= t_max + 1e-12:
-        g_here = g(t)
         if g_prev == 0.0:
-            bracket = (t_prev, t_prev)
-            break
+            return t_prev ** 2
+        g_here = g(t)
         if (g_prev < 0.0) != (g_here < 0.0):
-            bracket = (t_prev, t)
-            break
+            return brentq(g, t_prev, t, xtol=1e-14) ** 2
         t_prev, g_prev = t, g_here
         t += step
-    if bracket is None:
-        raise NoRootInBracket(
-            f"no Robin crossing for mode {k}, beta = {beta:g}, t <= {t_max}")
-    lo, hi = bracket
-    if lo == hi:
-        return lo ** 2
-    g_lo = g(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            lo = hi = mid
-            break
-        if (g_mid < 0.0) == (g_lo < 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, lo):
-            break
-    return (0.5 * (lo + hi)) ** 2
+    raise NoRootInBracket(
+        f"no Robin crossing for mode {k}, beta = {beta:g}, t <= {t_max}")

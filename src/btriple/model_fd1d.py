@@ -160,13 +160,6 @@ class Fd1dModel(TripleModel):
     def boundary_dim(self):
         return 2
 
-    def describe(self):
-        return (f"fd1d(n={self.grid.n}, L={self.grid.length:g}, "
-                f"potential={self.potential.kind})")
-
-    def sample_positions(self):
-        return self.grid.positions()
-
     def v_sup_proxy(self):
         return self._v_proxy
 

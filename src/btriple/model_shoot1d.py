@@ -193,13 +193,6 @@ class Shoot1dModel(TripleModel):
     def boundary_dim(self):
         return 2
 
-    def describe(self):
-        return (f"shoot1d(L={self.config.length:g}, rtol={self.config.rtol:g}, "
-                f"potential={self.config.potential.kind})")
-
-    def sample_positions(self):
-        return self.grid.nodes.copy()
-
     def interior_values(self, f):
         return np.asarray(f)[:self.grid.size]
 

@@ -43,11 +43,6 @@ from .numerics import (
 # sigma_min floor below which I - B M(lambda) counts as singular
 _BS_SINGULAR_TOL = 1e-10
 
-# optional indicator cutoff for Newton seeding; None seeds from every grid
-# local minimum (a coarse scan can sit well above any fixed level even one
-# grid step away from a root, so a cutoff silently loses roots)
-_BS_SEED_LEVEL = None
-
 # two refined roots closer than this merge into one
 _ROOT_MERGE_RADIUS = 1e-7
 
@@ -148,14 +143,9 @@ class TripleModel(abc.ABC):
         operators decouple (modes) override this to keep solves small."""
         return [(self.hn_matrix(), self.v_matrix())]
 
-    def sample_positions(self):
-        """Physical positions of the carrier's interior samples, for output
-        tables; None when the carrier has no single coordinate."""
-        return None
-
     def interior_values(self, f):
-        """The interior (non-trace) samples of a carrier, aligned with
-        sample_positions(); identity for carriers without trace slots."""
+        """The interior (non-trace) samples of a carrier, without its trace
+        slots; identity for carriers that have none."""
         return np.asarray(f)
 
     def mode_weyl_values(self, lam, tilde=False):
@@ -175,9 +165,6 @@ class TripleModel(abc.ABC):
             except BTripleError:
                 continue  # Neumann-spectrum point; leave the NaN row
         return out
-
-    def describe(self):
-        return type(self).__name__
 
     def boundary_basis(self):
         """The standard basis of the boundary carrier."""
@@ -454,15 +441,13 @@ def _bs_det(model, b, lam):
     return complex(np.linalg.det(np.eye(model.boundary_dim) - bm @ m))
 
 
-def robin_eigs(model, b, region, grid, seed_level=_BS_SEED_LEVEL,
-               merge_radius=_ROOT_MERGE_RADIUS):
+def robin_eigs(model, b, region, grid):
     """Eigenvalues of A_B inside a rectangular region of the plane.
 
     region = (re_min, re_max, im_min, im_max), grid = (n_re, n_im). The
-    indicator sigma_min(I - B M) is scanned on the grid; every strict grid
-    local minimum (below ``seed_level`` when one is given) seeds a Newton
-    refinement on det(I - B M), which is holomorphic where sigma_min is
-    not. The whole grid is one ``model.weyl_batch`` call; nodes where it
+    indicator sigma_min(I - B M) is scanned on the grid; every grid local
+    minimum seeds a Newton refinement on det(I - B M), which is holomorphic
+    where sigma_min is not. The whole grid is one ``model.weyl_batch`` call; nodes where it
     returns a NaN row (Neumann spectrum) are skipped, and so are seeds
     whose Newton iterates wander onto such points. A Newton run is also
     abandoned before it evaluates a point more than one span (the larger
@@ -470,10 +455,11 @@ def robin_eigs(model, b, region, grid, seed_level=_BS_SEED_LEVEL,
     root found out there would be dropped anyway, and a runaway iterate
     can otherwise reach |lambda| where a single model solve costs seconds.
     Refined roots are kept when |det| <= 1e-9 * scale with scale
-    the median grid |det|, then merged within ``merge_radius`` and sorted
-    by (Re, Im). Spurious seeds cost a few extra det evaluations and are
-    dropped by the residual test; a seed cutoff instead risks losing roots
-    that sit between grid nodes, which is why the default has none.
+    the median grid |det|, then merged within ``_ROOT_MERGE_RADIUS`` and
+    sorted by (Re, Im). Spurious seeds cost a few extra det evaluations and
+    are dropped by the residual test; a seed cutoff on the indicator would
+    instead lose roots that sit between grid nodes (a coarse scan can sit
+    well above any fixed level even one grid step away from a root).
     """
     re_min, re_max, im_min, im_max = map(float, region)
     n_re, n_im = map(int, grid)
@@ -495,12 +481,11 @@ def robin_eigs(model, b, region, grid, seed_level=_BS_SEED_LEVEL,
     scale = max(float(np.median(np.abs(np.linalg.det(s[ok])))), 1e-300)
     det_tol = 1e-9 * scale
 
-    level = float("inf") if seed_level is None else float(seed_level)
     seeds = []
     for i in range(n_re):
         for j in range(n_im):
             v = values[i, j]
-            if not np.isfinite(v) or v >= level:
+            if not np.isfinite(v):
                 continue
             neighbors = values[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2]
             if v <= neighbors.min():
@@ -523,7 +508,7 @@ def robin_eigs(model, b, region, grid, seed_level=_BS_SEED_LEVEL,
             return d
         scale = 1.0
         for r in exclude:
-            scale *= max(abs(z0 - r), merge_radius)
+            scale *= max(abs(z0 - r), _ROOT_MERGE_RADIUS)
         root = complex_newton(fun, z0, det_tol / scale)
         if exclude:
             # deflation only steers the iteration into the right basin;
@@ -553,7 +538,7 @@ def robin_eigs(model, b, region, grid, seed_level=_BS_SEED_LEVEL,
                 except (NoConvergence, BTripleError):
                     break
                 known = [r for r in roots + fresh
-                         if abs(root - r) <= merge_radius]
+                         if abs(root - r) <= _ROOT_MERGE_RADIUS]
                 if not known:
                     if in_window(root):
                         fresh.append(root)

@@ -212,6 +212,19 @@ def _mp_basis(k, s, r):
     return i0, k0, di, dk
 
 
+def disk_weyl_v0(side, k, lam, r_cut=16.0):
+    """m_k of the V = 0 disk: I_k(s) / (s I_k'(s)) inside, and outside
+    (K_k + rho I_k)(s) / (-s (K_k' + rho I_k')(s)) with the Dirichlet
+    weight rho = -K_k(s r_cut) / I_k(s r_cut), s = sqrt(-lam). mpmath keeps
+    every exponential factor, so any |lam| works."""
+    s = mp.sqrt(-mp.mpc(lam))
+    if side == "interior":
+        return complex(mp_iv(k, s) / (s * mp_iv_prime(k, s)))
+    rho = -mp_kv(k, s * r_cut) / mp_iv(k, s * r_cut)
+    return complex((mp_kv(k, s) + rho * mp_iv(k, s))
+                   / (-s * (mp_kv_prime(k, s) + rho * mp_iv_prime(k, s))))
+
+
 def disk_interior_weyl_constant(k, lam, c, lo, hi):
     """m_k for the unit disk, potential c on (lo, hi) subset of (0, 1), else 0.
 

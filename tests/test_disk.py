@@ -26,6 +26,7 @@ from .oracles import (
     K1_AT_1,
     disk_exterior_weyl_constant,
     disk_interior_weyl_constant,
+    disk_weyl_v0,
 )
 
 
@@ -115,6 +116,30 @@ class TestZeroPotentialScalars:
         assert gaps[0] < 2e-2
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[2] < 2e-3
+
+
+class TestFarNegativeAxis:
+    """|lambda| >= 5e5 puts |s| past 700, where the unscaled I_k and K_k
+    leave double range; the scaled ratios do not."""
+
+    @pytest.mark.parametrize("lam", [-5e5, -6e5])
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_mode_weyl_values_match_mpmath(self, disk_int_v0, disk_ext_v0,
+                                           side, lam):
+        model = disk_int_v0 if side == "interior" else disk_ext_v0
+        got = model.mode_weyl_values(lam)
+        want = np.array([disk_weyl_v0(side, abs(int(k)), lam)
+                         for k in model.mode_numbers])
+        assert np.all(np.abs(got - want) < 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_kernel_solve_keeps_its_trace(self, disk_int_v0, disk_ext_v0,
+                                          side):
+        model = disk_int_v0 if side == "interior" else disk_ext_v0
+        for e in model.boundary_basis():
+            f = model.solve_bvp(-6e5, e)
+            assert np.all(np.isfinite(f))
+            assert np.abs(model.trace0(f) - e).max() < 1e-15
 
 
 class TestConstantPotentialOracle:

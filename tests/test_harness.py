@@ -1,14 +1,19 @@
-"""Verification harness: report serialization and suite configuration."""
+"""Verification harness: report serialization, suite configuration and
+registry coverage."""
 import json
 
 import pytest
 
 from btriple import ConfigError
 from btriple.harness import (
+    CHECK_REGISTRY,
     REPORT_SCHEMA,
     CheckRecord,
     SuiteConfig,
     VerificationReport,
+    run_bs_cross_check,
+    run_decay_suite,
+    run_identity_suite,
 )
 
 
@@ -48,3 +53,17 @@ class TestSuiteConfig:
         with pytest.raises(ConfigError):
             SuiteConfig.from_dict({"jobs": 2})
         assert SuiteConfig.from_dict({"seed": 3}).seed == 3
+
+
+class TestRegistryCoverage:
+    def test_every_registered_check_is_emitted(self):
+        # fd1d plus a coarse V = 0 interior disk reach every check family;
+        # the coarse disk misses some tolerances, so only names are compared
+        config = SuiteConfig(models=(
+            {"model": "fd1d", "n": 32},
+            {"model": "disk", "side": "interior", "k_max": 1,
+             "quad_panels": 4, "quad_order": 8, "radial_grid": 32}))
+        emitted = set()
+        for suite in (run_identity_suite, run_decay_suite, run_bs_cross_check):
+            emitted |= {rec.check_name for rec in suite(config).records}
+        assert emitted == set(CHECK_REGISTRY)
