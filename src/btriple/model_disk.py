@@ -419,6 +419,10 @@ class DiskModel(TripleModel):
         ib, ibp = bessel_i(k, s)
         if self.config.side == "interior":
             return ib, s * ibp
+        if s.real == 0.0:
+            raise MatchingSingular(
+                f"exterior K_k data need Re sqrt(-lambda) > 0; lambda = {lam} "
+                "lies on [0, inf)")
         kb, kbp = bessel_k(k, s)
         zc = s * self.config.r_cut
         rho = (-bessel_k(k, zc)[0] / bessel_i(k, zc)[0]

@@ -65,10 +65,13 @@ class TestExitCodes:
             cli.EXIT_SOLVER
 
     def test_neumann_point_of_disk_exits_4(self, tmp_path):
-        config = {"model": {"family": "disk", "side": "interior", "k_max": 2},
-                  "lambda": {"points": [0.0]}}
-        assert _run(tmp_path, "weyl", config, "--allow-uncertified") == \
-            cli.EXIT_SINGULAR
+        # the interior disk at its Neumann point, and the V = 0 exterior
+        # disk on [0, inf), where its K_k scalars are undefined
+        for side, lam in (("interior", 0.0), ("exterior", 5.0)):
+            config = {"model": {"family": "disk", "side": side, "k_max": 2},
+                      "lambda": {"points": [lam]}}
+            assert _run(tmp_path, "weyl", config, "--allow-uncertified") == \
+                cli.EXIT_SINGULAR
 
 
 class TestVerifyReport:

@@ -12,6 +12,7 @@ from btriple import (
     TruncationWarning,
     build_disk,
     disk_robin_reference,
+    robin_eigs,
     weyl,
     weyl_symmetry_defect,
 )
@@ -116,6 +117,18 @@ class TestZeroPotentialScalars:
         assert gaps[0] < 2e-2
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[2] < 2e-3
+
+
+class TestPositiveAxis:
+    def test_exterior_robin_scan_crosses_the_cut(self):
+        # the V = 0 exterior scalars are singular on [0, inf); those grid
+        # nodes drop out of the scan instead of ending it
+        model = build_disk(DiskModelConfig(side="exterior", k_max=2))
+        roots = robin_eigs(model, np.eye(model.boundary_dim),
+                           (0.3, 10.3, -0.5, 0.5), (20, 5))
+        assert roots
+        # B = I is Hermitian, so A_B is selfadjoint
+        assert max(abs(z.imag) for z in roots) < 1e-8
 
 
 class TestFarNegativeAxis:

@@ -7,6 +7,7 @@ from btriple import (
     MatchingSingular,
     Potential1D,
     ShootConfig,
+    StepSizeUnderflow,
     build_fd1d,
     build_shoot1d,
     dp45_integrate,
@@ -14,6 +15,8 @@ from btriple import (
     weyl,
     weyl_symmetry_defect,
 )
+
+from btriple.harness import SuiteConfig, run_identity_suite
 
 from .conftest import complex_bump
 from .oracles import COSH1, SINH1, interval_weyl_v0
@@ -32,25 +35,37 @@ class TestShootConfig:
             ShootConfig(rtol=1e-2)
         with pytest.raises(ValueError):
             ShootConfig(atol=1e-14)
-        with pytest.raises(ValueError):
-            ShootConfig(max_step=-0.1)
 
 
 class TestIntegrator:
     def test_linear_ode(self):
         # y' = y from 1: endpoint is e
-        _, y = dp45_integrate(lambda x, y: y, 0.0, 1.0, [1.0], 1e-12, 1e-14, 0.5)
+        _, y = dp45_integrate(lambda x, y: y, 0.0, 1.0, [1.0], 1e-12, 1e-14)
         assert abs(y[0] - np.e) < 1e-11
 
     def test_samples_are_interpolated(self):
         pts = np.array([0.25, 0.5, 0.75])
         out, _ = dp45_integrate(lambda x, y: y, 0.0, 1.0, [1.0], 1e-12, 1e-14,
-                                0.5, sample_points=pts)
+                                sample_points=pts)
         assert np.abs(out[:, 0] - np.exp(pts)).max() < 1e-11
 
     def test_backward_integration(self):
-        _, y = dp45_integrate(lambda x, y: y, 1.0, 0.0, [np.e], 1e-12, 1e-14, 0.5)
+        # the stops run 0.75, 0.5, 0.25, 0; the 1.25 point lies behind the
+        # start and gets the initial state
+        pts = np.array([0.25, 0.5, 0.75, 1.25])
+        out, y = dp45_integrate(lambda x, y: y, 1.0, 0.0, [np.e], 1e-12, 1e-14,
+                                sample_points=pts)
         assert abs(y[0] - 1.0) < 1e-11
+        assert np.abs(out[:3, 0] - np.exp(pts[:3])).max() < 1e-11
+        assert out[3, 0] == np.e
+
+    def test_failed_solver_raises_step_size_underflow(self):
+        def rhs(x, y):
+            return y * np.nan if x > 0.5 else y
+
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(StepSizeUnderflow, match="x = 0.5"):
+            dp45_integrate(rhs, 0.0, 1.0, [1.0], 1e-10, 1e-12)
 
 
 class TestShootIvp:
@@ -95,6 +110,11 @@ class TestShootIvp:
         assert np.abs(w - 1.0).max() < 1e-8
 
 
+@pytest.fixture(scope="module")
+def shoot_bench_v0():
+    return build_shoot1d(ShootConfig(), panels=4, order=12, fd_nodes=128)
+
+
 class TestShootModel:
     def test_structure(self, shoot_v0):
         assert shoot_v0.grid.size == 128
@@ -111,6 +131,13 @@ class TestShootModel:
         got = weyl(shoot_v0, lam, allow_uncertified=True).m
         want = interval_weyl_v0(lam)
         assert np.abs(got - want).max() < 1e-8 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("lam", [-1.0, -10.0, -100.0, -1e3, -1e4, 5 + 3j,
+                                     20 - 8j, -50 + 50j, -6.55e4])
+    def test_benchmark_sweep_matches_closed_form(self, shoot_bench_v0, lam):
+        got = weyl(shoot_bench_v0, lam, allow_uncertified=True).m
+        want = interval_weyl_v0(lam)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
     def test_far_field_weyl(self, shoot_v0):
         # at lam = -1024 the interval is effectively a half line: M ~ I/32
@@ -160,3 +187,14 @@ class TestShootModel:
     def test_build_rejects_wrong_config(self):
         with pytest.raises(TypeError):
             build_shoot1d({"length": 1.0})
+
+
+class TestIdentitySuite:
+    def test_complex_potential_passes_at_rtol_1e_9(self):
+        # the gamma_kernel_ode records must hold their 1e-7 bar at rtol 1e-9 too
+        spec = {"model": "shoot1d", "panels": 4, "order": 12, "fd_nodes": 128,
+                "potential": {"kind": "constant", "value": [3.0, -2.0]},
+                "rtol": 1e-9}
+        records = run_identity_suite(SuiteConfig(models=(spec,))).records
+        assert len(records) == 63
+        assert [r.check_name for r in records if not r.passed] == []
