@@ -40,7 +40,8 @@ DECAY_CSV_SCHEMA = "btriple-decay-csv/1"
 # Registry of invariant-backed checks. Which names a run emits depends on
 # its model specs: the default SuiteConfig (fd1d only) emits neither
 # weyl_mode_diagonal (disk models) nor bs_reference_match (interior disk
-# with V = 0), and no test yet checks that every name is reachable.
+# with V = 0). tests/test_harness.py::TestRegistryCoverage checks that a
+# small fd1d-plus-disk run emits every name.
 CHECK_REGISTRY = {
     "green_identity": "abstract Green identity on random carrier pairs",
     "green_on_kernels": "Green identity on gamma-field outputs",

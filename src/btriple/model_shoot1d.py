@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .errors import MatchingSingular, StepSizeUnderflow
 from .grids import PanelGrid, graded_edges
@@ -73,6 +72,9 @@ def dp45_integrate(rhs, x_start, x_end, y0, rtol, atol, sample_points=None):
     Integrates from x_start to x_end in either direction and returns
     (samples, y_end) where samples[i] is the state at sample_points[i];
     points at or behind the start get the initial state."""
+    # imported here so that runs without a shoot1d model never load it
+    from scipy.integrate import DOP853
+
     sign = 1.0 if x_end >= x_start else -1.0
     if sample_points is None:
         sample_points = np.array([])

@@ -1,17 +1,20 @@
 """Interior and exterior disk models: exact Bessel scalars for V = 0, a 2x2
-interface-matching oracle for piecewise-constant potentials, truncation of
-boundary symbols, and the Robin reference roots."""
+interface-matching oracle for piecewise-constant potentials, the banded
+collocation solve against a dense one, truncation of boundary symbols, and
+the Robin reference roots."""
 import numpy as np
 import pytest
 
 from btriple import (
     DiskModelConfig,
     InvalidPotential,
+    MatchingSingular,
     NoRootInBracket,
     Potential1D,
     TruncationWarning,
     build_disk,
     disk_robin_reference,
+    model_disk,
     robin_eigs,
     weyl,
     weyl_symmetry_defect,
@@ -175,6 +178,111 @@ class TestConstantPotentialOracle:
     def test_weyl_symmetry_with_complex_potential(self, disk_int_const):
         assert weyl_symmetry_defect(disk_int_const, -2.0 + 0.5j,
                                     allow_uncertified=True) < 1e-8
+
+
+def _dense_collocation(model, lam, tilde, k):
+    """The collocation matrix assembled densely, row by row: the radial
+    equation everywhere, then the interface and boundary rows written over
+    it."""
+    g = model.grid
+    n = g.size
+    a = (-model._d2 - model._d1 / model._r[:, None]).astype(complex)
+    vr = np.conjugate(model._vr) if tilde else model._vr
+    a[np.arange(n), np.arange(n)] += k * k / model._r ** 2 + vr - lam
+    for p in range(g.panels - 1):
+        e = g.edges[p + 1]
+        a[g.panel_slice(p).stop - 1] = (model._point_row(p, e)
+                                        - model._point_row(p + 1, e))
+        a[g.panel_slice(p + 1).start] = (model._deriv_row(p, e)
+                                         - model._deriv_row(p + 1, e))
+    last = g.panels - 1
+    if model.config.side == "interior":
+        a[0] = (model._point_row(0, 0.0) if k else model._deriv_row(0, 0.0))
+        a[n - 1] = model._deriv_row(last, 1.0)
+    else:
+        a[0] = model._deriv_row(0, 1.0)
+        a[n - 1] = model._point_row(last, model.config.r_cut)
+    return a
+
+
+def _scale_band_row(model, i, factor):
+    """Scale row i of both band templates of ``model``."""
+    kl, ku, n = model._kl, model._ku, model.grid.size
+    for ab in model._band_templates:
+        for j in range(max(i - kl, 0), min(i + ku + 1, n)):
+            ab[kl + ku + i - j, j] *= factor
+
+
+def _coarse_exterior():
+    """A cheap exterior model with a potential, so its Weyl values go
+    through collocation."""
+    return build_disk(DiskModelConfig(
+        side="exterior", k_max=1, radial_potential=Potential1D.constant(1.5),
+        support=(1.0, 3.0), quad_panels=4, quad_order=8))
+
+
+class TestBandedCollocation:
+    @pytest.mark.parametrize("lam", [-3.0, 5 + 3j, -500.0, -5e4])
+    @pytest.mark.parametrize("tilde", [False, True])
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_matches_dense_solve(self, disk_int_v0, disk_ext_const, side,
+                                 tilde, lam):
+        model = disk_int_v0 if side == "interior" else disk_ext_const
+        n = model.grid.size
+        f = np.random.default_rng(3).standard_normal(n) + 0.5j
+        mask = model._colloc_mask
+        for k in (0, 1, model.config.k_max):
+            a = _dense_collocation(model, lam, tilde, k)
+            kernel_rhs = np.zeros(n, dtype=complex)
+            kernel_rhs[model._neumann_idx] = 1.0
+            resolvent_rhs = np.where(mask, f, 0.0)
+            for rhs, f_vals, neumann in ((kernel_rhs, None, 1.0),
+                                         (resolvent_rhs, f, 0.0)):
+                want = np.linalg.solve(a, rhs)
+                got = model._colloc_solve(lam, tilde, k, f_vals, neumann)
+                err = np.abs(got - want).max()
+                assert err < 1e-10 * np.abs(want).max(), f"k = {k}"
+
+    def test_band_is_one_panel_wide(self, disk_int_v0, disk_ext_const):
+        # the benchmark specs, and a support mark halfway between two of the
+        # uniform interior edges, which adds a seventeenth panel
+        extra = build_disk(DiskModelConfig(
+            side="interior", k_max=2, radial_potential=Potential1D.constant(1.0),
+            support=(0.53125, 1.0)))
+        assert extra.grid.panels == extra.config.quad_panels + 1
+        for model in (disk_int_v0, disk_ext_const, extra):
+            assert model._kl == model._ku == model.config.quad_order
+
+
+class TestSingularCollocation:
+    def test_exact_zero_pivot_raises(self):
+        # a zero row stays zero through the elimination, so zgbtrf reports
+        # an exactly zero pivot (info > 0)
+        model = _coarse_exterior()
+        _scale_band_row(model, model.grid.size - 1, 0.0)
+        _, _, info = model_disk.lu_factor(
+            model._band_templates[1].astype(complex, order="F"),
+            model._kl, model._ku)
+        assert info > 0
+        with pytest.raises(MatchingSingular):
+            model._colloc_lu(-3.0, False, 1)
+        m = model.weyl_batch([-3.0])
+        assert m.shape == (1, 3, 3) and np.isnan(m).all()
+
+    def test_small_pivot_ratio_raises(self):
+        # a boundary row scaled by 1e-20 leaves no exactly zero pivot, only
+        # one far below the 1e-14 ratio
+        model = _coarse_exterior()
+        _scale_band_row(model, model.grid.size - 1, 1e-20)
+        kl, ku = model._kl, model._ku
+        lu, _, info = model_disk.lu_factor(
+            model._band_templates[1].astype(complex, order="F"), kl, ku)
+        du = np.abs(lu[kl + ku])
+        assert info == 0 and 0.0 < du.min() < 1e-14 * du.max()
+        with pytest.raises(MatchingSingular):
+            model._colloc_lu(-3.0, False, 1)
+        m = model.weyl_batch([-3.0])
+        assert m.shape == (1, 3, 3) and np.isnan(m).all()
 
 
 class TestBoundaryMultiplication:

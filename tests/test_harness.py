@@ -1,6 +1,9 @@
-"""Verification harness: report serialization, suite configuration and
-registry coverage."""
+"""Verification harness: report serialization, suite configuration,
+registry coverage, and the package names the benchmark's tracer wraps."""
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,3 +70,29 @@ class TestRegistryCoverage:
         for suite in (run_identity_suite, run_decay_suite, run_bs_cross_check):
             emitted |= {rec.check_name for rec in suite(config).records}
         assert emitted == set(CHECK_REGISTRY)
+
+
+class TestTracedNames:
+    def test_tracer_wraps_and_restores_every_name(self, monkeypatch):
+        # perfbench/tracing.py patches package attributes by name, so a
+        # renamed function (model_disk.lu_factor, model_shoot1d.dp45_integrate)
+        # would break the traced benchmark run
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            saved = list(tracer._saved)
+            for owner, attr, original in saved:
+                assert getattr(owner, attr) is not original, attr
+        finally:
+            tracer.uninstall()
+        names = {(owner.__name__, attr) for owner, attr, _ in saved}
+        assert ("btriple.model_disk", "lu_factor") in names
+        assert ("btriple.model_shoot1d", "dp45_integrate") in names
+        assert len(names) == len(saved)
+        for owner, attr, original in saved:
+            assert getattr(owner, attr) is original, attr

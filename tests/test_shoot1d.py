@@ -1,8 +1,14 @@
 """Shooting-based continuum interval model: the adaptive integrator, kernel
-solutions, and agreement with both closed forms and the fd discretization."""
+solutions, agreement with both closed forms and the fd discretization, and
+the deferred import of the integrator."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import btriple
 from btriple import (
     MatchingSingular,
     Potential1D,
@@ -198,3 +204,16 @@ class TestIdentitySuite:
         records = run_identity_suite(SuiteConfig(models=(spec,))).records
         assert len(records) == 63
         assert [r.check_name for r in records if not r.passed] == []
+
+
+class TestLazyIntegratorImport:
+    def test_package_import_leaves_scipy_integrate_unloaded(self):
+        # only a shoot1d shot needs DOP853; fd1d and disk runs never load it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(btriple.__file__)))
+        code = ("import sys, btriple; "
+                "print('scipy.integrate' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
