@@ -30,8 +30,8 @@ from .errors import (BirmanSchwingerSingular, BTripleError, ConfigError,
                      InvalidPotential, MatchingSingular, NotAnEigenvalue,
                      NotCertified)
 from .harness import (SuiteConfig, VerificationReport, _as_complex,
-                      decay_samples_csv, model_from_spec, run_bs_cross_check,
-                      run_decay_suite, run_identity_suite)
+                      _as_numbers, decay_samples_csv, model_from_spec,
+                      run_bs_cross_check, run_decay_suite, run_identity_suite)
 from .triple_core import BoundaryOperator, SpectralPoint
 
 WEYL_CSV_SCHEMA = "btriple-weyl-csv/1"
@@ -94,14 +94,14 @@ class CliConfig:
         region = data.get("region", dict(_DEFAULT_REGION))
         if not isinstance(region, dict) or set(region) - {"rect", "grid"}:
             raise ConfigError("region section accepts only 'rect' and 'grid'")
-        rect = region.get("rect", _DEFAULT_REGION["rect"])
-        grid = region.get("grid", _DEFAULT_REGION["grid"])
-        if len(rect) != 4:
+        self.region = _as_numbers(region.get("rect", _DEFAULT_REGION["rect"]),
+                                  float, "region.rect")
+        self.grid = _as_numbers(region.get("grid", _DEFAULT_REGION["grid"]),
+                                int, "region.grid")
+        if len(self.region) != 4:
             raise ConfigError("region.rect must be [re_min, re_max, im_min, im_max]")
-        if len(grid) != 2:
+        if len(self.grid) != 2:
             raise ConfigError("region.grid must be [n_re, n_im]")
-        self.region = tuple(float(x) for x in rect)
-        self.grid = tuple(int(n) for n in grid)
 
         output = data.get("output", {})
         if not isinstance(output, dict) or set(output) - {"stem"}:
@@ -142,16 +142,17 @@ class CliConfig:
             if set(spec) - {"kind", "entries"}:
                 raise ConfigError("matrix boundary operator takes only 'entries'")
             entries = spec.get("entries")
-            if not isinstance(entries, list):
-                raise ConfigError("matrix boundary operator needs 'entries'")
-            rows = [[_as_complex(v, "boundary_operator.entries") for v in row]
-                    for row in entries]
-            m = np.array(rows, dtype=complex)
-            if m.shape != (dim, dim):
+            if not isinstance(entries, list) or not all(
+                    isinstance(row, list) for row in entries):
+                raise ConfigError("matrix boundary operator needs 'entries' "
+                                  "as a list of rows")
+            if len(entries) != dim or any(len(row) != dim for row in entries):
                 raise ConfigError(
-                    f"boundary operator entries are {m.shape}, the model "
-                    f"boundary space has dimension {dim}")
-            return BoundaryOperator(matrix=m)
+                    f"boundary operator entries must be {dim} rows of {dim}: "
+                    f"the model boundary space has dimension {dim}")
+            return BoundaryOperator(matrix=[
+                [_as_complex(v, "boundary_operator.entries") for v in row]
+                for row in entries])
         raise ConfigError(f"unknown boundary_operator kind {kind!r}")
 
     def suite_config(self, seed):

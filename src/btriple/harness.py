@@ -25,8 +25,8 @@ import scipy
 
 from . import triple_core as tc
 from .errors import BTripleError, ConfigError
-from .model_disk import DiskModel, DiskModelConfig, build_disk, disk_robin_reference
-from .model_fd1d import Fd1dModel, build_fd1d, dense_robin_matrix
+from .model_disk import DiskModelConfig, build_disk
+from .model_fd1d import build_fd1d
 from .model_shoot1d import ShootConfig, build_shoot1d
 from .numerics import (eig_dense, fit_log_slope, smallest_singular_value,
                        solve_linear)
@@ -38,10 +38,12 @@ CSV_SCHEMA = "btriple-report-csv/1"
 DECAY_CSV_SCHEMA = "btriple-decay-csv/1"
 
 # Registry of invariant-backed checks. Which names a run emits depends on
-# its model specs: the default SuiteConfig (fd1d only) emits neither
-# weyl_mode_diagonal (disk models) nor bs_reference_match (interior disk
-# with V = 0). tests/test_harness.py::TestRegistryCoverage checks that a
-# small fd1d-plus-disk run emits every name.
+# the TripleModel hooks of its models: weyl_mode_diagonal needs
+# mode_weyl_values (disks), adjoint_matrices, krein_vs_dense and the
+# bs_hausdorff_dense/bs_kernel_residual pair need dense_robin (fd1d), and
+# bs_reference_match needs reference_robin_eigs (V = 0 interior disk).
+# tests/test_harness.py::TestRegistryCoverage checks that a small
+# fd1d-plus-disk run emits every name.
 CHECK_REGISTRY = {
     "green_identity": "abstract Green identity on random carrier pairs",
     "green_on_kernels": "Green identity on gamma-field outputs",
@@ -163,6 +165,14 @@ def _as_complex(value, where):
     raise ConfigError(f"{where}: expected a number or [re, im] pair")
 
 
+def _as_numbers(values, convert, where):
+    """Tuple of convert(v) over values; malformed input is a ConfigError."""
+    try:
+        return tuple(convert(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: expected numbers ({exc})") from exc
+
+
 def potential_from_spec(spec):
     """Potential1D from a config mapping: {'kind': 'zero' | 'constant' |
     'power', ...}. Unknown kinds and keys are rejected."""
@@ -185,9 +195,10 @@ def potential_from_spec(spec):
     missing = _POTENTIAL_KEYS["power"] - set(spec)
     if missing:
         raise ConfigError(f"power potential needs keys {sorted(missing)}")
+    x0, alpha, p = _as_numbers((spec["x0"], spec["alpha"], spec["p"]), float,
+                               "potential x0, alpha, p")
     return Potential1D.power_singularity(
-        _as_complex(spec["c"], "potential.c"), float(spec["x0"]),
-        float(spec["alpha"]), float(spec["p"]))
+        _as_complex(spec["c"], "potential.c"), x0, alpha, p)
 
 
 _MODEL_KEYS = {
@@ -239,33 +250,6 @@ def model_from_spec(spec):
         return build_disk(DiskModelConfig(**kwargs))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid {name} parameters: {exc}") from exc
-
-
-def _model_kind(model):
-    if isinstance(model, Fd1dModel):
-        return "fd1d"
-    if isinstance(model, DiskModel):
-        return f"disk-{model.config.side}"
-    return "shoot1d"
-
-
-def _v_proxy(model):
-    if isinstance(model, Fd1dModel):
-        return model.v_sup_proxy()
-    if isinstance(model, DiskModel):
-        if not model.config.radial_potential.is_zero:
-            lo, hi = model.config.support
-            return model.config.radial_potential.sup_proxy(lo, hi)
-        return 0.0
-    return model.config.potential.sup_proxy(0.0, model.config.length)
-
-
-def _has_zero_potential(model):
-    if isinstance(model, Fd1dModel):
-        return model.potential.is_zero
-    if isinstance(model, DiskModel):
-        return model.config.radial_potential.is_zero
-    return model.config.potential.is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +422,8 @@ class VerificationReport:
 
 
 def _failure_record(config, check, kind, params, exc):
-    params = dict(params)
-    params["error"] = f"{type(exc).__name__}: {exc}"
-    return CheckRecord(check_name=check, model=kind, parameters=params,
-                       defect=float("inf"),
-                       tolerance=config.tolerance(check, kind))
+    params = dict(params, error=f"{type(exc).__name__}: {exc}")
+    return _record(config, check, kind, params, float("inf"))
 
 
 def _record(config, check, kind, params, defect):
@@ -497,7 +478,7 @@ def _random_b(rng, dim, scale=0.7):
 def _check_green(config, model, kind, seeds):
     rng = np.random.default_rng(seeds[0])
     counts = _counts_for(kind)
-    proxy = _v_proxy(model)
+    proxy = model.v_sup_proxy()
     out = []
     for i in range(counts["green"]):
         f = model.random_domain_vector(rng)
@@ -518,9 +499,10 @@ def _check_adjoint(config, model, kind, seeds):
     counts = _counts_for(kind)
     lams = _certified_lams(config, model)
     out = []
-    if isinstance(model, Fd1dModel):
-        a0 = model.hn_matrix() + model.v_matrix()
-        a0t = model.hn_matrix() + np.conjugate(model.v_matrix())
+    if model.dense_robin is not None:
+        zero = BoundaryOperator.scalar(0.0, model.boundary_dim)
+        a0 = model.dense_robin(zero)
+        a0t = model.dense_robin(zero, tilde=True)
         defect = float(np.max(np.abs(a0t - a0.conj().T)))
         out.append(_record(config, "adjoint_matrices", kind, {}, defect))
     for i in range(counts["adjoint_res"]):
@@ -600,20 +582,22 @@ def _check_weyl(config, model, kind, seeds):
         except BTripleError as exc:
             out.append(_failure_record(config, "gamma_resolvent_identity",
                                        kind, params, exc))
-    if isinstance(model, DiskModel):
-        for lam in lams[:2]:
-            params = {"lambda": lam}
-            try:
-                diag = np.diag(model.mode_weyl_values(lam))
-                cols = [model.trace1(model.solve_bvp(lam, e)) for e in basis]
-                generic = np.stack(cols, axis=1)
-                scale = max(float(np.max(np.abs(generic))), 1e-300)
-                defect = float(np.max(np.abs(diag - generic))) / scale
-                out.append(_record(config, "weyl_mode_diagonal", kind, params,
-                                   defect))
-            except BTripleError as exc:
-                out.append(_failure_record(config, "weyl_mode_diagonal", kind,
-                                           params, exc))
+    for lam in lams[:2]:
+        params = {"lambda": lam}
+        try:
+            fast = model.mode_weyl_values(lam)
+            if fast is None:
+                break  # no diagonal form to compare
+            diag = np.diag(fast)
+            cols = [model.trace1(model.solve_bvp(lam, e)) for e in basis]
+            generic = np.stack(cols, axis=1)
+            scale = max(float(np.max(np.abs(generic))), 1e-300)
+            defect = float(np.max(np.abs(diag - generic))) / scale
+            out.append(_record(config, "weyl_mode_diagonal", kind, params,
+                               defect))
+        except BTripleError as exc:
+            out.append(_failure_record(config, "weyl_mode_diagonal", kind,
+                                       params, exc))
     return out
 
 
@@ -621,7 +605,7 @@ def _check_green_kernels(config, model, kind, seeds):
     lams = _certified_lams(config, model)
     counts = _counts_for(kind)
     basis = model.boundary_basis()
-    proxy = _v_proxy(model)
+    proxy = model.v_sup_proxy()
     out = []
     for i, (lam, mu) in enumerate(_pairs_of(lams, counts["green_kernel"])):
         e = basis[i % len(basis)]
@@ -709,7 +693,7 @@ def _check_krein(config, model, kind, seeds):
         except BTripleError as exc:
             out.append(_failure_record(config, "krein_adjoint_mirror", kind,
                                        params, exc))
-    if counts["krein_dense"] and isinstance(model, Fd1dModel):
+    if counts["krein_dense"] and model.dense_robin is not None:
         for i in range(counts["krein_dense"]):
             lam = lams[i % len(lams)]
             b = _random_b(rng, dim)
@@ -717,8 +701,8 @@ def _check_krein(config, model, kind, seeds):
             params = {"lambda": lam, "draw": i}
             try:
                 u = tc.krein_resolvent(model, b, lam, f)
-                a_b = dense_robin_matrix(model, b)
-                m_cells = model.grid.cells
+                a_b = model.dense_robin(b)
+                m_cells = a_b.shape[0]
                 fc = np.asarray(f, dtype=complex)[1:m_cells + 1]
                 dense = solve_linear(a_b - lam * np.eye(m_cells), fc)
                 uc = np.asarray(u, dtype=complex)[1:m_cells + 1]
@@ -751,7 +735,7 @@ def _check_sectorial(config, model, kind, seeds):
         except BTripleError as exc:
             out.append(_failure_record(config, "sectorial_c1_bound", kind,
                                        params, exc))
-    if _has_zero_potential(model):
+    if not model.has_potential:
         for lam in lams[:2]:
             params = {"lambda": lam}
             try:
@@ -802,7 +786,7 @@ def run_identity_suite(config=None):
     model_seeds = root.spawn(len(specs))
     for spec, mseed in zip(specs, model_seeds):
         model = model_from_spec(spec)
-        kind = _model_kind(model)
+        kind = model.kind
         family_seeds = mseed.spawn(len(_IDENTITY_FAMILIES))
         for fam, fseed in zip(_IDENTITY_FAMILIES, family_seeds):
             records.extend(fam(config, model, kind, fseed.spawn(1)))
@@ -815,8 +799,10 @@ def run_identity_suite(config=None):
 
 
 def _decay_lams(kind, threshold):
-    """Certified geometric ray; capped so the continuum kernels stay inside
-    floating-point range (exp(sqrt(|lambda|)) factors)."""
+    """Certified geometric ray. The continuum rays stop at |lambda| = 4.5e5.
+    That cap is no floating-point limit (the disk's scaled Bessel kernels
+    run to -1.024e7); it stays so that the decay_exponent records keep
+    their rays until the ray becomes a model decision."""
     start = min(-4.0, 2.0 * threshold)
     if kind == "fd1d":
         # the fixed grid cannot follow |lambda| -> inf; keep a short ray
@@ -836,7 +822,7 @@ def run_decay_suite(config=None):
     records = []
     for spec in config.model_specs():
         model = model_from_spec(spec)
-        kind = _model_kind(model)
+        kind = model.kind
         lams = _decay_lams(kind, model.certified_threshold())
         params = {"lambda_ray": lams}
         try:
@@ -859,7 +845,7 @@ def run_decay_suite(config=None):
                 "exponent": slope_fit,
                 "band": band,
             })
-            if _has_zero_potential(model):
+            if not model.has_potential:
                 defect = abs(slope_fit + 0.5)
                 records.append(_record(config, "decay_exponent", kind, params,
                                        defect))
@@ -925,8 +911,9 @@ def _in_region(z, region):
 
 def run_bs_cross_check(config=None):
     """Eigenvalues as Birman-Schwinger indicator roots, cross-checked
-    against the dense constrained eigensolve (fd1d) and the mode reference
-    roots (interior disk)."""
+    against the dense constrained eigensolve where the model provides the
+    ``dense_robin`` hook (fd1d) and against closed-form roots where it
+    provides ``reference_robin_eigs`` (the V = 0 interior disk)."""
     config = config or SuiteConfig()
     t0 = time.perf_counter()
     root = np.random.SeedSequence(config.seed)
@@ -935,7 +922,7 @@ def run_bs_cross_check(config=None):
     model_seeds = root.spawn(len(specs))
     for spec, mseed in zip(specs, model_seeds):
         model = model_from_spec(spec)
-        kind = _model_kind(model)
+        kind = model.kind
         rng = np.random.default_rng(mseed.spawn(1)[0])
         thr = model.certified_threshold()
 
@@ -952,7 +939,7 @@ def run_bs_cross_check(config=None):
             records.append(_failure_record(config, "bs_empty_certified", kind,
                                            {"region": list(region0)}, exc))
 
-        if isinstance(model, Fd1dModel):
+        if model.dense_robin is not None:
             regions = config.complex_scan_regions or ((-20.0, 30.0, -6.0, 6.0),)
             for region in regions:
                 grid = (96, 33)
@@ -961,8 +948,7 @@ def run_bs_cross_check(config=None):
                     params = {"region": list(region), "draw": i}
                     try:
                         found = list(tc.robin_eigs(model, b, region, grid))
-                        a_b = dense_robin_matrix(model, b)
-                        dense = eig_dense(a_b)
+                        dense = eig_dense(model.dense_robin(b))
                         inset = _region_inset(region)
                         found_in = [z for z in found if _in_region(z, inset)]
                         dense_in = [z for z in dense if _in_region(z, inset)]
@@ -984,14 +970,12 @@ def run_bs_cross_check(config=None):
                         records.append(_failure_record(
                             config, "bs_hausdorff_dense", kind, params, exc))
 
-        if isinstance(model, DiskModel) and model.config.side == "interior" \
-                and _has_zero_potential(model):
-            k_ref = min(4, model.config.k_max)
+        if model.reference_robin_eigs is not None:
             for beta in (-1.0, 0.5, 1.0, 3.0):
-                params = {"beta": beta, "modes": k_ref}
+                params = {"beta": beta}
                 try:
-                    reference = [disk_robin_reference(k, beta)
-                                 for k in range(k_ref + 1)]
+                    reference = model.reference_robin_eigs(beta)
+                    params["modes"] = len(reference) - 1
                     hi = max(reference) * 1.05 + 1.0
                     region = (0.3, hi, -0.4, 0.4)
                     n_re = max(160, int(4 * hi))

@@ -82,13 +82,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, eigvalsh
+from scipy.linalg import eigvalsh
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 from scipy.optimize import brentq
 from scipy.special import ive, jv, jvp, kve
 
 from .errors import (InvalidPotential, MatchingSingular, NoRootInBracket,
-                     TruncationWarning)
+                     ThresholdNotFound, TruncationWarning)
 from .grids import PanelGrid, _bary_weights, graded_edges
 from .potentials import Potential1D
 from .triple_core import BoundaryOperator, TripleModel
@@ -259,15 +259,22 @@ class DiskModel(TripleModel):
         return 2 * self.config.k_max + 1
 
     @property
-    def state_dim(self):
-        return self._nm * (self._nr + 2)
+    def kind(self):
+        return f"disk-{self.config.side}"
+
+    @property
+    def has_potential(self):
+        return self._has_v
+
+    def v_sup_proxy(self):
+        if not self._has_v:
+            return 0.0
+        lo, hi = self.config.support
+        return self.config.radial_potential.sup_proxy(lo, hi)
 
     @property
     def boundary_dim(self):
         return self._nm
-
-    def interior_values(self, f):
-        return np.asarray(f)[:self._nm * self._nr]
 
     def _values(self, f):
         return np.asarray(f, dtype=complex)[:self._nm * self._nr].reshape(
@@ -540,6 +547,15 @@ class DiskModel(TripleModel):
     def neumann_resolvent_tilde(self, mu, f):
         return self._neumann_resolvent(mu, f, tilde=True)
 
+    @property
+    def reference_robin_eigs(self):
+        """beta -> disk_robin_reference(k, beta) for |k| <= min(4, k_max) on
+        the V = 0 interior disk; None on the other disks."""
+        if self._has_v or self.config.side != "interior":
+            return None
+        modes = range(min(4, self.config.k_max) + 1)
+        return lambda beta: [disk_robin_reference(k, beta) for k in modes]
+
     # -- boundary operators --------------------------------------------------
 
     def boundary_multiplication(self, coeffs):
@@ -603,34 +619,21 @@ class DiskModel(TripleModel):
                             for k in range(self.config.k_max + 1)]
         return [(hn.copy(), v.copy()) for hn, v in self._blocks]
 
-    def hn_matrix(self):
-        """Direct sum over all kept modes (duplicating |k| >= 1); intended
-        for small truncations, the suites work block-wise instead."""
-        blocks = dict(enumerate(self.hn_v_blocks()))
-        return block_diag(*[blocks[abs(int(k))][0]
-                            for k in self.mode_numbers])
-
-    def v_matrix(self):
-        blocks = dict(enumerate(self.hn_v_blocks()))
-        return block_diag(*[blocks[abs(int(k))][1]
-                            for k in self.mode_numbers])
-
     def certified_threshold(self):
         if self._threshold is None:
             if not self._has_v:
                 self._threshold = -0.5
             else:
+                # looked up per call: the traced run patches triple_core's name
                 from .triple_core import find_xi2
-                from .errors import ThresholdNotFound
                 try:
                     xi2 = find_xi2(self)
                 except ThresholdNotFound:
                     xi2 = -np.inf
                 bottom = min(float(eigvalsh(hn)[0])
                              for hn, _ in self.hn_v_blocks())
-                lo, hi = self.config.support
-                proxy = self.config.radial_potential.sup_proxy(lo, hi)
-                self._threshold = min(xi2, bottom - proxy, -1e-6)
+                self._threshold = min(xi2, bottom - self.v_sup_proxy(),
+                                      -1e-6)
         return self._threshold
 
     def random_domain_vector(self, rng):

@@ -152,9 +152,11 @@ class Fd1dModel(TripleModel):
 
     # -- structure -----------------------------------------------------
 
+    kind = "fd1d"
+
     @property
-    def state_dim(self):
-        return self.grid.n
+    def has_potential(self):
+        return not self.potential.is_zero
 
     @property
     def boundary_dim(self):
@@ -403,6 +405,12 @@ class Fd1dModel(TripleModel):
     def v_matrix(self):
         return np.diag(self._v)
 
+    def hn_v_blocks(self):
+        return [(self.hn_matrix(), self.v_matrix())]
+
+    def dense_robin(self, b, tilde=False):
+        return dense_robin_matrix(self, b, tilde=tilde)
+
     def certified_threshold(self):
         if self._threshold is None:
             bottom = float(sla.eigvalsh(self.hn_matrix()).min())
@@ -439,7 +447,7 @@ def build_fd1d(n, length=1.0, potential=None):
     return Fd1dModel(FdGrid(n=n, length=length), potential)
 
 
-def dense_robin_matrix(model, b=None, dirichlet=False):
+def dense_robin_matrix(model, b=None, dirichlet=False, tilde=False):
     """Monolithic reduced matrix of the Robin realization A_B.
 
     The two boundary slots are eliminated from the constraint
@@ -449,13 +457,15 @@ def dense_robin_matrix(model, b=None, dirichlet=False):
     stencil rows leaves an (n-2)-square matrix whose spectrum is the dense
     oracle for the Birman-Schwinger machinery. ``dirichlet`` replaces the
     constraint by b = 0 (the B -> infinity limit). B = 0 reproduces the
-    Neumann reduction hn + v exactly.
+    Neumann reduction hn + v exactly. ``tilde`` builds the matrix of the
+    adjoint-side realization A~_B, with conj(V) in place of V.
     """
     if not isinstance(model, Fd1dModel):
         raise TypeError("dense_robin_matrix needs an fd1d model")
     m = model.grid.cells
     h = model.grid.h
-    a = model.hn_matrix().astype(complex) + model.v_matrix()
+    v = model.v_matrix()
+    a = model.hn_matrix().astype(complex) + (np.conjugate(v) if tilde else v)
     if dirichlet:
         # b = 0: the edge stencil keeps its 3/h^2 diagonal
         a[0, 0] += 2.0 / h**2

@@ -143,16 +143,18 @@ class Shoot1dModel(TripleModel):
 
     # -- structure -----------------------------------------------------
 
+    kind = "shoot1d"
+
     @property
-    def state_dim(self):
-        return self.grid.size + 4
+    def has_potential(self):
+        return self._fd.has_potential
 
     @property
     def boundary_dim(self):
         return 2
 
-    def interior_values(self, f):
-        return np.asarray(f)[:self.grid.size]
+    def v_sup_proxy(self):
+        return self._fd.v_sup_proxy()
 
     # -- operator action -------------------------------------------------
 
@@ -274,11 +276,8 @@ class Shoot1dModel(TripleModel):
 
     # -- matrices and certification -----------------------------------------
 
-    def hn_matrix(self):
-        return self._fd.hn_matrix()
-
-    def v_matrix(self):
-        return self._fd.v_matrix()
+    def hn_v_blocks(self):
+        return self._fd.hn_v_blocks()
 
     def certified_threshold(self):
         return self._fd.certified_threshold()

@@ -52,12 +52,26 @@ _NEWTON_REACH = 1.0
 
 
 class TripleModel(abc.ABC):
-    """Contract every concrete model implements.
+    """Contract every concrete model implements, and the only view of a
+    model that the verification harness takes.
 
     Domain vectors ("carriers") hold interior samples plus whatever trace
     slots the model needs so that trace0/trace1 are exact linear reads.
     The 𝓗 inner product sees interior samples only; trace slots are domain
     data, not L² mass.
+
+    Required (abstract) members: ``kind``, ``has_potential``,
+    ``v_sup_proxy``, ``boundary_dim``, ``apply_T``/``apply_Ttilde``,
+    ``trace0``/``trace1``, ``inner``/``binner``, ``solve_bvp``/``_tilde``,
+    ``neumann_resolvent``/``_tilde``, ``hn_v_blocks``,
+    ``certified_threshold`` and ``random_domain_vector``. Hooks, None by
+    default (``mode_weyl_values`` by default returns None):
+    ``mode_weyl_values(lam, tilde)``, the diagonal of a diagonal Weyl
+    matrix; ``green_pairing_defect(f, g)``, a cancellation-free Green
+    bracket for ``green_defect``; ``dense_robin(b, tilde=False)``, the
+    dense matrix of A_B (A~_B with ``tilde``) on carrier slots 1..m, m its
+    order; ``reference_robin_eigs(beta)``, closed-form Robin eigenvalues at
+    B = beta I. The harness gates its oracle checks on these hooks.
 
     ``weyl_batch(lams, tilde=False)`` returns the Weyl matrices M(lambda)
     (M~(lambda) with ``tilde``) of a whole vector of spectral points as one
@@ -68,12 +82,25 @@ class TripleModel(abc.ABC):
     vectorize over lambda overrides it.
     """
 
+    green_pairing_defect = None
+    dense_robin = None
+    reference_robin_eigs = None
+
     # -- structure ---------------------------------------------------------
 
     @property
     @abc.abstractmethod
-    def state_dim(self):
-        """Length of a domain carrier vector."""
+    def kind(self):
+        """Family name that labels report records and tolerance keys."""
+
+    @property
+    @abc.abstractmethod
+    def has_potential(self):
+        """False when V vanishes identically."""
+
+    @abc.abstractmethod
+    def v_sup_proxy(self):
+        """Finite stand-in for sup |V| (Potential1D.sup_proxy)."""
 
     @property
     @abc.abstractmethod
@@ -121,12 +148,9 @@ class TripleModel(abc.ABC):
         """(A0~ - mu)^-1 f."""
 
     @abc.abstractmethod
-    def hn_matrix(self):
-        """Reduced matrix of the free (V = 0) Neumann realization."""
-
-    @abc.abstractmethod
-    def v_matrix(self):
-        """Reduced matrix of multiplication by V (same frame as hn_matrix)."""
+    def hn_v_blocks(self):
+        """(H_N, V) reduced matrices of the free Neumann realization and of
+        multiplication by V, in independent Hermitian-frame blocks."""
 
     @abc.abstractmethod
     def certified_threshold(self):
@@ -137,16 +161,6 @@ class TripleModel(abc.ABC):
         """A random carrier consistent with the model's smoothness needs."""
 
     # -- optional structure ------------------------------------------------
-
-    def hn_v_blocks(self):
-        """(H_N, V) in independent Hermitian-frame blocks; models whose
-        operators decouple (modes) override this to keep solves small."""
-        return [(self.hn_matrix(), self.v_matrix())]
-
-    def interior_values(self, f):
-        """The interior (non-trace) samples of a carrier, without its trace
-        slots; identity for carriers that have none."""
-        return np.asarray(f)
 
     def mode_weyl_values(self, lam, tilde=False):
         """Diagonal of the Weyl matrix for models where it is diagonal in
@@ -350,14 +364,13 @@ def gamma_resolvent_identity_defect(model, lam, nu, g, allow_uncertified=False):
 def green_defect(model, f, g):
     """| (Tf, g) - (f, T~g) - (t1 f, t0 g) + (t0 f, t1 g) |.
 
-    A model may provide ``green_pairing_defect`` to evaluate the same
+    A model whose ``green_pairing_defect`` hook is set evaluates the same
     bracket in a cancellation-free arrangement; the fd1d model does, since
     its identity is exact by construction and the generic route's rounding
     (eps at the 1/h^2 operator scale) would otherwise dominate the defect.
     """
-    pairing = getattr(model, "green_pairing_defect", None)
-    if pairing is not None:
-        return float(pairing(f, g))
+    if model.green_pairing_defect is not None:
+        return float(model.green_pairing_defect(f, g))
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
     bulk = model.inner(model.apply_T(f), g) - model.inner(f, model.apply_Ttilde(g))
@@ -408,15 +421,6 @@ def krein_resolvent_tilde(model, b_tilde, mu, g, allow_uncertified=False):
         )
     bd = solve_linear(s, bm @ adj)
     return w + model.solve_bvp_tilde(mu, bd)
-
-
-def bs_indicator(model, b, lam):
-    """sigma_min(I - B M(lambda)); a zero flags lambda as an eigenvalue of
-    A_B. Scanned over complex regions, so no certification is required."""
-    bm = _bmatrix(b, model.boundary_dim)
-    m = _weyl_matrix(model, complex(lam), tilde=False)
-    s = np.eye(model.boundary_dim, dtype=complex) - bm @ m
-    return smallest_singular_value(s)
 
 
 def bs_kernel_lift(model, b, lam, tol=1e-8):

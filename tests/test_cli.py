@@ -57,6 +57,17 @@ class TestExitCodes:
         assert _run(tmp_path, "weyl", {"model": {"family": "nope"}}) == \
             cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("section, value", [
+        ("potential", {"kind": "power", "c": 1.0, "x0": "abc", "alpha": 0.4,
+                       "p": 2.0}),
+        ("region", {"rect": ["a", 1, 2, 3]}),
+        ("region", {"rect": 5}),
+        ("boundary_operator", {"kind": "matrix", "entries": [[1, 2], [3]]}),
+    ])
+    def test_malformed_numbers_exit_2(self, tmp_path, section, value):
+        config = {"model": {"family": "fd1d", "n": 32}, section: value}
+        assert _run(tmp_path, "resolve", config) == cli.EXIT_CONFIG
+
     def test_neumann_point_of_fd1d_exits_3(self, tmp_path):
         # lambda = 0 is a Neumann eigenvalue: the kernel solve is singular
         config = {"model": {"family": "fd1d", "n": 32},

@@ -205,6 +205,9 @@ class TestDenseRobinMatrix:
         a = dense_robin_matrix(model, b=b)
         at = dense_robin_matrix(conj_model, b=b.conj().T)
         assert np.abs(at - a.conj().T).max() < 1e-13 * np.abs(a).max()
+        # the tilde flag builds the same adjoint-side matrix from the model
+        tilde = model.dense_robin(b.conj().T, tilde=True)
+        assert np.abs(tilde - at).max() < 1e-13 * np.abs(a).max()
 
 
 class TestCertifiedThreshold:

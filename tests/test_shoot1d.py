@@ -124,7 +124,9 @@ def shoot_bench_v0():
 class TestShootModel:
     def test_structure(self, shoot_v0):
         assert shoot_v0.grid.size == 128
-        assert shoot_v0.state_dim == 132
+        # 128 samples plus the four trace slots f(0), f'(0), f(L), f'(L)
+        rng = np.random.default_rng(0)
+        assert len(shoot_v0.random_domain_vector(rng)) == 132
         assert shoot_v0.boundary_dim == 2
 
     def test_weyl_matches_closed_form(self, shoot_v0):
@@ -188,7 +190,7 @@ class TestShootModel:
         f = shoot_v0.solve_bvp(-1.0, np.array([1.0, 0.0]))
         xs = shoot_v0.grid.nodes
         want = np.cosh(1.0 - xs) / np.sinh(1.0)
-        assert np.abs(shoot_v0.interior_values(f) - want).max() < 1e-9
+        assert np.abs(f[:shoot_v0.grid.size] - want).max() < 1e-9
 
     def test_build_rejects_wrong_config(self):
         with pytest.raises(TypeError):
