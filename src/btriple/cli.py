@@ -19,6 +19,7 @@ failure, 4 spectral singularity at the requested point.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -54,6 +55,13 @@ _DEFAULT_LAMBDAS = (-1.0, -2.5, -6.0)
 def _fmt(x):
     """Shortest round-trip decimal form."""
     return repr(float(x))
+
+
+def _finite_complex(value, where):
+    z = _as_complex(value, where)
+    if not cmath.isfinite(z):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return z
 
 
 class CliConfig:
@@ -100,8 +108,8 @@ class CliConfig:
                                 int, "region.grid")
         if len(self.region) != 4:
             raise ConfigError("region.rect must be [re_min, re_max, im_min, im_max]")
-        if len(self.grid) != 2:
-            raise ConfigError("region.grid must be [n_re, n_im]")
+        if len(self.grid) != 2 or min(self.grid) < 2:
+            raise ConfigError("region.grid must be [n_re, n_im], both >= 2")
 
         output = data.get("output", {})
         if not isinstance(output, dict) or set(output) - {"stem"}:
@@ -137,7 +145,7 @@ class CliConfig:
             if "beta" not in spec:
                 raise ConfigError("scalar boundary operator needs 'beta'")
             return BoundaryOperator.scalar(
-                _as_complex(spec["beta"], "boundary_operator.beta"), dim)
+                _finite_complex(spec["beta"], "boundary_operator.beta"), dim)
         if kind == "matrix":
             if set(spec) - {"kind", "entries"}:
                 raise ConfigError("matrix boundary operator takes only 'entries'")
@@ -151,7 +159,7 @@ class CliConfig:
                     f"boundary operator entries must be {dim} rows of {dim}: "
                     f"the model boundary space has dimension {dim}")
             return BoundaryOperator(matrix=[
-                [_as_complex(v, "boundary_operator.entries") for v in row]
+                [_finite_complex(v, "boundary_operator.entries") for v in row]
                 for row in entries])
         raise ConfigError(f"unknown boundary_operator kind {kind!r}")
 

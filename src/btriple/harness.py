@@ -3,13 +3,18 @@ cross-checks, aggregated into serializable reports.
 
 Every check lands in the report as a record {check_name, model, parameters,
 defect, tolerance, pass}; failures are entries, never exceptions, so the
-report is always complete. A fixed seed makes the whole run deterministic:
-random draws come from SeedSequence children spawned per model and check
-family in a fixed order, and the checks run one after another in that
-order, so re-running with the same configuration produces byte-identical
-JSON up to the timing subtree. Non-finite numbers (the defect of a failing
-record, for one) are written as JSON null, so a report is strict JSON
-whether or not its checks pass.
+report is always complete. A suite builds each configured model and hands
+it to a per-model body that writes its records through ``_Records``:
+``add`` appends a record at the configured tolerance, and a check that can
+fail runs inside ``guard(check, params)``, which turns a BTripleError into
+that check's failing record (defect inf, the error text added to its
+params). A fixed seed makes the whole run deterministic: random draws come
+from SeedSequence children spawned per model and check family in a fixed
+order, and the checks run one after another in that order, so re-running
+with the same configuration produces byte-identical JSON up to the timing
+subtree. Non-finite numbers (the defect of a failing record, for one) are
+written as JSON null, so a report is strict JSON whether or not its checks
+pass.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import json
 import platform
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +34,9 @@ from .errors import BTripleError, ConfigError
 from .model_disk import DiskModelConfig, build_disk
 from .model_fd1d import build_fd1d
 from .model_shoot1d import ShootConfig, build_shoot1d
-from .numerics import (eig_dense, fit_log_slope, smallest_singular_value,
-                       solve_linear)
+from .numerics import eig_dense, smallest_singular_value, solve_linear
+# not called here; the traced benchmark run patches the name in this module
+from .numerics import fit_log_slope  # noqa: F401
 from .potentials import Potential1D
 from .triple_core import BoundaryOperator
 
@@ -418,18 +425,56 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
+# record writer and suite driver
+
+
+class _Records(list):
+    """The records of one model, in the order its checks ran."""
+
+    def __init__(self, config, kind):
+        super().__init__()
+        self.config = config
+        self.kind = kind
+
+    def add(self, check, params, defect, tolerance_key=None):
+        """Append check's record, its tolerance looked up under
+        tolerance_key (by default the check's own name)."""
+        self.append(CheckRecord(
+            check_name=check, model=self.kind, parameters=params,
+            defect=float(defect),
+            tolerance=self.config.tolerance(tolerance_key or check, self.kind)))
+
+    @contextmanager
+    def guard(self, check, params):
+        """A BTripleError raised inside becomes check's failing record:
+        defect inf, with the error added to the params as they stand."""
+        try:
+            yield
+        except BTripleError as exc:
+            self.add(check, dict(params, error=f"{type(exc).__name__}: {exc}"),
+                     float("inf"))
+
+
+def _run_suite(config, per_model):
+    """One report over the configured models. per_model(out, model, seed)
+    adds a model's records to out; seed is that model's child of
+    SeedSequence(config.seed)."""
+    config = config or SuiteConfig()
+    t0 = time.perf_counter()
+    specs = config.model_specs()
+    seeds = np.random.SeedSequence(config.seed).spawn(len(specs))
+    records = []
+    for spec, seed in zip(specs, seeds):
+        model = model_from_spec(spec)
+        out = _Records(config, model.kind)
+        per_model(out, model, seed)
+        records.extend(out)
+    return VerificationReport.from_records(
+        records, {"wall_seconds": time.perf_counter() - t0})
+
+
+# ---------------------------------------------------------------------------
 # identity suite
-
-
-def _failure_record(config, check, kind, params, exc):
-    params = dict(params, error=f"{type(exc).__name__}: {exc}")
-    return _record(config, check, kind, params, float("inf"))
-
-
-def _record(config, check, kind, params, defect):
-    return CheckRecord(check_name=check, model=kind, parameters=params,
-                       defect=float(defect),
-                       tolerance=config.tolerance(check, kind))
 
 
 def _certified_lams(config, model):
@@ -443,20 +488,16 @@ def _certified_lams(config, model):
 def _counts_for(kind):
     # fd1d ops are tridiagonal solves; continuum kernels cost real time
     if kind == "fd1d":
-        return {"green": 50, "adjoint_res": 20, "gamma_cols": 2,
-                "pairs": 12, "resolvent_id": 8, "krein": 15,
-                "krein_dense": 12, "krein_adj": 6, "green_kernel": 12}
-    return {"green": 8, "adjoint_res": 4, "gamma_cols": 2,
-            "pairs": 4, "resolvent_id": 2, "krein": 3,
-            "krein_dense": 0, "krein_adj": 2, "green_kernel": 4}
+        return {"green": 50, "adjoint_res": 20, "pairs": 12,
+                "resolvent_id": 8, "krein": 15, "krein_dense": 12,
+                "krein_adj": 6, "green_kernel": 12}
+    return {"green": 8, "adjoint_res": 4, "pairs": 4, "resolvent_id": 2,
+            "krein": 3, "krein_dense": 0, "krein_adj": 2, "green_kernel": 4}
 
 
 def _pairs_of(lams, count):
-    pairs = []
     n = len(lams)
-    for i in range(count):
-        pairs.append((lams[i % n], lams[(i * 2 + 1) % n]))
-    return pairs
+    return [(lams[i % n], lams[(i * 2 + 1) % n]) for i in range(count)]
 
 
 def _basis_subset(model, per_side=2):
@@ -475,292 +516,195 @@ def _random_b(rng, dim, scale=0.7):
     return BoundaryOperator(matrix=m)
 
 
-def _check_green(config, model, kind, seeds):
-    rng = np.random.default_rng(seeds[0])
-    counts = _counts_for(kind)
+def _check_green(out, model, lams, rng):
     proxy = model.v_sup_proxy()
-    out = []
-    for i in range(counts["green"]):
+    for i in range(_counts_for(out.kind)["green"]):
         f = model.random_domain_vector(rng)
         g = model.random_domain_vector(rng)
         scale = model.hnorm(f) * model.hnorm(g) * (1.0 + proxy)
         params = {"draw": i, "scale": scale}
-        try:
-            defect = abs(tc.green_defect(model, f, g)) / max(scale, 1e-300)
-            out.append(_record(config, "green_identity", kind, params, defect))
-        except BTripleError as exc:
-            out.append(_failure_record(config, "green_identity", kind,
-                                       params, exc))
-    return out
+        with out.guard("green_identity", params):
+            out.add("green_identity", params,
+                    abs(tc.green_defect(model, f, g)) / max(scale, 1e-300))
 
 
-def _check_adjoint(config, model, kind, seeds):
-    rng = np.random.default_rng(seeds[0])
-    counts = _counts_for(kind)
-    lams = _certified_lams(config, model)
-    out = []
+def _check_adjoint(out, model, lams, rng):
     if model.dense_robin is not None:
         zero = BoundaryOperator.scalar(0.0, model.boundary_dim)
         a0 = model.dense_robin(zero)
         a0t = model.dense_robin(zero, tilde=True)
-        defect = float(np.max(np.abs(a0t - a0.conj().T)))
-        out.append(_record(config, "adjoint_matrices", kind, {}, defect))
-    for i in range(counts["adjoint_res"]):
+        out.add("adjoint_matrices", {}, np.max(np.abs(a0t - a0.conj().T)))
+    for i in range(_counts_for(out.kind)["adjoint_res"]):
         lam = lams[i % len(lams)]
         f = model.random_domain_vector(rng)
         g = model.random_domain_vector(rng)
         params = {"lambda": lam, "draw": i}
-        try:
+        with out.guard("adjoint_resolvent", params):
             left = model.inner(model.neumann_resolvent(lam, f), g)
             right = model.inner(f, model.neumann_resolvent_tilde(
                 np.conjugate(lam), g))
             scale = max(abs(left), abs(right),
                         model.hnorm(f) * model.hnorm(g) / max(abs(lam), 1.0))
-            defect = abs(left - right) / max(scale, 1e-300)
-            out.append(_record(config, "adjoint_resolvent", kind, params,
-                               defect))
-        except BTripleError as exc:
-            out.append(_failure_record(config, "adjoint_resolvent", kind,
-                                       params, exc))
-    return out
+            out.add("adjoint_resolvent", params,
+                    abs(left - right) / max(scale, 1e-300))
 
 
-def _check_gamma_kernel(config, model, kind, seeds):
-    lams = _certified_lams(config, model)
-    out = []
+def _check_gamma_kernel(out, model, lams, rng):
     for lam in lams:
         for j, e in _basis_subset(model):
             params = {"lambda": lam, "column": j}
-            try:
+            with out.guard("gamma_kernel_ode", params):
                 col = model.solve_bvp(lam, e)
                 res = model.apply_T(col) - lam * col
                 ode = model.hnorm(res) / max(model.hnorm(col), 1e-300)
-                tr = float(np.max(np.abs(model.trace0(col) - e)))
-                out.append(_record(config, "gamma_kernel_ode", kind, params,
-                                   ode))
-                out.append(_record(config, "gamma_kernel_trace", kind, params,
-                                   tr))
-            except BTripleError as exc:
-                out.append(_failure_record(config, "gamma_kernel_ode", kind,
-                                           params, exc))
-    return out
+                tr = np.max(np.abs(model.trace0(col) - e))
+                out.add("gamma_kernel_ode", params, ode)
+                out.add("gamma_kernel_trace", params, tr)
 
 
-def _check_weyl(config, model, kind, seeds):
-    lams = _certified_lams(config, model)
-    counts = _counts_for(kind)
-    out = []
+def _check_weyl(out, model, lams, rng):
+    pairs = _pairs_of(lams, _counts_for(out.kind)["pairs"])
     for lam in lams:
         params = {"lambda": lam}
-        try:
-            ws = tc.weyl(model, lam)
-            defect = tc.weyl_symmetry_defect(model, lam) / max(ws.norm, 1e-300)
-            out.append(_record(config, "weyl_symmetry", kind, params, defect))
-        except BTripleError as exc:
-            out.append(_failure_record(config, "weyl_symmetry", kind, params,
-                                       exc))
-    for lam, mu in _pairs_of(lams, counts["pairs"]):
+        with out.guard("weyl_symmetry", params):
+            norm = tc.weyl(model, lam).norm
+            out.add("weyl_symmetry", params,
+                    tc.weyl_symmetry_defect(model, lam) / max(norm, 1e-300))
+    for lam, mu in pairs:
         params = {"lambda": lam, "mu": mu}
-        try:
+        with out.guard("difference_identity", params):
             norm = tc.weyl(model, lam).norm
             defect = tc.difference_identity_defect(model, lam, mu)
-            out.append(_record(config, "difference_identity", kind, params,
-                               defect / max(norm, 1e-300)))
-        except BTripleError as exc:
-            out.append(_failure_record(config, "difference_identity", kind,
-                                       params, exc))
+            out.add("difference_identity", params, defect / max(norm, 1e-300))
     basis = model.boundary_basis()
-    for i, (lam, nu) in enumerate(_pairs_of(lams, counts["pairs"])):
+    for i, (lam, nu) in enumerate(pairs):
         if lam == nu:
             nu = nu * 1.5
-        e = basis[i % len(basis)]
-        params = {"lambda": lam, "nu": nu, "column": i % len(basis)}
-        try:
-            defect = tc.gamma_resolvent_identity_defect(model, lam, nu, e)
-            out.append(_record(config, "gamma_resolvent_identity", kind,
-                               params, defect))
-        except BTripleError as exc:
-            out.append(_failure_record(config, "gamma_resolvent_identity",
-                                       kind, params, exc))
+        j = i % len(basis)
+        params = {"lambda": lam, "nu": nu, "column": j}
+        with out.guard("gamma_resolvent_identity", params):
+            out.add("gamma_resolvent_identity", params,
+                    tc.gamma_resolvent_identity_defect(model, lam, nu,
+                                                       basis[j]))
     for lam in lams[:2]:
         params = {"lambda": lam}
-        try:
+        with out.guard("weyl_mode_diagonal", params):
             fast = model.mode_weyl_values(lam)
             if fast is None:
                 break  # no diagonal form to compare
-            diag = np.diag(fast)
-            cols = [model.trace1(model.solve_bvp(lam, e)) for e in basis]
-            generic = np.stack(cols, axis=1)
+            generic = np.stack([model.trace1(model.solve_bvp(lam, e))
+                                for e in basis], axis=1)
             scale = max(float(np.max(np.abs(generic))), 1e-300)
-            defect = float(np.max(np.abs(diag - generic))) / scale
-            out.append(_record(config, "weyl_mode_diagonal", kind, params,
-                               defect))
-        except BTripleError as exc:
-            out.append(_failure_record(config, "weyl_mode_diagonal", kind,
-                                       params, exc))
-    return out
+            out.add("weyl_mode_diagonal", params,
+                    float(np.max(np.abs(np.diag(fast) - generic))) / scale)
 
 
-def _check_green_kernels(config, model, kind, seeds):
-    lams = _certified_lams(config, model)
-    counts = _counts_for(kind)
+def _check_green_kernels(out, model, lams, rng):
     basis = model.boundary_basis()
     proxy = model.v_sup_proxy()
-    out = []
-    for i, (lam, mu) in enumerate(_pairs_of(lams, counts["green_kernel"])):
-        e = basis[i % len(basis)]
-        ep = basis[(i + 1) % len(basis)]
-        params = {"lambda": lam, "mu": mu, "columns": [i % len(basis),
-                                                       (i + 1) % len(basis)]}
-        try:
-            f = model.solve_bvp(lam, e)
-            g = model.solve_bvp_tilde(mu, ep)
+    pairs = _pairs_of(lams, _counts_for(out.kind)["green_kernel"])
+    for i, (lam, mu) in enumerate(pairs):
+        columns = [i % len(basis), (i + 1) % len(basis)]
+        params = {"lambda": lam, "mu": mu, "columns": columns}
+        with out.guard("green_on_kernels", params):
+            f = model.solve_bvp(lam, basis[columns[0]])
+            g = model.solve_bvp_tilde(mu, basis[columns[1]])
             scale = model.hnorm(f) * model.hnorm(g) * (1.0 + proxy)
-            defect = abs(tc.green_defect(model, f, g)) / max(scale, 1e-300)
-            out.append(_record(config, "green_on_kernels", kind, params,
-                               defect))
-        except BTripleError as exc:
-            out.append(_failure_record(config, "green_on_kernels", kind,
-                                       params, exc))
-    return out
+            out.add("green_on_kernels", params,
+                    abs(tc.green_defect(model, f, g)) / max(scale, 1e-300))
 
 
-def _check_resolvent_identity(config, model, kind, seeds):
-    rng = np.random.default_rng(seeds[0])
-    lams = _certified_lams(config, model)
-    counts = _counts_for(kind)
-    out = []
-    for i in range(counts["resolvent_id"]):
+def _check_resolvent_identity(out, model, lams, rng):
+    for i in range(_counts_for(out.kind)["resolvent_id"]):
         lam = lams[i % len(lams)]
         mu = lams[(i + 1) % len(lams)]
         if lam == mu:
             mu = mu * 2.0
         f = model.random_domain_vector(rng)
         params = {"lambda": lam, "mu": mu, "draw": i}
-        try:
+        with out.guard("resolvent_first_identity", params):
             rl = model.neumann_resolvent(lam, f)
             rm = model.neumann_resolvent(mu, f)
             rr = model.neumann_resolvent(lam, rm)
-            lhs = rl - rm
-            rhs = (lam - mu) * rr
-            defect = model.hnorm(lhs - rhs) / max(model.hnorm(rl), 1e-300)
-            out.append(_record(config, "resolvent_first_identity", kind,
-                               params, defect))
-        except BTripleError as exc:
-            out.append(_failure_record(config, "resolvent_first_identity",
-                                       kind, params, exc))
-    return out
+            out.add("resolvent_first_identity", params,
+                    model.hnorm(rl - rm - (lam - mu) * rr)
+                    / max(model.hnorm(rl), 1e-300))
 
 
-def _check_krein(config, model, kind, seeds):
-    rng = np.random.default_rng(seeds[0])
-    lams = _certified_lams(config, model)
-    counts = _counts_for(kind)
+def _check_krein(out, model, lams, rng):
+    counts = _counts_for(out.kind)
     dim = model.boundary_dim
-    out = []
     for i in range(counts["krein"]):
         lam = lams[i % len(lams)]
         b = _random_b(rng, dim)
-        f = model.random_domain_vector(rng)
+        f = np.asarray(model.random_domain_vector(rng), dtype=complex)
         params = {"lambda": lam, "draw": i}
-        try:
+        with out.guard("krein_pde_residual", params):
             u = tc.krein_resolvent(model, b, lam, f)
-            res = model.apply_T(u) - lam * u
-            fv = np.asarray(f, dtype=complex)
-            pde = model.hnorm(res - fv) / max(model.hnorm(fv), 1e-300)
-            bc = float(np.max(np.abs(
-                b.matrix @ model.trace1(u) - model.trace0(u))))
-            bc = bc / max(float(np.max(np.abs(model.trace1(u)))), 1e-300)
-            out.append(_record(config, "krein_pde_residual", kind, params, pde))
-            out.append(_record(config, "krein_bc_residual", kind, params, bc))
-        except BTripleError as exc:
-            out.append(_failure_record(config, "krein_pde_residual", kind,
-                                       params, exc))
+            res = model.apply_T(u) - lam * u - f
+            pde = model.hnorm(res) / max(model.hnorm(f), 1e-300)
+            t1 = model.trace1(u)
+            bc = (float(np.max(np.abs(b.matrix @ t1 - model.trace0(u))))
+                  / max(float(np.max(np.abs(t1))), 1e-300))
+            out.add("krein_pde_residual", params, pde)
+            out.add("krein_bc_residual", params, bc)
     for i in range(counts["krein_adj"]):
         lam = lams[i % len(lams)]
         b = _random_b(rng, dim)
         f = model.random_domain_vector(rng)
         g = model.random_domain_vector(rng)
         params = {"lambda": lam, "draw": i}
-        try:
+        with out.guard("krein_adjoint_mirror", params):
             left = model.inner(tc.krein_resolvent(model, b, lam, f), g)
             bt = BoundaryOperator(matrix=b.matrix.conj().T)
             right = model.inner(f, tc.krein_resolvent_tilde(
                 model, bt, np.conjugate(lam), g))
-            scale = max(abs(left), abs(right), 1e-300)
-            out.append(_record(config, "krein_adjoint_mirror", kind, params,
-                               abs(left - right) / scale))
-        except BTripleError as exc:
-            out.append(_failure_record(config, "krein_adjoint_mirror", kind,
-                                       params, exc))
-    if counts["krein_dense"] and model.dense_robin is not None:
-        for i in range(counts["krein_dense"]):
-            lam = lams[i % len(lams)]
-            b = _random_b(rng, dim)
-            f = model.random_domain_vector(rng)
-            params = {"lambda": lam, "draw": i}
-            try:
-                u = tc.krein_resolvent(model, b, lam, f)
-                a_b = model.dense_robin(b)
-                m_cells = a_b.shape[0]
-                fc = np.asarray(f, dtype=complex)[1:m_cells + 1]
-                dense = solve_linear(a_b - lam * np.eye(m_cells), fc)
-                uc = np.asarray(u, dtype=complex)[1:m_cells + 1]
-                defect = (np.linalg.norm(uc - dense)
-                          / max(np.linalg.norm(dense), 1e-300))
-                out.append(_record(config, "krein_vs_dense", kind, params,
-                                   defect))
-            except BTripleError as exc:
-                out.append(_failure_record(config, "krein_vs_dense", kind,
-                                           params, exc))
-    return out
+            out.add("krein_adjoint_mirror", params,
+                    abs(left - right) / max(abs(left), abs(right), 1e-300))
+    if model.dense_robin is None:
+        return
+    for i in range(counts["krein_dense"]):
+        lam = lams[i % len(lams)]
+        b = _random_b(rng, dim)
+        f = np.asarray(model.random_domain_vector(rng), dtype=complex)
+        params = {"lambda": lam, "draw": i}
+        with out.guard("krein_vs_dense", params):
+            u = tc.krein_resolvent(model, b, lam, f)
+            a_b = model.dense_robin(b)
+            m = a_b.shape[0]
+            dense = solve_linear(a_b - lam * np.eye(m), f[1:m + 1])
+            uc = np.asarray(u, dtype=complex)[1:m + 1]
+            out.add("krein_vs_dense", params, np.linalg.norm(uc - dense)
+                    / max(np.linalg.norm(dense), 1e-300))
 
 
-def _check_sectorial(config, model, kind, seeds):
-    lams = _certified_lams(config, model)
-    out = []
+def _check_sectorial(out, model, lams, rng):
     for lam in lams[:3]:
         params = {"lambda": lam}
-        try:
+        with out.guard("sectorial_c1_bound", params):
             fact = tc.sectorial_factorization(model, lam)
-            out.append(_record(config, "sectorial_c1_bound", kind, params,
-                               fact.c1_norm))
+            out.add("sectorial_c1_bound", params, fact.c1_norm)
             res_norm = max(
                 1.0 / smallest_singular_value(
                     np.asarray(hn) + np.asarray(v)
                     - lam * np.eye(np.asarray(hn).shape[0]))
                 for hn, v in model.hn_v_blocks())
-            out.append(_record(config, "sectorial_defect", kind, params,
-                               fact.defect / res_norm))
-        except BTripleError as exc:
-            out.append(_failure_record(config, "sectorial_c1_bound", kind,
-                                       params, exc))
+            out.add("sectorial_defect", params, fact.defect / res_norm)
     if not model.has_potential:
         for lam in lams[:2]:
             params = {"lambda": lam}
-            try:
-                out.append(_record(config, "c1_zero_potential", kind, params,
-                                   tc.c1_norm_at(model, lam)))
-            except BTripleError as exc:
-                out.append(_failure_record(config, "c1_zero_potential", kind,
-                                           params, exc))
+            with out.guard("c1_zero_potential", params):
+                out.add("c1_zero_potential", params, tc.c1_norm_at(model, lam))
     thr = model.certified_threshold()
-    out.append(_record(config, "threshold_negative", kind,
-                       {"threshold": thr}, max(0.0, thr + 1e-6)))
-    lams_decay = [-10.0 ** k for k in range(1, 6)]
-    params = {"lambda_ray": lams_decay}
-    try:
-        norms = [norm for _, norm in tc.relative_bound_decay(model, lams_decay)]
-        diffs = np.diff(norms)
-        out.append(_record(config, "relative_bound_decreasing", kind, params,
-                           max(0.0, float(diffs.max()) if len(diffs) else 0.0)))
-        first = max(norms[0], 1e-300)
-        out.append(_record(config, "relative_bound_vanishing", kind, params,
-                           norms[-1] / first if norms[0] > 0 else 0.0))
-    except BTripleError as exc:
-        out.append(_failure_record(config, "relative_bound_decreasing", kind,
-                                   params, exc))
-    return out
+    out.add("threshold_negative", {"threshold": thr}, max(0.0, thr + 1e-6))
+    ray = [-10.0 ** k for k in range(1, 6)]
+    params = {"lambda_ray": ray}
+    with out.guard("relative_bound_decreasing", params):
+        norms = [norm for _, norm in tc.relative_bound_decay(model, ray)]
+        out.add("relative_bound_decreasing", params,
+                max(0.0, float(np.diff(norms).max())))
+        out.add("relative_bound_vanishing", params,
+                norms[-1] / norms[0] if norms[0] > 0 else 0.0)
 
 
 _IDENTITY_FAMILIES = (
@@ -775,23 +719,18 @@ _IDENTITY_FAMILIES = (
 )
 
 
+def _identity_checks(out, model, seed):
+    # one SeedSequence child per family, whether or not it draws
+    lams = _certified_lams(out.config, model)
+    fseeds = seed.spawn(len(_IDENTITY_FAMILIES))
+    for family, fseed in zip(_IDENTITY_FAMILIES, fseeds):
+        family(out, model, lams, np.random.default_rng(fseed.spawn(1)[0]))
+
+
 def run_identity_suite(config=None):
     """Every operator-identity invariant, on every configured model, as one
     report. Failures are failing records, not exceptions."""
-    config = config or SuiteConfig()
-    t0 = time.perf_counter()
-    root = np.random.SeedSequence(config.seed)
-    records = []
-    specs = config.model_specs()
-    model_seeds = root.spawn(len(specs))
-    for spec, mseed in zip(specs, model_seeds):
-        model = model_from_spec(spec)
-        kind = model.kind
-        family_seeds = mseed.spawn(len(_IDENTITY_FAMILIES))
-        for fam, fseed in zip(_IDENTITY_FAMILIES, family_seeds):
-            records.extend(fam(config, model, kind, fseed.spawn(1)))
-    timings = {"wall_seconds": time.perf_counter() - t0}
-    return VerificationReport.from_records(records, timings)
+    return _run_suite(config, _identity_checks)
 
 
 # ---------------------------------------------------------------------------
@@ -814,52 +753,34 @@ def _decay_lams(kind, threshold):
     return [start * 4.0 ** k for k in range(count)]
 
 
+def _decay_checks(out, model, seed):
+    lams = _decay_lams(out.kind, model.certified_threshold())
+    params = {"lambda_ray": lams}
+    with out.guard("decay_exponent", params):
+        points, (slope, intercept, _) = tc.weyl_decay_study(model, lams)
+        logx = np.log([p[0] for p in points])
+        logy = np.log([p[1] for p in points])
+        # the fit needs three points and spread in x, so the band is finite
+        spread = float(np.sum((logx - logx.mean()) ** 2))
+        sigma2 = (float(np.sum((logy - (intercept + slope * logx)) ** 2))
+                  / (len(points) - 2))
+        params.update({
+            "samples": [list(p) for p in points],
+            "amplitude": float(np.exp(intercept)),
+            "exponent": slope,
+            "band": 1.96 * float(np.sqrt(sigma2 / spread)),
+        })
+        if model.has_potential:
+            out.add("decay_exponent", params, max(0.0, slope + 0.45),
+                    tolerance_key="decay_exponent_bounded")
+        else:
+            out.add("decay_exponent", params, abs(slope + 0.5))
+
+
 def run_decay_suite(config=None):
     """||M(lambda)|| along a geometric ray for every configured model, with
     the fitted amplitude, exponent, and a least-squares confidence band."""
-    config = config or SuiteConfig()
-    t0 = time.perf_counter()
-    records = []
-    for spec in config.model_specs():
-        model = model_from_spec(spec)
-        kind = model.kind
-        lams = _decay_lams(kind, model.certified_threshold())
-        params = {"lambda_ray": lams}
-        try:
-            samples, slope = tc.weyl_decay_study(model, lams)
-            points = [(abs(ws.lam), ws.norm) for ws in samples]
-            logx = np.log([p[0] for p in points])
-            logy = np.log([p[1] for p in points])
-            slope_fit, intercept, resid = fit_log_slope(points)
-            n = len(points)
-            spread = float(np.sum((logx - logx.mean()) ** 2))
-            if n > 2 and spread > 0.0:
-                sigma2 = float(np.sum((logy - (intercept + slope_fit * logx))
-                                      ** 2)) / (n - 2)
-                band = 1.96 * float(np.sqrt(sigma2 / spread))
-            else:
-                band = float("inf")
-            params.update({
-                "samples": [[p[0], p[1]] for p in points],
-                "amplitude": float(np.exp(intercept)),
-                "exponent": slope_fit,
-                "band": band,
-            })
-            if not model.has_potential:
-                defect = abs(slope_fit + 0.5)
-                records.append(_record(config, "decay_exponent", kind, params,
-                                       defect))
-            else:
-                defect = max(0.0, slope_fit + 0.45)
-                records.append(CheckRecord(
-                    check_name="decay_exponent", model=kind,
-                    parameters=params, defect=defect,
-                    tolerance=config.tolerance("decay_exponent_bounded", kind)))
-        except BTripleError as exc:
-            records.append(_failure_record(config, "decay_exponent", kind,
-                                           params, exc))
-    timings = {"wall_seconds": time.perf_counter() - t0}
-    return VerificationReport.from_records(records, timings)
+    return _run_suite(config, _decay_checks)
 
 
 def decay_samples_csv(report):
@@ -909,86 +830,62 @@ def _in_region(z, region):
     return re0 <= z.real <= re1 and im0 <= z.imag <= im1
 
 
+def _bs_checks(out, model, seed):
+    rng = np.random.default_rng(seed.spawn(1)[0])
+    thr = model.certified_threshold()
+    dim = model.boundary_dim
+
+    # B = 0: the certified half-line carries no eigenvalues
+    region0 = (thr * 8.0, thr, -0.5, 0.5)
+    grid0 = (40, 5) if out.kind == "fd1d" else (24, 3)
+    params = {"region": list(region0)}
+    with out.guard("bs_empty_certified", params):
+        eigs0 = tc.robin_eigs(model, BoundaryOperator.scalar(0.0, dim),
+                              region0, grid0)
+        out.add("bs_empty_certified", params, len(eigs0))
+
+    if model.dense_robin is not None:
+        regions = out.config.complex_scan_regions or ((-20.0, 30.0, -6.0, 6.0),)
+        for region in regions:
+            inset = _region_inset(region)
+            for i in range(5):
+                b = _random_b(rng, dim, scale=1.0)
+                params = {"region": list(region), "draw": i}
+                with out.guard("bs_hausdorff_dense", params):
+                    found = [z for z in tc.robin_eigs(model, b, region, (96, 33))
+                             if _in_region(z, inset)]
+                    dense = [z for z in eig_dense(model.dense_robin(b))
+                             if _in_region(z, inset)]
+                    params["found"] = len(found)
+                    params["dense"] = len(dense)
+                    out.add("bs_hausdorff_dense", params,
+                            _hausdorff(found, dense))
+                    if found:
+                        z0 = min(found, key=abs)
+                        u = tc.bs_kernel_lift(model, b, z0, tol=1e-6)[0]
+                        res = model.apply_T(u) - z0 * u
+                        out.add("bs_kernel_residual", {"lambda": z0},
+                                model.hnorm(res) / max(model.hnorm(u), 1e-300))
+
+    if model.reference_robin_eigs is not None:
+        for beta in (-1.0, 0.5, 1.0, 3.0):
+            params = {"beta": beta}
+            with out.guard("bs_reference_match", params):
+                reference = model.reference_robin_eigs(beta)
+                params["modes"] = len(reference) - 1
+                hi = max(reference) * 1.05 + 1.0
+                found = tc.robin_eigs(
+                    model, BoundaryOperator.scalar(beta, dim),
+                    (0.3, hi, -0.4, 0.4), (max(160, int(4 * hi)), 5))
+                params["reference"] = reference
+                params["found"] = len(found)
+                out.add("bs_reference_match", params,
+                        _directed_match(reference, found))
+
+
 def run_bs_cross_check(config=None):
     """Eigenvalues as Birman-Schwinger indicator roots, cross-checked
     against the dense constrained eigensolve where the model provides the
     ``dense_robin`` hook (fd1d) and against closed-form roots where it
     provides ``reference_robin_eigs`` (the V = 0 interior disk)."""
-    config = config or SuiteConfig()
-    t0 = time.perf_counter()
-    root = np.random.SeedSequence(config.seed)
-    records = []
-    specs = config.model_specs()
-    model_seeds = root.spawn(len(specs))
-    for spec, mseed in zip(specs, model_seeds):
-        model = model_from_spec(spec)
-        kind = model.kind
-        rng = np.random.default_rng(mseed.spawn(1)[0])
-        thr = model.certified_threshold()
-
-        # B = 0: the certified half-line carries no eigenvalues
-        region0 = (thr * 8.0, thr, -0.5, 0.5)
-        grid0 = (40, 5) if kind == "fd1d" else (24, 3)
-        try:
-            eigs0 = tc.robin_eigs(model, BoundaryOperator.scalar(
-                0.0, model.boundary_dim), region0, grid0)
-            records.append(_record(config, "bs_empty_certified", kind,
-                                   {"region": list(region0)},
-                                   float(len(eigs0))))
-        except BTripleError as exc:
-            records.append(_failure_record(config, "bs_empty_certified", kind,
-                                           {"region": list(region0)}, exc))
-
-        if model.dense_robin is not None:
-            regions = config.complex_scan_regions or ((-20.0, 30.0, -6.0, 6.0),)
-            for region in regions:
-                grid = (96, 33)
-                for i in range(5):
-                    b = _random_b(rng, model.boundary_dim, scale=1.0)
-                    params = {"region": list(region), "draw": i}
-                    try:
-                        found = list(tc.robin_eigs(model, b, region, grid))
-                        dense = eig_dense(model.dense_robin(b))
-                        inset = _region_inset(region)
-                        found_in = [z for z in found if _in_region(z, inset)]
-                        dense_in = [z for z in dense if _in_region(z, inset)]
-                        dist = _hausdorff(found_in, dense_in)
-                        params["found"] = len(found_in)
-                        params["dense"] = len(dense_in)
-                        records.append(_record(config, "bs_hausdorff_dense",
-                                               kind, params, dist))
-                        if found_in:
-                            z0 = min(found_in, key=abs)
-                            lifts = tc.bs_kernel_lift(model, b, z0, tol=1e-6)
-                            u = lifts[0]
-                            res = model.apply_T(u) - z0 * u
-                            rr = model.hnorm(res) / max(model.hnorm(u), 1e-300)
-                            records.append(_record(
-                                config, "bs_kernel_residual", kind,
-                                {"lambda": z0}, rr))
-                    except BTripleError as exc:
-                        records.append(_failure_record(
-                            config, "bs_hausdorff_dense", kind, params, exc))
-
-        if model.reference_robin_eigs is not None:
-            for beta in (-1.0, 0.5, 1.0, 3.0):
-                params = {"beta": beta}
-                try:
-                    reference = model.reference_robin_eigs(beta)
-                    params["modes"] = len(reference) - 1
-                    hi = max(reference) * 1.05 + 1.0
-                    region = (0.3, hi, -0.4, 0.4)
-                    n_re = max(160, int(4 * hi))
-                    found = list(tc.robin_eigs(
-                        model, BoundaryOperator.scalar(
-                            beta, model.boundary_dim), region, (n_re, 5)))
-                    dist = _directed_match(reference, found)
-                    params["reference"] = reference
-                    params["found"] = len(found)
-                    records.append(_record(config, "bs_reference_match", kind,
-                                           params, dist))
-                except BTripleError as exc:
-                    records.append(_failure_record(
-                        config, "bs_reference_match", kind, params, exc))
-    timings = {"wall_seconds": time.perf_counter() - t0}
-    return VerificationReport.from_records(records, timings)
+    return _run_suite(config, _bs_checks)

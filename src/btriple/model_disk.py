@@ -82,13 +82,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 from scipy.optimize import brentq
 from scipy.special import ive, jv, jvp, kve
 
 from .errors import (InvalidPotential, MatchingSingular, NoRootInBracket,
-                     ThresholdNotFound, TruncationWarning)
+                     TruncationWarning)
 from .grids import PanelGrid, _bary_weights, graded_edges
 from .potentials import Potential1D
 from .triple_core import BoundaryOperator, TripleModel
@@ -235,7 +234,6 @@ class DiskModel(TripleModel):
         self._vr_conj = np.conjugate(self._vr)
         self._cache = {}
         self._blocks = None
-        self._threshold = None
         self._build_collocation()
 
     # -- potential windowing -----------------------------------------------
@@ -618,23 +616,6 @@ class DiskModel(TripleModel):
             self._blocks = [self._mode_block(k)
                             for k in range(self.config.k_max + 1)]
         return [(hn.copy(), v.copy()) for hn, v in self._blocks]
-
-    def certified_threshold(self):
-        if self._threshold is None:
-            if not self._has_v:
-                self._threshold = -0.5
-            else:
-                # looked up per call: the traced run patches triple_core's name
-                from .triple_core import find_xi2
-                try:
-                    xi2 = find_xi2(self)
-                except ThresholdNotFound:
-                    xi2 = -np.inf
-                bottom = min(float(eigvalsh(hn)[0])
-                             for hn, _ in self.hn_v_blocks())
-                self._threshold = min(xi2, bottom - self.v_sup_proxy(),
-                                      -1e-6)
-        return self._threshold
 
     def random_domain_vector(self, rng):
         kk = self.config.k_max

@@ -279,9 +279,6 @@ class Shoot1dModel(TripleModel):
     def hn_v_blocks(self):
         return self._fd.hn_v_blocks()
 
-    def certified_threshold(self):
-        return self._fd.certified_threshold()
-
     def random_domain_vector(self, rng):
         # smooth synthesis with analytically consistent trace slots
         x = self.grid.nodes

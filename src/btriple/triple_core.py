@@ -18,7 +18,7 @@ the test suite pins each one to a model-specific tolerance.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -35,6 +35,7 @@ from .errors import (
 )
 from .numerics import (
     complex_newton,
+    fit_log_slope,
     herm_inv_sqrt,
     smallest_singular_value,
     solve_linear,
@@ -63,8 +64,9 @@ class TripleModel(abc.ABC):
     Required (abstract) members: ``kind``, ``has_potential``,
     ``v_sup_proxy``, ``boundary_dim``, ``apply_T``/``apply_Ttilde``,
     ``trace0``/``trace1``, ``inner``/``binner``, ``solve_bvp``/``_tilde``,
-    ``neumann_resolvent``/``_tilde``, ``hn_v_blocks``,
-    ``certified_threshold`` and ``random_domain_vector``. Hooks, None by
+    ``neumann_resolvent``/``_tilde``, ``hn_v_blocks`` and
+    ``random_domain_vector``; ``certified_threshold`` is derived from
+    them, one policy for every family. Hooks, None by
     default (``mode_weyl_values`` by default returns None):
     ``mode_weyl_values(lam, tilde)``, the diagonal of a diagonal Weyl
     matrix; ``green_pairing_defect(f, g)``, a cancellation-free Green
@@ -153,12 +155,29 @@ class TripleModel(abc.ABC):
         multiplication by V, in independent Hermitian-frame blocks."""
 
     @abc.abstractmethod
-    def certified_threshold(self):
-        """Real xi < 0 with (-inf, xi) in the resolvent set of A0 and A0~."""
-
-    @abc.abstractmethod
     def random_domain_vector(self, rng):
         """A random carrier consistent with the model's smoothness needs."""
+
+    # -- derived structure -------------------------------------------------
+
+    def certified_threshold(self):
+        """Real xi < 0 with (-inf, xi) in the resolvent set of A0 and A0~,
+        computed once per model: -0.5 when V = 0, else the least of
+        find_xi2, the bottom of H_N less sup |V| (over the blocks of
+        hn_v_blocks), and -1e-6. -inf stands in for find_xi2 when its scan
+        finds no threshold."""
+        if getattr(self, "_threshold", None) is None:
+            if not self.has_potential:
+                self._threshold = -0.5
+            else:
+                try:
+                    xi2 = find_xi2(self)
+                except ThresholdNotFound:
+                    xi2 = -np.inf
+                bottom = min(float(sla.eigvalsh(hn)[0])
+                             for hn, _ in self.hn_v_blocks())
+                self._threshold = min(xi2, bottom - self.v_sup_proxy(), -1e-6)
+        return self._threshold
 
     # -- optional structure ------------------------------------------------
 
@@ -268,7 +287,6 @@ class SectorialFactorization:
     lam: float
     c1_norm: float
     defect: float
-    c1_blocks: list = field(repr=False)
 
 
 # -- gamma field and Weyl function ----------------------------------------
@@ -585,9 +603,7 @@ def sectorial_factorization(model, lam):
         )
     c1_norm = 0.0
     defect = 0.0
-    c1_blocks = []
     for s, c1, hn, v in _c1_blocks(model, lam):
-        c1_blocks.append(c1)
         c1_norm = max(c1_norm, float(sla.svdvals(c1).max()))
         n = hn.shape[0]
         eye = np.eye(n, dtype=complex)
@@ -595,8 +611,7 @@ def sectorial_factorization(model, lam):
         factored = s @ solve_linear(eye + c1, eye) @ s
         block_defect = float(sla.svdvals(resolvent - factored).max())
         defect = max(defect, block_defect)
-    return SectorialFactorization(lam=lam, c1_norm=c1_norm, defect=defect,
-                                  c1_blocks=c1_blocks)
+    return SectorialFactorization(lam=lam, c1_norm=c1_norm, defect=defect)
 
 
 def c1_norm_at(model, lam):
@@ -640,13 +655,15 @@ def find_xi2(model, lam_start=-0.5, max_doublings=20, confirmations=2):
 
 def weyl_decay_study(model, lam_list, allow_uncertified=False):
     """Sample ||M(lambda)|| along real lam_list -> -inf and fit the log-log
-    decay exponent. Returns (samples, exponent)."""
-    from .numerics import fit_log_slope
-
-    samples = [weyl(model, lam, allow_uncertified) for lam in lam_list]
-    points = [(abs(ws.lam), ws.norm) for ws in samples if ws.norm > 0.0]
-    slope, _, _ = fit_log_slope(points)
-    return samples, slope
+    decay line. Returns (points, fit): points are the (|lambda|,
+    ||M(lambda)||) pairs, fit is fit_log_slope's (slope, intercept,
+    residual) over them. Only M is evaluated, not M~."""
+    points = []
+    for lam in lam_list:
+        lam = _as_lambda(model, lam, allow_uncertified, "weyl_decay_study")
+        m = _weyl_matrix(model, lam, tilde=False)
+        points.append((abs(lam), float(sla.svdvals(m).max())))
+    return points, fit_log_slope(points)
 
 
 def relative_bound_decay(model, lam_list):

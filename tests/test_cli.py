@@ -63,10 +63,15 @@ class TestExitCodes:
         ("region", {"rect": ["a", 1, 2, 3]}),
         ("region", {"rect": 5}),
         ("boundary_operator", {"kind": "matrix", "entries": [[1, 2], [3]]}),
+        # json writes inf as Infinity, which json.load reads back
+        ("boundary_operator", {"kind": "scalar", "beta": float("inf")}),
+        ("region", {"grid": [1, 5]}),
     ])
     def test_malformed_numbers_exit_2(self, tmp_path, section, value):
+        # eigs is the command that scans region.grid
         config = {"model": {"family": "fd1d", "n": 32}, section: value}
-        assert _run(tmp_path, "resolve", config) == cli.EXIT_CONFIG
+        for command in ("resolve", "eigs"):
+            assert _run(tmp_path, command, config) == cli.EXIT_CONFIG
 
     def test_neumann_point_of_fd1d_exits_3(self, tmp_path):
         # lambda = 0 is a Neumann eigenvalue: the kernel solve is singular

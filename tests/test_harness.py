@@ -1,6 +1,7 @@
 """Verification harness: report serialization, suite configuration,
 registry coverage, and the package names the benchmark's tracer wraps."""
 import importlib.util
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import btriple.harness as harness
-from btriple import ConfigError, TripleModel, model_from_spec
+from btriple import BvpSolveFailure, ConfigError, TripleModel, model_from_spec
 from btriple.harness import (
     CHECK_REGISTRY,
     REPORT_SCHEMA,
@@ -21,6 +22,13 @@ from btriple.harness import (
 )
 
 _SUITES = (run_identity_suite, run_decay_suite, run_bs_cross_check)
+_FD1D_32 = SuiteConfig(models=({"model": "fd1d", "n": 32},), seed=7)
+
+
+@pytest.fixture(scope="module")
+def fd1d_records():
+    """The fd1d n=32 records of all three suites, in report order."""
+    return [rec for suite in _SUITES for rec in suite(_FD1D_32).records]
 
 
 def _reject_constant(name):
@@ -136,10 +144,9 @@ class TestContractOnly:
         for cls in ("Fd1dModel", "Shoot1dModel", "DiskModel"):
             assert cls not in names
 
-    def test_unknown_family_gives_the_same_records(self, monkeypatch):
-        config = SuiteConfig(models=({"model": "fd1d", "n": 32},), seed=7)
-        want = [rec.as_dict() for suite in _SUITES
-                for rec in suite(config).records]
+    def test_unknown_family_gives_the_same_records(self, monkeypatch,
+                                                   fd1d_records):
+        want = [rec.as_dict() for rec in fd1d_records]
         wrapped = []
 
         def wrapping_model_from_spec(spec):
@@ -150,10 +157,77 @@ class TestContractOnly:
         monkeypatch.setattr(harness, "model_from_spec",
                             wrapping_model_from_spec)
         got = [rec.as_dict() for suite in _SUITES
-               for rec in suite(config).records]
+               for rec in suite(_FD1D_32).records]
         assert len(wrapped) == 3
         assert len(want) == 206
         assert got == want
+
+
+class FailingResolventModel(ForwardingModel):
+    """ForwardingModel whose Neumann resolvent always fails."""
+
+    def neumann_resolvent(self, lam, f):
+        raise BvpSolveFailure(f"no Neumann solve at lambda = {lam}")
+
+
+class TestRecordGuard:
+    # the checks that reach neumann_resolvent: directly, or through
+    # gamma_resolvent_identity_defect and the Krein resolvent
+    REACH = {"adjoint_resolvent", "resolvent_first_identity",
+             "gamma_resolvent_identity", "krein_pde_residual",
+             "krein_bc_residual", "krein_adjoint_mirror", "krein_vs_dense"}
+
+    def test_failing_solve_gives_failing_records(self, monkeypatch,
+                                                 fd1d_records):
+        monkeypatch.setattr(harness, "model_from_spec", lambda spec:
+                            FailingResolventModel(model_from_spec(spec)))
+        got = [rec for suite in _SUITES for rec in suite(_FD1D_32).records]
+        text = VerificationReport.from_records(got).to_json()
+        json.loads(text, parse_constant=_reject_constant)
+
+        def split(records):
+            hit = [rec for rec in records if rec.check_name in self.REACH]
+            rest = [rec.as_dict() for rec in records
+                    if rec.check_name not in self.REACH]
+            return hit, rest
+
+        failed, rest = split(got)
+        ok, want_rest = split(fd1d_records)
+        assert rest == want_rest
+        # a guarded krein_pde_residual failure stands for its pair
+        ok = [rec for rec in ok if rec.check_name != "krein_bc_residual"]
+        assert [rec.check_name for rec in failed] == \
+            [rec.check_name for rec in ok]
+        for bad, good in zip(failed, ok):
+            assert not bad.passed and bad.defect == float("inf")
+            error = bad.parameters.pop("error")
+            assert error.startswith("BvpSolveFailure: no Neumann solve")
+            assert bad.parameters == good.parameters
+
+
+# ordered (check_name, run length) of the fd1d n=32 three-suite run
+_FD1D_32_RUNS = (
+    [("green_identity", 50), ("adjoint_matrices", 1),
+     ("adjoint_resolvent", 20)]
+    + [("gamma_kernel_ode", 1), ("gamma_kernel_trace", 1)] * 8
+    + [("weyl_symmetry", 4), ("difference_identity", 12),
+       ("gamma_resolvent_identity", 12), ("green_on_kernels", 12),
+       ("resolvent_first_identity", 8)]
+    + [("krein_pde_residual", 1), ("krein_bc_residual", 1)] * 15
+    + [("krein_adjoint_mirror", 6), ("krein_vs_dense", 12)]
+    + [("sectorial_c1_bound", 1), ("sectorial_defect", 1)] * 3
+    + [("c1_zero_potential", 2), ("threshold_negative", 1),
+       ("relative_bound_decreasing", 1), ("relative_bound_vanishing", 1),
+       ("decay_exponent", 1), ("bs_empty_certified", 1)]
+    + [("bs_hausdorff_dense", 1), ("bs_kernel_residual", 1)] * 5)
+
+
+class TestRecordOrder:
+    def test_fd1d_run_lengths(self, fd1d_records):
+        runs = [(name, len(list(group))) for name, group in
+                itertools.groupby(rec.check_name for rec in fd1d_records)]
+        assert runs == _FD1D_32_RUNS
+        assert sum(n for _, n in runs) == 206
 
 
 class TestRegistryCoverage:

@@ -459,12 +459,12 @@ class TestThresholdScan:
 class TestDecayStudies:
     def test_weyl_decay_exponent_interval(self, shoot_v0):
         lams = [-10.0 * 4.0**k for k in range(6)]
-        _, slope = weyl_decay_study(shoot_v0, lams)
+        _, (slope, _, _) = weyl_decay_study(shoot_v0, lams)
         assert abs(slope + 0.5) < 0.05
 
     def test_weyl_decay_exponent_disk(self, disk_ext_v0):
         lams = [-10.0 * 4.0**k for k in range(6)]
-        _, slope = weyl_decay_study(disk_ext_v0, lams)
+        _, (slope, _, _) = weyl_decay_study(disk_ext_v0, lams)
         assert abs(slope + 0.5) < 0.05
 
     def test_relative_bound_zero_potential(self, fd_v0):
