@@ -318,12 +318,20 @@ _COMMANDS = {
 }
 
 
+# the dense solves are too small for BLAS threads: on 2 CPUs threaded
+# OpenBLAS about doubles the wall time of verify (perfbench/blas_threads.py)
+_BLAS_NOTE = ("On hosts with few cores, set OPENBLAS_NUM_THREADS=1 in the "
+              "environment before the run; threaded BLAS slows the small "
+              "dense solves down.")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="btriple",
         description="boundary triples of Schrodinger operators with complex "
                     "potentials: Weyl functions, Robin resolvents, "
-                    "eigenvalue scans, and verification reports")
+                    "eigenvalue scans, and verification reports",
+        epilog=_BLAS_NOTE)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
             ("weyl", "sample the Weyl function over lambda points"),
@@ -331,7 +339,7 @@ def build_parser():
             ("eigs", "scan a complex rectangle for Robin eigenvalues"),
             ("decay", "fit the large-|lambda| decay of ||M(lambda)||"),
             ("verify", "run the full verification suites")):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, epilog=_BLAS_NOTE)
         p.add_argument("--config", default=None, metavar="PATH",
                        help="JSON configuration file")
         p.add_argument("--allow-uncertified", action="store_true",

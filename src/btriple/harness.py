@@ -6,15 +6,16 @@ defect, tolerance, pass}; failures are entries, never exceptions, so the
 report is always complete. A suite builds each configured model and hands
 it to a per-model body that writes its records through ``_Records``:
 ``add`` appends a record at the configured tolerance, and a check that can
-fail runs inside ``guard(check, params)``, which turns a BTripleError into
-that check's failing record (defect inf, the error text added to its
-params). A fixed seed makes the whole run deterministic: random draws come
-from SeedSequence children spawned per model and check family in a fixed
-order, and the checks run one after another in that order, so re-running
-with the same configuration produces byte-identical JSON up to the timing
-subtree. Non-finite numbers (the defect of a failing record, for one) are
-written as JSON null, so a report is strict JSON whether or not its checks
-pass.
+fail runs inside ``guard(check, params, *siblings)``, which turns a
+BTripleError into a failing record (defect inf, the error text added to its
+params) for that check and every sibling check its body writes, so which
+records a run writes does not depend on which checks fail. A fixed seed
+makes the whole run deterministic: random draws come from SeedSequence
+children spawned per model and check family in a fixed order, and the
+checks run one after another in that order, so re-running with the same
+configuration produces byte-identical JSON up to the timing subtree.
+Non-finite numbers (the defect of a failing record, for one) are written
+as JSON null, so a report is strict JSON whether or not its checks pass.
 """
 
 from __future__ import annotations
@@ -445,14 +446,20 @@ class _Records(list):
             tolerance=self.config.tolerance(tolerance_key or check, self.kind)))
 
     @contextmanager
-    def guard(self, check, params):
-        """A BTripleError raised inside becomes check's failing record:
-        defect inf, with the error added to the params as they stand."""
+    def guard(self, check, params, *siblings):
+        """A BTripleError raised inside becomes a failing record (defect
+        inf, the error added to the params as they stand) for check and
+        for each sibling check the body writes too, except those it wrote
+        before the error; a run with failures keeps every record."""
+        start = len(self)
         try:
             yield
         except BTripleError as exc:
-            self.add(check, dict(params, error=f"{type(exc).__name__}: {exc}"),
-                     float("inf"))
+            written = {rec.check_name for rec in self[start:]}
+            error = f"{type(exc).__name__}: {exc}"
+            for name in (check,) + siblings:
+                if name not in written:
+                    self.add(name, dict(params, error=error), float("inf"))
 
 
 def _run_suite(config, per_model):
@@ -553,7 +560,7 @@ def _check_gamma_kernel(out, model, lams, rng):
     for lam in lams:
         for j, e in _basis_subset(model):
             params = {"lambda": lam, "column": j}
-            with out.guard("gamma_kernel_ode", params):
+            with out.guard("gamma_kernel_ode", params, "gamma_kernel_trace"):
                 col = model.solve_bvp(lam, e)
                 res = model.apply_T(col) - lam * col
                 ode = model.hnorm(res) / max(model.hnorm(col), 1e-300)
@@ -564,16 +571,18 @@ def _check_gamma_kernel(out, model, lams, rng):
 
 def _check_weyl(out, model, lams, rng):
     pairs = _pairs_of(lams, _counts_for(out.kind)["pairs"])
+    norms = {}  # ||M(lambda)|| of each lambda whose Weyl sample was built
     for lam in lams:
         params = {"lambda": lam}
         with out.guard("weyl_symmetry", params):
-            norm = tc.weyl(model, lam).norm
+            sample = tc.weyl(model, lam)
+            norms[lam] = sample.norm
             out.add("weyl_symmetry", params,
-                    tc.weyl_symmetry_defect(model, lam) / max(norm, 1e-300))
+                    sample.symmetry_defect() / max(sample.norm, 1e-300))
     for lam, mu in pairs:
         params = {"lambda": lam, "mu": mu}
         with out.guard("difference_identity", params):
-            norm = tc.weyl(model, lam).norm
+            norm = norms[lam] if lam in norms else tc.weyl(model, lam).norm
             defect = tc.difference_identity_defect(model, lam, mu)
             out.add("difference_identity", params, defect / max(norm, 1e-300))
     basis = model.boundary_basis()
@@ -639,7 +648,7 @@ def _check_krein(out, model, lams, rng):
         b = _random_b(rng, dim)
         f = np.asarray(model.random_domain_vector(rng), dtype=complex)
         params = {"lambda": lam, "draw": i}
-        with out.guard("krein_pde_residual", params):
+        with out.guard("krein_pde_residual", params, "krein_bc_residual"):
             u = tc.krein_resolvent(model, b, lam, f)
             res = model.apply_T(u) - lam * u - f
             pde = model.hnorm(res) / max(model.hnorm(f), 1e-300)
@@ -681,7 +690,7 @@ def _check_krein(out, model, lams, rng):
 def _check_sectorial(out, model, lams, rng):
     for lam in lams[:3]:
         params = {"lambda": lam}
-        with out.guard("sectorial_c1_bound", params):
+        with out.guard("sectorial_c1_bound", params, "sectorial_defect"):
             fact = tc.sectorial_factorization(model, lam)
             out.add("sectorial_c1_bound", params, fact.c1_norm)
             res_norm = max(
@@ -699,7 +708,8 @@ def _check_sectorial(out, model, lams, rng):
     out.add("threshold_negative", {"threshold": thr}, max(0.0, thr + 1e-6))
     ray = [-10.0 ** k for k in range(1, 6)]
     params = {"lambda_ray": ray}
-    with out.guard("relative_bound_decreasing", params):
+    with out.guard("relative_bound_decreasing", params,
+                   "relative_bound_vanishing"):
         norms = [norm for _, norm in tc.relative_bound_decay(model, ray)]
         out.add("relative_bound_decreasing", params,
                 max(0.0, float(np.diff(norms).max())))
@@ -851,7 +861,8 @@ def _bs_checks(out, model, seed):
             for i in range(5):
                 b = _random_b(rng, dim, scale=1.0)
                 params = {"region": list(region), "draw": i}
-                with out.guard("bs_hausdorff_dense", params):
+                with out.guard("bs_hausdorff_dense", params,
+                               "bs_kernel_residual"):
                     found = [z for z in tc.robin_eigs(model, b, region, (96, 33))
                              if _in_region(z, inset)]
                     dense = [z for z in eig_dense(model.dense_robin(b))

@@ -30,16 +30,16 @@ from .errors import (
     NotAnEigenvalue,
     NotCertified,
     NotPositiveDefinite,
-    SingularMatrix,
     ThresholdNotFound,
 )
 from .numerics import (
     complex_newton,
     fit_log_slope,
-    herm_inv_sqrt,
     smallest_singular_value,
     solve_linear,
 )
+# not called here; the traced benchmark run patches the name in this module
+from .numerics import herm_inv_sqrt  # noqa: F401
 
 # sigma_min floor below which I - B M(lambda) counts as singular
 _BS_SINGULAR_TOL = 1e-10
@@ -50,6 +50,10 @@ _ROOT_MERGE_RADIUS = 1e-7
 # Newton iterates may leave the scan window by this many window spans (the
 # larger side) before the run is abandoned
 _NEWTON_REACH = 1.0
+
+# H_N - lambda counts as singular once its smallest eigenvalue distance is
+# this fraction of its largest (condition number past 1e14)
+_SPECTRUM_HIT_REL = 1e-14
 
 
 class TripleModel(abc.ABC):
@@ -65,8 +69,10 @@ class TripleModel(abc.ABC):
     ``v_sup_proxy``, ``boundary_dim``, ``apply_T``/``apply_Ttilde``,
     ``trace0``/``trace1``, ``inner``/``binner``, ``solve_bvp``/``_tilde``,
     ``neumann_resolvent``/``_tilde``, ``hn_v_blocks`` and
-    ``random_domain_vector``; ``certified_threshold`` is derived from
-    them, one policy for every family. Hooks, None by
+    ``random_domain_vector``. Derived from them, computed once per model
+    and the same for every family: ``hn_spectra``, one eigendecomposition
+    of each H_N block with V cut down to its support, and
+    ``certified_threshold``. Hooks, None by
     default (``mode_weyl_values`` by default returns None):
     ``mode_weyl_values(lam, tilde)``, the diagonal of a diagonal Weyl
     matrix; ``green_pairing_defect(f, g)``, a cancellation-free Green
@@ -160,11 +166,29 @@ class TripleModel(abc.ABC):
 
     # -- derived structure -------------------------------------------------
 
+    def hn_spectra(self):
+        """One HnSpectrum per block of hn_v_blocks, computed once per
+        model: the eigh of the symmetrized H_N, and V on its support K.
+        Every lambda-dependent quantity of the sectorial layer is built
+        from these, so no lambda pays for an eigendecomposition."""
+        if getattr(self, "_hn_spectra", None) is None:
+            spectra = []
+            for hn, v in self.hn_v_blocks():
+                hn = np.asarray(hn)
+                v = np.asarray(v, dtype=complex)
+                w, u = sla.eigh(0.5 * (hn + hn.conj().T))
+                nonzero = v != 0
+                k = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+                spectra.append(HnSpectrum(w=w, u=u, support=k, u_k=u[k],
+                                          v_kk=v[np.ix_(k, k)]))
+            self._hn_spectra = tuple(spectra)
+        return self._hn_spectra
+
     def certified_threshold(self):
         """Real xi < 0 with (-inf, xi) in the resolvent set of A0 and A0~,
         computed once per model: -0.5 when V = 0, else the least of
         find_xi2, the bottom of H_N less sup |V| (over the blocks of
-        hn_v_blocks), and -1e-6. -inf stands in for find_xi2 when its scan
+        hn_spectra), and -1e-6. -inf stands in for find_xi2 when its scan
         finds no threshold."""
         if getattr(self, "_threshold", None) is None:
             if not self.has_potential:
@@ -174,8 +198,7 @@ class TripleModel(abc.ABC):
                     xi2 = find_xi2(self)
                 except ThresholdNotFound:
                     xi2 = -np.inf
-                bottom = min(float(sla.eigvalsh(hn)[0])
-                             for hn, _ in self.hn_v_blocks())
+                bottom = min(float(block.w[0]) for block in self.hn_spectra())
                 self._threshold = min(xi2, bottom - self.v_sup_proxy(), -1e-6)
         return self._threshold
 
@@ -279,6 +302,23 @@ class WeylSample:
     m_tilde_at_conj: np.ndarray
     norm: float
 
+    def symmetry_defect(self):
+        """|| M(lambda) - M~(conj lambda)* || in spectral norm."""
+        return float(sla.svdvals(self.m - self.m_tilde_at_conj.conj().T).max())
+
+
+@dataclass(frozen=True)
+class HnSpectrum:
+    """One block of H_N as its eigendecomposition H_N = U diag(w) U*, with
+    V cut down to its support K, the indices of V's nonzero rows and
+    columns (V vanishes outside K x K)."""
+
+    w: np.ndarray        # eigenvalues, ascending
+    u: np.ndarray        # orthonormal eigenvectors as columns
+    support: np.ndarray  # K
+    u_k: np.ndarray      # U[K], the rows of U on K
+    v_kk: np.ndarray     # V[K, K]
+
 
 @dataclass(frozen=True)
 class SectorialFactorization:
@@ -333,8 +373,7 @@ def weyl(model, lam, allow_uncertified=False):
 
 def weyl_symmetry_defect(model, lam, allow_uncertified=False):
     """|| M(lambda) - M~(conj lambda)* || in spectral norm."""
-    ws = weyl(model, lam, allow_uncertified)
-    return float(sla.svdvals(ws.m - ws.m_tilde_at_conj.conj().T).max())
+    return weyl(model, lam, allow_uncertified).symmetry_defect()
 
 
 def _gamma_gram(model, lam, mu):
@@ -576,25 +615,46 @@ def robin_eigs(model, b, region, grid):
 # -- sectorial factorization and asymptotic studies -------------------------
 
 
-def _c1_blocks(model, lam):
-    blocks = []
-    for hn, v in model.hn_v_blocks():
-        hn = np.asarray(hn)
-        v = np.asarray(v)
-        shifted = hn - lam * np.eye(hn.shape[0])
-        s = herm_inv_sqrt(shifted)  # raises NotPositiveDefinite below spectrum bottom
-        blocks.append((s, s @ v @ s, hn, v))
-    return blocks
+def _spectra_below(model, lam):
+    """model.hn_spectra(), once lam is known to lie below every block's
+    spectrum; NotPositiveDefinite otherwise (S = (H_N - lam)^(-1/2) does
+    not exist)."""
+    spectra = model.hn_spectra()
+    for block in spectra:
+        if block.w[0] - lam <= 0.0:
+            raise NotPositiveDefinite(
+                f"H_N - lambda is not positive definite at lambda = {lam} "
+                f"(min eigenvalue {block.w[0] - lam:.3e})")
+    return spectra
+
+
+def _c1_norm(block, lam):
+    # C1 = S V S = A V_KK A* with A = S restricted to the columns K, and
+    # A* A = [(H_N - lam)^-1]_KK = R* R, so ||C1|| = ||R V_KK R*||: a
+    # |K|-square problem whatever the order of the block
+    if block.support.size == 0:
+        return 0.0
+    gram = (block.u_k / (block.w - lam)) @ block.u_k.conj().T
+    try:
+        r = sla.cholesky(gram)
+    except sla.LinAlgError as exc:
+        raise NotPositiveDefinite(
+            f"[(H_N - lambda)^-1]_KK is not positive definite at lambda = "
+            f"{lam}: {exc}") from exc
+    return float(sla.svdvals(r @ block.v_kk @ r.conj().T).max())
 
 
 def sectorial_factorization(model, lam):
     """Factor (A0 - lam)^-1 = S (I + C1)^-1 S with S = (H_N - lam)^(-1/2)
     and C1 = S V S, at real lam below the certified threshold.
 
-    The factorization is algebraic, so the reported defect is pure rounding;
-    c1_norm <= 1/2 is the contraction property that makes (I + C1)
-    invertible by Neumann series. Block models are processed per block and
-    the norms/defects are the maxima over blocks.
+    S comes from the model's cached hn_spectra, and ||C1|| is computed on
+    the support of V as in c1_norm_at. The resolvent it is compared with
+    is an independent LU solve of H_N + V - lam, so the reported defect is
+    the rounding gap between two separate computations; c1_norm <= 1/2 is
+    the contraction property that makes (I + C1) invertible by Neumann
+    series. Block models are processed per block and the norms/defects are
+    the maxima over blocks.
     """
     lam = float(lam)
     if lam >= model.certified_threshold():
@@ -603,24 +663,31 @@ def sectorial_factorization(model, lam):
         )
     c1_norm = 0.0
     defect = 0.0
-    for s, c1, hn, v in _c1_blocks(model, lam):
-        c1_norm = max(c1_norm, float(sla.svdvals(c1).max()))
-        n = hn.shape[0]
-        eye = np.eye(n, dtype=complex)
-        resolvent = solve_linear(hn + v - lam * eye, eye)
-        factored = s @ solve_linear(eye + c1, eye) @ s
-        block_defect = float(sla.svdvals(resolvent - factored).max())
-        defect = max(defect, block_defect)
+    spectra = _spectra_below(model, lam)
+    for block, (hn, v) in zip(spectra, model.hn_v_blocks()):
+        c1_norm = max(c1_norm, _c1_norm(block, lam))
+        s = (block.u * (1.0 / np.sqrt(block.w - lam))) @ block.u.conj().T
+        k = block.support
+        c1 = s[:, k] @ block.v_kk @ s[k, :]
+        eye = np.eye(s.shape[0], dtype=complex)
+        resolvent = solve_linear(np.asarray(hn) + np.asarray(v) - lam * eye,
+                                 eye)
+        factored = s @ solve_linear(eye + c1, s)
+        defect = max(defect, float(sla.svdvals(resolvent - factored).max()))
     return SectorialFactorization(lam=lam, c1_norm=c1_norm, defect=defect)
 
 
 def c1_norm_at(model, lam):
-    """max block norm of C1(lambda) = S V S without the resolvent defect."""
+    """max block norm of C1(lambda) = S V S without the resolvent defect.
+
+    Each block's norm is ||R V_KK R*|| with R* R = [(H_N - lam)^-1]_KK
+    = U_K diag(1/(w - lam)) U_K* (one Cholesky of order |K|), taken from
+    the model's cached hn_spectra; 0 where V vanishes. NotPositiveDefinite
+    when lam is not below the bottom of H_N.
+    """
     lam = float(lam)
-    norm = 0.0
-    for _, c1, _, _ in _c1_blocks(model, lam):
-        norm = max(norm, float(sla.svdvals(c1).max()))
-    return norm
+    return max((_c1_norm(block, lam) for block in _spectra_below(model, lam)),
+               default=0.0)
 
 
 def find_xi2(model, lam_start=-0.5, max_doublings=20, confirmations=2):
@@ -668,19 +735,23 @@ def weyl_decay_study(model, lam_list, allow_uncertified=False):
 
 def relative_bound_decay(model, lam_list):
     """||V (H_N - lam)^-1|| along lam_list; tends to 0 as lam -> -inf, the
-    operator expression of V being relatively bounded with bound zero."""
+    operator expression of V being relatively bounded with bound zero.
+
+    Each block's norm is ||V_KK U_K diag(1/(w - lam))||, from the model's
+    cached hn_spectra. NotCertified when lam hits the Neumann spectrum
+    (H_N - lam singular to working precision), whether or not V vanishes.
+    """
     out = []
     for lam in lam_list:
         lam = float(lam)
         norm = 0.0
-        for hn, v in model.hn_v_blocks():
-            hn = np.asarray(hn)
-            v = np.asarray(v)
-            eye = np.eye(hn.shape[0])
-            try:
-                res = solve_linear(hn - lam * eye, eye)
-            except SingularMatrix:
+        for block in model.hn_spectra():
+            shift = block.w - lam
+            dist = np.abs(shift)
+            if dist.min() <= _SPECTRUM_HIT_REL * dist.max():
                 raise NotCertified(f"lambda = {lam} hits the Neumann spectrum")
-            norm = max(norm, float(sla.svdvals(v @ res).max()))
+            if block.support.size:
+                norm = max(norm, float(sla.svdvals(
+                    (block.v_kk @ block.u_k) / shift).max()))
         out.append((lam, norm))
     return out

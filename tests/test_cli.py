@@ -117,3 +117,12 @@ class TestDiskWeylReach:
             want = [disk_weyl_v0("interior", k, lam) for k in (2, 1, 0, 1, 2)]
             assert np.abs(m - np.diag(np.diag(m))).max() == 0.0
             assert np.abs(np.diag(m) - want).max() < 1e-12 * np.abs(want).min()
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_names_the_blas_thread_setting(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "OPENBLAS_NUM_THREADS=1" in capsys.readouterr().out

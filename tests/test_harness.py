@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import btriple.harness as harness
-from btriple import BvpSolveFailure, ConfigError, TripleModel, model_from_spec
+from btriple import (BvpSolveFailure, ConfigError, NotPositiveDefinite,
+                     TripleModel, model_from_spec)
 from btriple.harness import (
     CHECK_REGISTRY,
     REPORT_SCHEMA,
@@ -170,6 +171,13 @@ class FailingResolventModel(ForwardingModel):
         raise BvpSolveFailure(f"no Neumann solve at lambda = {lam}")
 
 
+class FailingSpectraModel(ForwardingModel):
+    """ForwardingModel whose H_N eigendecomposition always fails."""
+
+    def hn_spectra(self):
+        raise NotPositiveDefinite("no spectrum of H_N")
+
+
 class TestRecordGuard:
     # the checks that reach neumann_resolvent: directly, or through
     # gamma_resolvent_identity_defect and the Krein resolvent
@@ -194,14 +202,37 @@ class TestRecordGuard:
         failed, rest = split(got)
         ok, want_rest = split(fd1d_records)
         assert rest == want_rest
-        # a guarded krein_pde_residual failure stands for its pair
-        ok = [rec for rec in ok if rec.check_name != "krein_bc_residual"]
+        # a guarded krein_pde_residual failure writes a failing
+        # krein_bc_residual record too, so no record goes missing
+        assert len(got) == len(fd1d_records) == 206
         assert [rec.check_name for rec in failed] == \
             [rec.check_name for rec in ok]
         for bad, good in zip(failed, ok):
             assert not bad.passed and bad.defect == float("inf")
             error = bad.parameters.pop("error")
             assert error.startswith("BvpSolveFailure: no Neumann solve")
+            assert bad.parameters == good.parameters
+
+    def test_failing_pair_writes_both_records(self, monkeypatch,
+                                              fd1d_records):
+        # sectorial_c1_bound/sectorial_defect and relative_bound_decreasing/
+        # relative_bound_vanishing are each written by one guarded body
+        monkeypatch.setattr(harness, "model_from_spec", lambda spec:
+                            FailingSpectraModel(model_from_spec(spec)))
+        got = run_identity_suite(_FD1D_32).records
+        want = fd1d_records[:len(got)]
+        assert len(got) == 194
+        assert [rec.check_name for rec in got] == \
+            [rec.check_name for rec in want]
+        hit = {"sectorial_c1_bound", "sectorial_defect", "c1_zero_potential",
+               "relative_bound_decreasing", "relative_bound_vanishing"}
+        for bad, good in zip(got, want):
+            if bad.check_name not in hit:
+                assert bad.as_dict() == good.as_dict()
+                continue
+            assert bad.defect == float("inf")
+            error = bad.parameters.pop("error")
+            assert error == "NotPositiveDefinite: no spectrum of H_N"
             assert bad.parameters == good.parameters
 
 

@@ -8,6 +8,7 @@ import scipy.linalg as sla
 from btriple import (
     BirmanSchwingerSingular,
     BoundaryOperator,
+    DiskModelConfig,
     NotAnEigenvalue,
     NotCertified,
     NotPositiveDefinite,
@@ -15,6 +16,7 @@ from btriple import (
     SpectralPoint,
     TripleModel,
     bs_kernel_lift,
+    build_disk,
     build_fd1d,
     c1_norm_at,
     dense_robin_matrix,
@@ -26,6 +28,7 @@ from btriple import (
     gamma_resolvent_identity_defect,
     gamma_tilde,
     green_defect,
+    herm_inv_sqrt,
     krein_resolvent,
     krein_resolvent_tilde,
     relative_bound_decay,
@@ -37,6 +40,7 @@ from btriple import (
     weyl_symmetry_defect,
 )
 
+import btriple.triple_core as triple_core
 from btriple.triple_core import _weyl_matrix
 
 from .conftest import complex_bump
@@ -442,6 +446,89 @@ class TestSectorialFactorization:
         sf = sectorial_factorization(disk_int_const, lam)
         assert sf.c1_norm <= 0.5
         assert sf.defect < 1e-9
+
+
+def _dense_c1_norm(model, lam):
+    # the definition: max over blocks of ||S V S||, S = (H_N - lam)^(-1/2)
+    norm = 0.0
+    for hn, v in model.hn_v_blocks():
+        s = herm_inv_sqrt(hn - lam * np.eye(hn.shape[0]))
+        norm = max(norm, float(sla.svdvals(s @ v @ s).max()))
+    return norm
+
+
+def _dense_relative_bound(model, lam):
+    norm = 0.0
+    for hn, v in model.hn_v_blocks():
+        eye = np.eye(hn.shape[0])
+        norm = max(norm, float(sla.svdvals(
+            v @ solve_linear(hn - lam * eye, eye)).max()))
+    return norm
+
+
+class TestSupportNorms:
+    """The sectorial layer on the cached hn_spectra and the support K of V
+    against the dense definitions."""
+
+    @pytest.mark.parametrize("name, whole_grid", [
+        ("fd_complex", True),       # V nonzero in every cell
+        ("disk_ext_const", False),  # V supported on 1 <= r <= 3
+    ])
+    def test_matches_dense_definition(self, request, name, whole_grid):
+        model = request.getfixturevalue(name)
+        for block in model.hn_spectra():
+            order = block.w.size
+            if whole_grid:
+                assert block.support.size == order
+            else:
+                assert 0 < block.support.size < order // 4
+        thr = model.certified_threshold()
+        for lam in (1.5 * thr, 4.0 * thr, -1e3):
+            want = _dense_c1_norm(model, lam)
+            assert want > 0.0
+            assert c1_norm_at(model, lam) == pytest.approx(want, rel=1e-12)
+            assert sectorial_factorization(model, lam).c1_norm == \
+                pytest.approx(want, rel=1e-12)
+            (_, got), = relative_bound_decay(model, [lam])
+            assert got == pytest.approx(_dense_relative_bound(model, lam),
+                                        rel=1e-12)
+
+    def test_zero_potential_is_exactly_zero(self, fd_v0):
+        assert fd_v0.hn_spectra()[0].support.size == 0
+        assert c1_norm_at(fd_v0, -2.0) == 0.0
+        assert sectorial_factorization(fd_v0, -2.0).c1_norm == 0.0
+        assert relative_bound_decay(fd_v0, [-2.0]) == [(-2.0, 0.0)]
+
+    def test_relative_bound_raises_on_neumann_spectrum(self):
+        model = build_fd1d(n=96, length=1.0)
+        w = model.hn_spectra()[0].w
+        for lam in (0.0, w[3]):
+            with pytest.raises(NotCertified, match="Neumann spectrum"):
+                relative_bound_decay(model, [-10.0, lam])
+
+    @pytest.mark.parametrize("build, blocks", [
+        (lambda: build_fd1d(n=96, length=1.0, potential=Potential1D
+                            .from_callable(complex_bump)), 1),
+        (lambda: build_disk(DiskModelConfig(
+            side="exterior", k_max=3, support=(1.0, 3.0),
+            radial_potential=Potential1D.constant(1.5 + 1.0j))), 4),
+    ])
+    def test_one_eigh_per_block(self, monkeypatch, build, blocks):
+        eigh = sla.eigh
+        calls = []
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(triple_core.sla, "eigh", counting_eigh)
+        model = build()
+        thr = model.certified_threshold()  # runs find_xi2
+        for lam in (1.5 * thr, 3.0 * thr):
+            sectorial_factorization(model, lam)
+            c1_norm_at(model, lam)
+        relative_bound_decay(model, [-10.0, -100.0])
+        assert len(calls) == len(model.hn_v_blocks()) == blocks
 
 
 class TestThresholdScan:
