@@ -72,15 +72,12 @@ from .errors import (
     InvalidPotential,
 )
 from .potentials import Potential1D
-from .triple_core import TripleModel, _bmatrix
+from .triple_core import _BATCH_CHUNK, TripleModel, _bmatrix
 # not called here; the traced benchmark run patches the name in this module
 from .triple_core import find_xi2  # noqa: F401
 
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitter for float64
-
-# spectral points per weyl_batch sweep; bounds the sweep's working arrays
-_BATCH_CHUNK = 256
 
 
 def _two_prod(a, b):

@@ -3,9 +3,13 @@
 The Weyl function here comes straight from integrating -f'' + V f = lam f
 with scipy's DOP853 (Dormand-Prince 8(5,3), complex state), so it is
 independent of any global discretization and remains accurate at the large
-|lam| the decay studies need. Every grid node is a step end, and no step cap
-applies beyond the error control. Carriers hold samples on a composite
-Gauss-Legendre grid plus four analytic trace slots:
+|lam| the decay studies need. In a shot every grid node is a step end, and
+no step cap applies beyond the error control. ``weyl_batch`` needs only the
+endpoint values of the two shots, so it integrates the shots of a whole
+chunk of spectral points as one stacked system per side; every grid node
+(and the singular point of a power potential) is a step end there too.
+Carriers hold samples on a composite Gauss-Legendre grid plus four
+analytic trace slots:
 
     [ values at the N panel nodes, f(0), f'(0), f(L), f'(L) ]
 
@@ -33,7 +37,19 @@ import numpy as np
 from .errors import MatchingSingular, StepSizeUnderflow
 from .grids import PanelGrid, graded_edges
 from .potentials import Potential1D
-from .triple_core import TripleModel
+from .triple_core import _BATCH_CHUNK, TripleModel
+
+# |f'| at the far end of a one-sided Neumann shot at or below this fraction
+# of max(|f|, |f'|, 1) there means lambda is a Neumann eigenvalue
+_MATCHING_TOL = 1e-13
+
+# scipy's DOP853 measures the error as an RMS over all components; a stacked
+# solve of n components divides the tolerances by this times sqrt(n), so that
+# no single component's error rides on the others being small
+_STACK_TOL_MARGIN = 10.0
+
+# scipy's DOP853 raises any smaller rtol to this floor, with a warning
+_RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -226,8 +242,7 @@ class Shoot1dModel(TripleModel):
         # the far trace as a difference of exp(sqrt(-lam) L) sized terms
         # and lose it to cancellation for strongly negative lambda.
         for shot in (phi, psi):
-            scale = max(abs(shot.f_end), abs(shot.df_end), 1.0)
-            if abs(shot.df_end) <= 1e-13 * scale:
+            if _matching_singular(shot.f_end, shot.df_end):
                 raise MatchingSingular(
                     f"Neumann shooting data singular at lambda = {lam}"
                 )
@@ -245,6 +260,63 @@ class Shoot1dModel(TripleModel):
 
     def solve_bvp_tilde(self, mu, g):
         return self._solve_bvp(mu, g, tilde=True)
+
+    def weyl_batch(self, lams, tilde=False):
+        """Weyl matrices at every point of ``lams`` from the endpoint values
+        of the two shots alone,
+
+            M = [[-psi(0) / psi'(0), 1 / phi'(L)],
+                 [-1 / psi'(0),      phi(L) / phi'(L)]],
+
+        with the shots of each chunk of at most ``_BATCH_CHUNK`` points
+        stacked into one DOP853 solve per side, so that V is evaluated once
+        per stage for the whole chunk. The grid nodes stay step ends, as in
+        a shot: a chunk of small |lambda| alone would otherwise take steps
+        so long that its error at a Neumann eigenvalue such as pi^2 (V = 0)
+        stays above the 1e-13 of the matching guard, which the per-point
+        path passes there. A point gets a NaN row where the
+        result is not finite or where the matching guard of ``solve_bvp``
+        fails (the Neumann spectrum). A chunk whose stacked solve fails
+        falls back to the point-wise default.
+        """
+        lams = np.asarray(lams, dtype=complex).ravel()
+        out = np.empty((len(lams), 2, 2), dtype=complex)
+        for start in range(0, len(lams), _BATCH_CHUNK):
+            chunk = lams[start:start + _BATCH_CHUNK]
+            try:
+                out[start:start + len(chunk)] = self._weyl_stack(chunk, tilde)
+            except StepSizeUnderflow:
+                out[start:start + len(chunk)] = TripleModel.weyl_batch(
+                    self, chunk, tilde)
+        return out
+
+    def _weyl_stack(self, lams, tilde):
+        cfg = self._config_for(tilde)
+        vfun = cfg.potential
+        n = len(lams)
+        margin = _STACK_TOL_MARGIN * np.sqrt(2 * n)
+        rtol = max(cfg.rtol / margin, _RTOL_FLOOR)
+        atol = cfg.atol / margin
+        stops = self.grid.nodes
+        if vfun.kind == "power":  # the singular point becomes a step end
+            stops = np.append(stops, vfun.params["x0"])
+
+        def rhs(x, y):  # y = (f for every lambda, then f')
+            return np.concatenate([y[n:], (vfun(x) - lams) * y[:n]])
+
+        y0 = np.concatenate([np.ones(n), np.zeros(n)])  # f = 1, f' = 0
+        _, left = dp45_integrate(rhs, 0.0, cfg.length, y0, rtol, atol, stops)
+        _, right = dp45_integrate(rhs, cfg.length, 0.0, y0, rtol, atol, stops)
+        phi, dphi = left[:n], left[n:]    # at x = L
+        psi, dpsi = right[:n], right[n:]  # at x = 0
+        with np.errstate(all="ignore"):
+            m = np.stack([-psi / dpsi, 1.0 / dphi, -1.0 / dpsi, phi / dphi],
+                         axis=1).reshape(n, 2, 2)
+            bad = (~np.isfinite(m).all(axis=(1, 2))
+                   | _matching_singular(phi, dphi)
+                   | _matching_singular(psi, dpsi))
+        m[bad] = np.nan
+        return m
 
     def _neumann_resolvent(self, lam, f, tilde):
         phi_s = self._shot(lam, tilde, "left10")
@@ -301,6 +373,13 @@ class Shoot1dModel(TripleModel):
                     + 2 * w * coeff[7] * np.cos(2 * w * t))
 
         return self._assemble(values, val(0.0), deriv(0.0), val(length), deriv(length))
+
+
+def _matching_singular(f_end, df_end):
+    """Whether one-sided Neumann shots ending at (f_end, df_end) leave the
+    Neumann matching singular (elementwise for arrays)."""
+    scale = np.maximum(np.maximum(np.abs(f_end), np.abs(df_end)), 1.0)
+    return np.abs(df_end) <= _MATCHING_TOL * scale
 
 
 def build_shoot1d(config, panels=8, order=16, fd_nodes=512):

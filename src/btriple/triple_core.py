@@ -55,6 +55,10 @@ _NEWTON_REACH = 1.0
 # this fraction of its largest (condition number past 1e14)
 _SPECTRUM_HIT_REL = 1e-14
 
+# spectral points per vectorized weyl_batch pass (fd1d, shoot1d); bounds
+# the pass's working arrays
+_BATCH_CHUNK = 256
+
 
 class TripleModel(abc.ABC):
     """Contract every concrete model implements, and the only view of a
@@ -86,8 +90,9 @@ class TripleModel(abc.ABC):
     (N, d, d) stack, d = boundary_dim. A point where the model cannot
     evaluate M, i.e. one on the Neumann spectrum, gets an all-NaN row
     instead of an exception, so one bad node never aborts a batch. The
-    default evaluates the points one at a time; a model whose solves
-    vectorize over lambda overrides it.
+    default evaluates the points one at a time. fd1d overrides it with one
+    Thomas sweep and shoot1d with one stacked DOP853 solve per side, each
+    per chunk of at most ``_BATCH_CHUNK`` points.
     """
 
     green_pairing_defect = None

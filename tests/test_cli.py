@@ -1,5 +1,6 @@
 """Command line front end: every exit code, fixed-seed determinism of the
-verify report, and the disk Weyl sweep past |lambda| = 4.9e5."""
+verify report, the shoot1d Robin scan over the default region, and the disk
+Weyl sweep past |lambda| = 4.9e5."""
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from btriple import cli
 from btriple.harness import CheckRecord, VerificationReport
 
-from .oracles import disk_weyl_v0
+from .oracles import ROBIN_LAM_NEG, ROBIN_LAMS_POS, disk_weyl_v0
 
 
 def _reject_constant(name):
@@ -24,7 +25,7 @@ def _run(tmp_path, command, config=None, *flags):
     return cli.main(argv + list(flags))
 
 
-def _weyl_rows(path):
+def _csv_rows(path):
     rows = [line for line in path.read_text().splitlines()
             if not line.startswith("#")][1:]
     return [np.array([float(x) for x in row.split(",")]) for row in rows]
@@ -104,13 +105,28 @@ class TestVerifyReport:
             (outs[1] / "report.csv").read_bytes()
 
 
+class TestShootEigs:
+    def test_default_region_finds_both_robin_roots(self, tmp_path):
+        # the default 96 x 33 grid on (-20, 30) x (-6, 6) holds the two
+        # Robin eigenvalues below 36.6 of B = 0.7 I
+        config = {"model": {"family": "shoot1d", "panels": 2, "order": 8,
+                            "fd_nodes": 32},
+                  "boundary_operator": {"kind": "scalar", "beta": 0.7}}
+        assert _run(tmp_path, "eigs", config) == cli.EXIT_OK
+        rows = _csv_rows(tmp_path / "eigs.csv")
+        roots = [complex(r[0], r[1]) for r in rows]
+        want = [ROBIN_LAM_NEG, ROBIN_LAMS_POS[0]]
+        assert len(roots) == 2
+        assert max(abs(z - w) for z, w in zip(roots, want)) < 1e-8
+
+
 class TestDiskWeylReach:
     def test_interior_disk_far_out_on_the_negative_axis(self, tmp_path):
         lams = [-5e5, -6e5]
         config = {"model": {"family": "disk", "side": "interior", "k_max": 2},
                   "lambda": {"points": lams}}
         assert _run(tmp_path, "weyl", config) == cli.EXIT_OK
-        rows = _weyl_rows(tmp_path / "weyl.csv")
+        rows = _csv_rows(tmp_path / "weyl.csv")
         assert [complex(r[0], r[1]) for r in rows] == lams
         for lam, row in zip(lams, rows):
             m = (row[2:-1:2] + 1j * row[3:-1:2]).reshape(5, 5)

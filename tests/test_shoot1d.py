@@ -1,6 +1,7 @@
 """Shooting-based continuum interval model: the adaptive integrator, kernel
-solutions, agreement with both closed forms and the fd discretization, and
-the deferred import of the integrator."""
+solutions, agreement with both closed forms and the fd discretization, the
+stacked Weyl batch and the Robin scan built on it, and the deferred import
+of the integrator."""
 import os
 import subprocess
 import sys
@@ -9,14 +10,18 @@ import numpy as np
 import pytest
 
 import btriple
+import btriple.model_shoot1d as model_shoot1d
 from btriple import (
+    BoundaryOperator,
     MatchingSingular,
     Potential1D,
     ShootConfig,
     StepSizeUnderflow,
+    TripleModel,
     build_fd1d,
     build_shoot1d,
     dp45_integrate,
+    robin_eigs,
     solve_ivp_schrodinger,
     weyl,
     weyl_symmetry_defect,
@@ -25,7 +30,13 @@ from btriple import (
 from btriple.harness import SuiteConfig, run_identity_suite
 
 from .conftest import complex_bump
-from .oracles import COSH1, SINH1, interval_weyl_v0
+from .oracles import (
+    COSH1,
+    ROBIN_LAM_NEG,
+    ROBIN_LAMS_POS,
+    SINH1,
+    interval_weyl_v0,
+)
 
 
 class TestShootConfig:
@@ -195,6 +206,113 @@ class TestShootModel:
     def test_build_rejects_wrong_config(self):
         with pytest.raises(TypeError):
             build_shoot1d({"length": 1.0})
+
+
+_BENCH_C = 3.0 - 2.0j
+
+
+@pytest.fixture(scope="module")
+def shoot_bench_c():
+    return build_shoot1d(ShootConfig(potential=Potential1D.constant(_BENCH_C)),
+                         panels=4, order=12, fd_nodes=128)
+
+
+def _scan_grid(c):
+    # the benchmark's Robin scan: (Re c - 40, Re c - 4) x (Im c -+ 1), 12 x 3
+    res = np.linspace(c.real - 40.0, c.real - 4.0, 12)
+    ims = np.linspace(c.imag - 1.0, c.imag + 1.0, 3)
+    return (res[:, None] + 1j * ims[None, :]).ravel()
+
+
+def _circle(count, center=15.0, radius=25.0):
+    return center + radius * np.exp(2j * np.pi * (np.arange(count) + 0.5)
+                                    / count)
+
+
+class TestWeylBatch:
+    @pytest.fixture(params=[0.0, _BENCH_C], ids=["v0", "v3-2i"])
+    def bench(self, request, shoot_bench_v0, shoot_bench_c):
+        c = request.param
+        return (shoot_bench_c if c else shoot_bench_v0), c
+
+    @pytest.mark.parametrize("points, tol", [
+        (_scan_grid(_BENCH_C), 1e-10),
+        (_circle(64), 1e-10),
+        (-np.geomspace(1.0, 6.55e4, 9), 1e-12),
+    ], ids=["scan-grid", "circle", "ray"])
+    def test_closed_form(self, bench, points, tol):
+        model, c = bench
+        got = model.weyl_batch(points)
+        want = np.array([interval_weyl_v0(z - c) for z in points])
+        assert np.abs(got - want).max() <= tol
+
+    def test_neumann_points_get_nan_rows(self, shoot_bench_v0):
+        got = shoot_bench_v0.weyl_batch([0.0, np.pi**2, -1.0])
+        assert np.isnan(got[:2]).all()
+        assert np.abs(got[2] - interval_weyl_v0(-1.0)).max() < 1e-12
+
+    def test_finiteness_matches_the_pointwise_path(self, shoot_bench_v0):
+        # 4 pi^2 is a Neumann eigenvalue too, but the ODE error there lies
+        # above the 1e-13 matching guard: both paths return |M| ~ 1e11
+        # instead of a NaN row, and they must at least agree on it
+        lams = [0.0, np.pi**2, 4.0 * np.pi**2]
+        batch = shoot_bench_v0.weyl_batch(lams)
+        pointwise = TripleModel.weyl_batch(shoot_bench_v0, lams)
+        assert (np.isfinite(batch).all(axis=(1, 2)).tolist()
+                == np.isfinite(pointwise).all(axis=(1, 2)).tolist())
+
+    def test_tilde_side_is_the_adjoint(self, shoot_bench_c):
+        z = np.concatenate([_circle(16), _scan_grid(_BENCH_C)])
+        m = shoot_bench_c.weyl_batch(z)
+        m_tilde = shoot_bench_c.weyl_batch(np.conjugate(z), tilde=True)
+        assert np.abs(m_tilde - np.conjugate(m.transpose(0, 2, 1))).max() \
+            <= 1e-12
+
+    def test_power_potential_matches_a_tight_pointwise_path(self):
+        pot = Potential1D.power_singularity(1.0 - 0.5j, 0.4, 0.4, 2.0)
+        model = build_shoot1d(ShootConfig(potential=pot),
+                              panels=4, order=12, fd_nodes=128)
+        tight = build_shoot1d(ShootConfig(potential=pot, rtol=1e-12),
+                              panels=4, order=12, fd_nodes=128)
+        lams = np.concatenate([_circle(8), [-5.0, -500.0]])
+        got = model.weyl_batch(lams)
+        want = TripleModel.weyl_batch(tight, lams)
+        assert np.abs(got - want).max() <= 1e-9
+
+    def test_chunks_are_solved_independently(self, shoot_bench_v0):
+        lams = _circle(300, center=-20.0, radius=15.0)
+        whole = shoot_bench_v0.weyl_batch(lams)
+        assert np.array_equal(whole[:256], shoot_bench_v0.weyl_batch(lams[:256]))
+        assert np.array_equal(whole[256:], shoot_bench_v0.weyl_batch(lams[256:]))
+
+    def test_empty_input(self, shoot_bench_v0):
+        assert shoot_bench_v0.weyl_batch([]).shape == (0, 2, 2)
+
+    def test_failed_stacked_solve_falls_back_to_pointwise(
+            self, shoot_bench_v0, monkeypatch):
+        original = model_shoot1d.dp45_integrate
+
+        def stacked_fails(rhs, x_start, x_end, y0, *args, **kwargs):
+            if len(y0) > 2:
+                raise StepSizeUnderflow("stacked solve refused")
+            return original(rhs, x_start, x_end, y0, *args, **kwargs)
+
+        monkeypatch.setattr(model_shoot1d, "dp45_integrate", stacked_fails)
+        lams = np.array([-1.0, 5.0 + 3.0j, 0.0])
+        got = shoot_bench_v0.weyl_batch(lams)
+        want = TripleModel.weyl_batch(shoot_bench_v0, lams)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[2]).all()
+
+
+class TestRobinScan:
+    def test_finds_both_roots_of_the_window(self):
+        model = build_shoot1d(ShootConfig(), panels=2, order=8, fd_nodes=32)
+        roots = robin_eigs(model, BoundaryOperator.scalar(0.7, 2),
+                           (-4.0, 12.0, -1.0, 1.0), (12, 3))
+        want = [ROBIN_LAM_NEG, ROBIN_LAMS_POS[0]]
+        assert len(roots) == 2
+        assert max(abs(z - w) for z, w in zip(roots, want)) < 1e-8
 
 
 class TestIdentitySuite:
