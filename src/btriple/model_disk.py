@@ -76,8 +76,6 @@ bound studies; they are statements about the matrices themselves.
 
 from __future__ import annotations
 
-import cmath
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -94,29 +92,37 @@ from .triple_core import BoundaryOperator, TripleModel
 
 _TWO_PI = 2.0 * np.pi
 
+# offsets of the orders k - 1, k, k + 1 that a Bessel derivative needs
+_NEIGHBOURS = np.array([-1.0, 0.0, 1.0])
+
 
 def _neighbour_orders(k, z):
-    """(|k - 1|, k, k + 1) and z as a finite complex number."""
-    z = complex(z)
-    if k < 0:
+    """(|k - 1|, k, k + 1) stacked on a new leading axis and shaped to
+    broadcast against z, and z as a finite complex array."""
+    k = np.asarray(k, dtype=float)
+    z = np.asarray(z, dtype=complex)
+    if k.min() < 0.0:
         raise ValueError("order must be nonnegative")
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not np.isfinite(z).all():
         raise ValueError("argument must be finite")
-    return np.array([abs(k - 1), k, k + 1], dtype=float), z
+    shape = (3,) + (1,) * max(z.ndim, k.ndim)
+    return np.abs(k + _NEIGHBOURS.reshape(shape)), z
 
 
 def bessel_i(k, z):
     """(ive(k, z), scaled I_k'(z)): both carry the factor e^{-|Re z|}, and
-    I_k' = (I_{k-1} + I_{k+1}) / 2 with I_{-1} = I_1."""
+    I_k' = (I_{k-1} + I_{k+1}) / 2 with I_{-1} = I_1. k and z may be
+    arrays that broadcast."""
     lo, mid, hi = ive(*_neighbour_orders(k, z))
     return mid, 0.5 * (lo + hi)
 
 
 def bessel_k(k, z):
     """(kve(k, z), scaled K_k'(z)) for Re z > 0: both carry the factor e^{z},
-    and K_k' = -(K_{k-1} + K_{k+1}) / 2 with K_{-1} = K_1."""
+    and K_k' = -(K_{k-1} + K_{k+1}) / 2 with K_{-1} = K_1. k and z may be
+    arrays that broadcast."""
     orders, z = _neighbour_orders(k, z)
-    if z.real <= 0.0:
+    if (z.real <= 0.0).any():
         raise ValueError("K_k requires Re z > 0")
     lo, mid, hi = kve(orders, z)
     return mid, -0.5 * (lo + hi)
@@ -432,29 +438,44 @@ class DiskModel(TripleModel):
     # -- mode solutions ---------------------------------------------------
 
     def _s_of(self, lam):
-        s = np.sqrt(-complex(lam))
-        if s == 0.0:
-            raise MatchingSingular("lambda = 0 sits on the Neumann band edge")
-        if s.real < 0.0 or (s.real == 0.0 and s.imag < 0.0):
-            s = -s
-        return s
+        """s = sqrt(-lambda) with Re s > 0, or Re s = 0 and Im s >= 0, at
+        lam (a scalar or an array)."""
+        # 0j - lam turns a -0.0 imaginary part into +0.0, so the principal
+        # root lands on +i sqrt(lam) for real lam >= 0
+        return np.sqrt(0j - np.asarray(lam, dtype=complex))
 
-    def _exact_scalars(self, lam, k):
-        """Boundary data (f(1), f'(1)) of the V = 0 kernel solution, both
-        scaled by one common factor (module docstring)."""
-        s = self._s_of(lam)
+    def _exact_scalars(self, s, k):
+        """Boundary data (f(1), f'(1)) of the V = 0 kernel solution of mode
+        k, both scaled by one common factor (module docstring), at s from
+        _s_of: nonzero, and Re s > 0 on the exterior. k and s may be arrays
+        that broadcast."""
         ib, ibp = bessel_i(k, s)
         if self.config.side == "interior":
             return ib, s * ibp
-        if s.real == 0.0:
-            raise MatchingSingular(
-                f"exterior K_k data need Re sqrt(-lambda) > 0; lambda = {lam} "
-                "lies on [0, inf)")
         kb, kbp = bessel_k(k, s)
         zc = s * self.config.r_cut
         rho = (-bessel_k(k, zc)[0] / bessel_i(k, zc)[0]
-               * cmath.exp(-(s + s.real) * (self.config.r_cut - 1.0)))
+               * np.exp(-(s + s.real) * (self.config.r_cut - 1.0)))
         return kb + rho * ib, s * (kbp + rho * ibp)
+
+    def _exact_weyl(self, lams):
+        """V = 0 mode Weyl values m_k, k = 0..k_max, at every point of the
+        1-D array lams as an (N, k_max + 1) array. An entry is NaN where
+        mode_weyl_values raises: lambda = 0 or not finite, lambda on
+        [0, inf) for the exterior (K_k needs Re s > 0), or a mode whose
+        denominator fails the 1e-13 test (a Neumann eigenvalue)."""
+        s = self._s_of(lams)
+        ok = np.isfinite(s) & (s != 0.0)
+        if self.config.side == "exterior":
+            ok &= s.real > 0.0
+        out = np.full((len(s), self.config.k_max + 1), np.nan, dtype=complex)
+        f1, df1 = self._exact_scalars(
+            s[ok], np.arange(self.config.k_max + 1)[:, None])
+        denom = self._side * df1
+        regular = np.abs(denom) > 1e-300 + 1e-13 * np.abs(f1)
+        out[ok] = np.divide(f1, denom, out=np.full_like(f1, np.nan),
+                            where=regular).T
+        return out
 
     def _kernel(self, lam, tilde, k, need_values):
         """Kernel-side mode solution, unnormalized: (values_or_None, f(1),
@@ -465,10 +486,13 @@ class DiskModel(TripleModel):
         if entry is not None and (entry[0] is not None or not need_values):
             return entry
         if not self._has_v and self.config.side == "interior":
-            f1, df1 = self._exact_scalars(lam, k)
+            s = complex(self._s_of(lam))
+            if s == 0.0:
+                raise MatchingSingular(
+                    "lambda = 0 sits on the Neumann band edge")
+            f1, df1 = self._exact_scalars(s, k)
             vals = None
             if need_values:
-                s = self._s_of(lam)
                 vals = ive(k, s * self._r) * np.exp(s.real * (self._r - 1.0))
         else:
             vals = self._colloc_solve(lam, tilde, k, None, 1.0)
@@ -480,21 +504,38 @@ class DiskModel(TripleModel):
 
     def mode_weyl_values(self, lam, tilde=False):
         """Diagonal of the Weyl matrix in the mode basis. For V = 0 this is
-        boundary data alone (exact Bessel scalars, no radial solve); the
-        tilde flag is then immaterial since the coefficients are real."""
-        kk = self.config.k_max
+        boundary data alone (exact Bessel scalars, no radial solve), the
+        closed form weyl_batch evaluates over a whole array; the tilde flag
+        is then immaterial since the coefficients are real."""
+        if not self._has_v:
+            by_order = self._exact_weyl(np.array([lam], dtype=complex))[0]
+            singular = np.flatnonzero(np.isnan(by_order))
+            if singular.size:
+                raise MatchingSingular(
+                    f"mode {singular[0]} is Neumann-singular at lambda = {lam}")
+            return by_order[np.abs(self.mode_numbers)]
         by_order = {}
-        for k in range(kk + 1):
-            if not self._has_v:
-                f1, df1 = self._exact_scalars(lam, k)
-            else:
-                _, f1, df1 = self._kernel(lam, tilde, k, need_values=False)
+        for k in range(self.config.k_max + 1):
+            _, f1, df1 = self._kernel(lam, tilde, k, need_values=False)
             denom = self._side * df1
             if abs(denom) <= 1e-300 + 1e-13 * abs(f1):
                 raise MatchingSingular(
                     f"mode {k} is Neumann-singular at lambda = {lam}")
             by_order[k] = f1 / denom
         return np.array([by_order[abs(int(k))] for k in self.mode_numbers])
+
+    def weyl_batch(self, lams, tilde=False):
+        """For V = 0 the closed form of mode_weyl_values over the whole
+        array, with an all-NaN row where that raises; with a potential, the
+        contract's per-point loop."""
+        if self._has_v:
+            return super().weyl_batch(lams, tilde)
+        by_order = self._exact_weyl(np.asarray(lams, dtype=complex).ravel())
+        diag = np.arange(self._nm)
+        out = np.zeros((len(by_order), self._nm, self._nm), dtype=complex)
+        out[:, diag, diag] = by_order[:, np.abs(self.mode_numbers)]
+        out[np.isnan(by_order).any(axis=1)] = np.nan
+        return out
 
     # -- kernel solves and resolvents ----------------------------------------
 

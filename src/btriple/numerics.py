@@ -4,7 +4,11 @@ Thin wrappers around numpy/scipy that normalize error behavior: singular
 solves raise SingularMatrix instead of returning garbage, eigenvalue output
 is deterministically ordered, and the Newton iteration keeps polishing past
 its residual target so that multiple roots are still located to near machine
-accuracy. Everything here is a pure function of its arguments.
+accuracy. The Newton iteration runs every start of an array in lockstep, one
+call of the objective per step for all of them, so an objective that
+evaluates a whole batch of points at once (the Birman-Schwinger det over
+``weyl_batch``) pays its per-call cost once per step, not once per start.
+Everything here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -126,42 +130,71 @@ def fit_log_slope(points):
 
 
 def complex_newton(f, z0, tol, fprime=None, max_iter=50):
-    """Newton iteration for a scalar holomorphic f.
+    """Newton iteration for a holomorphic f, run from every start in ``z0``
+    in lockstep.
 
-    The derivative comes from ``fprime`` when given, otherwise from a
-    central difference with step 1e-6 * max(1, |z|). Once the residual
-    target |f(z)| <= tol is met the iteration keeps stepping while the step
-    length still moves the position materially. That polish phase costs a
-    handful of extra evaluations and is what makes multiple roots (where
+    Each step makes one call to ``f``: on the (3,) + z0.shape stack
+    (z, z + h, z - h), h = 1e-6 * max(1, |z|), for a central-difference
+    derivative, or on z alone when ``fprime`` gives the derivative. Runs
+    that have ended are passed as NaN; ``f`` must return a non-finite value
+    there and need not evaluate them. ``tol`` is a scalar or an array of
+    z0's shape.
+
+    Once a run meets its residual target |f(z)| <= tol it keeps stepping
+    until the step is at most 1e-11 * max(1, |z|). That polish phase costs
+    a handful of extra evaluations and is what makes multiple roots (where
     |f| <= tol is reached far from the root) come out accurate: Newton
-    still contracts linearly there, halving the error per step.
+    still contracts linearly there, halving the error per step. A run
+    fails when f(z) or its step is not finite, when the derivative
+    vanishes before the target is met (after it, the run returns z), or
+    when the target is not met within ``max_iter`` steps.
 
-    Raises NoConvergence if the residual target is never met within
-    ``max_iter`` steps or the iteration degenerates.
+    A failed run, or a NaN start, gives NaN. For a scalar ``z0`` the root
+    comes back as a complex, and a failure raises NoConvergence.
     """
-    z = complex(z0)
-    hit_tol = False
-    for _ in range(max_iter):
-        fz = complex(f(z))
-        if not np.isfinite(fz):
-            raise NoConvergence(f"f({z}) is not finite")
-        if abs(fz) <= tol:
-            hit_tol = True
+    z = np.array(z0, dtype=complex)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), z.shape)
+    active = np.array(np.isfinite(z))
+    hit_tol = np.zeros(z.shape, dtype=bool)
+    why = np.full(z.shape, "start is not finite", dtype=object)
+
+    def stop(mask, failure=None):
+        """End the active runs in mask; a failure sets them to NaN."""
+        mask = mask & active
+        active[mask] = False
+        if failure is not None:
+            z[mask] = np.nan
+            why[mask] = failure
+
+    def evaluate(zs):
+        """f(zs) and f'(zs), with one call of f."""
         if fprime is not None:
-            df = complex(fprime(z))
-        else:
-            h = 1e-6 * max(1.0, abs(z))
-            df = (complex(f(z + h)) - complex(f(z - h))) / (2.0 * h)
-        if df == 0 or not np.isfinite(df):
-            if hit_tol:
-                return z
-            raise NoConvergence("derivative vanished before reaching tolerance")
-        step = fz / df
-        if not np.isfinite(step):
-            raise NoConvergence("step is not finite")
-        z = z - step
-        if hit_tol and abs(step) <= 1e-11 * max(1.0, abs(z)):
-            return z
-    if hit_tol and abs(complex(f(z))) <= tol:
-        return z
-    raise NoConvergence(f"no root within {max_iter} iterations (|f| = {abs(complex(f(z))):.3e})")
+            return (np.asarray(f(zs), dtype=complex),
+                    np.asarray(fprime(zs), dtype=complex))
+        h = 1e-6 * np.maximum(1.0, np.abs(zs))
+        fs = np.asarray(f(np.stack([zs, zs + h, zs - h])), dtype=complex)
+        return fs[0], (fs[1] - fs[2]) / (2.0 * h)
+
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            if not active.any():
+                break
+            fz, df = evaluate(np.where(active, z, np.nan))
+            stop(~np.isfinite(fz), "f(z) is not finite")
+            hit_tol |= active & (np.abs(fz) <= tol)
+            flat = (df == 0) | ~np.isfinite(df)
+            stop(flat & hit_tol)
+            stop(flat, "derivative vanished before reaching tolerance")
+            step = fz / df
+            stop(~np.isfinite(step), "step is not finite")
+            np.subtract(z, step, out=z, where=active)
+            stop(hit_tol & (np.abs(step) <= 1e-11 * np.maximum(1.0, np.abs(z))))
+        if active.any():
+            fz, _ = evaluate(np.where(active & hit_tol, z, np.nan))
+            stop(hit_tol & (np.abs(fz) <= tol))
+            stop(active, f"no root within {max_iter} iterations")
+    if z.ndim == 0:
+        if np.isnan(z):
+            raise NoConvergence(f"{why[()]} (start {complex(z0)})")
+        return complex(z)
+    return z

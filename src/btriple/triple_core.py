@@ -26,7 +26,6 @@ import scipy.linalg as sla
 from .errors import (
     BirmanSchwingerSingular,
     BTripleError,
-    NoConvergence,
     NotAnEigenvalue,
     NotCertified,
     NotPositiveDefinite,
@@ -92,7 +91,9 @@ class TripleModel(abc.ABC):
     instead of an exception, so one bad node never aborts a batch. The
     default evaluates the points one at a time. fd1d overrides it with one
     Thomas sweep and shoot1d with one stacked DOP853 solve per side, each
-    per chunk of at most ``_BATCH_CHUNK`` points.
+    per chunk of at most ``_BATCH_CHUNK`` points; the V = 0 disk with its
+    closed Bessel form over the whole array (a disk with a potential keeps
+    the default loop). ``robin_eigs`` evaluates M only through this call.
     """
 
     green_pairing_defect = None
@@ -501,10 +502,23 @@ def bs_kernel_lift(model, b, lam, tol=1e-8):
     return [model.solve_bvp(complex(lam), phi) for phi in kernel]
 
 
-def _bs_det(model, b, lam):
-    bm = _bmatrix(b, model.boundary_dim)
-    m = _weyl_matrix(model, complex(lam), tilde=False)
-    return complex(np.linalg.det(np.eye(model.boundary_dim) - bm @ m))
+def _grid_weyl(model, nodes, key):
+    """model.weyl_batch over the scan grid ``nodes``, cached on the model
+    under the one-entry key (region, grid): M does not depend on B, so every
+    B scanned over one window reuses the stack."""
+    cached = getattr(model, "_grid_weyl_cache", None)
+    if cached is None or cached[0] != key:
+        cached = (key, model.weyl_batch(nodes.ravel()))
+        model._grid_weyl_cache = cached
+    return cached[1]
+
+
+def _grid_minima(values):
+    """Mask of the nodes of a 2-D grid that are finite and no larger than
+    any of their (up to eight) neighbours."""
+    padded = np.pad(values, 1, constant_values=np.inf)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
+    return np.isfinite(values) & (values <= windows.min(axis=(2, 3)))
 
 
 def robin_eigs(model, b, region, grid):
@@ -513,103 +527,116 @@ def robin_eigs(model, b, region, grid):
     region = (re_min, re_max, im_min, im_max), grid = (n_re, n_im). The
     indicator sigma_min(I - B M) is scanned on the grid; every grid local
     minimum seeds a Newton refinement on det(I - B M), which is holomorphic
-    where sigma_min is not. The whole grid is one ``model.weyl_batch`` call; nodes where it
-    returns a NaN row (Neumann spectrum) are skipped, and so are seeds
-    whose Newton iterates wander onto such points. A Newton run is also
-    abandoned before it evaluates a point more than one span (the larger
-    side of the region; ``_NEWTON_REACH`` spans) outside the region: a
-    root found out there would be dropped anyway, and a runaway iterate
-    can otherwise reach |lambda| where a single model solve costs seconds.
-    Refined roots are kept when |det| <= 1e-9 * scale with scale
-    the median grid |det|, then merged within ``_ROOT_MERGE_RADIUS`` and
-    sorted by (Re, Im). Spurious seeds cost a few extra det evaluations and
-    are dropped by the residual test; a seed cutoff on the indicator would
-    instead lose roots that sit between grid nodes (a coarse scan can sit
-    well above any fixed level even one grid step away from a root).
+    where sigma_min is not. The grid's Weyl stack is one
+    ``model.weyl_batch`` call, cached on the model per (region, grid), so
+    every B scanned over the same window reuses it. Nodes where it returns
+    a NaN row (Neumann spectrum) are skipped, and so are seeds whose Newton
+    iterates wander onto such points.
+
+    The Newton runs go in lockstep (``complex_newton`` on an array of
+    starts): each step is one ``weyl_batch`` call over the points of every
+    live run, then one batched det. A point more than one span (the larger
+    side of the region; ``_NEWTON_REACH`` spans) outside the region is never
+    evaluated and ends its run: a root found out there would be dropped
+    anyway, and a runaway iterate can otherwise reach |lambda| where a
+    single model solve costs seconds. Refined roots are kept when
+    |det| <= 1e-9 * scale with scale the median grid |det|, then merged
+    within ``_ROOT_MERGE_RADIUS`` and sorted by (Re, Im). Spurious seeds
+    cost a few extra evaluations and are dropped by the residual test; a
+    seed cutoff on the indicator would instead lose roots that sit between
+    grid nodes (a coarse scan can sit well above any fixed level even one
+    grid step away from a root).
+
+    Newton runs on the raw det first, then deflation passes over the same
+    seeds: two roots closer than the grid step share one catch basin, so
+    the first pass recovers one of them and a rescan against the deflated
+    determinant recovers the other. Within a pass every seed starts with
+    the roots of the earlier passes deflated, and all pending runs step
+    together in waves; their results merge in seed order. A run that lands
+    on a root already known has higher multiplicity there (degenerate mode
+    pairs produce double det roots), so it goes to the next wave with that
+    root deflated one order more, at most three tries per seed.
     """
-    re_min, re_max, im_min, im_max = map(float, region)
-    n_re, n_im = map(int, grid)
+    re_min, re_max, im_min, im_max = region = tuple(map(float, region))
+    n_re, n_im = grid = tuple(map(int, grid))
     if n_re < 2 or n_im < 2:
         raise ValueError("grid must have at least 2 nodes per axis")
-    bm = _bmatrix(b, model.boundary_dim)
-    res = np.linspace(re_min, re_max, n_re)
-    ims = np.linspace(im_min, im_max, n_im)
+    dim = model.boundary_dim
+    bm = _bmatrix(b, dim)
     nodes = np.empty((n_re, n_im), dtype=complex)  # Re outer, Im inner
-    nodes.real = res[:, None]
-    nodes.imag = ims[None, :]
-    s = np.eye(model.boundary_dim) - bm @ model.weyl_batch(nodes.ravel())
+    nodes.real = np.linspace(re_min, re_max, n_re)[:, None]
+    nodes.imag = np.linspace(im_min, im_max, n_im)[None, :]
+    s = np.eye(dim) - bm @ _grid_weyl(model, nodes, (region, grid))
     ok = np.isfinite(s).all(axis=(1, 2))
     if not ok.any():
         return []
     values = np.full(n_re * n_im, np.inf)
     values[ok] = np.linalg.svd(s[ok], compute_uv=False)[:, -1]
-    values = values.reshape(n_re, n_im)
     scale = max(float(np.median(np.abs(np.linalg.det(s[ok])))), 1e-300)
     det_tol = 1e-9 * scale
-
-    seeds = []
-    for i in range(n_re):
-        for j in range(n_im):
-            v = values[i, j]
-            if not np.isfinite(v):
-                continue
-            neighbors = values[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2]
-            if v <= neighbors.min():
-                seeds.append(complex(res[i], ims[j]))
+    seeds = nodes[_grid_minima(values.reshape(n_re, n_im))]
 
     span = max(re_max - re_min, im_max - im_min)
     reach = _NEWTON_REACH * span
 
-    def det_at(z):
-        if not (re_min - reach <= z.real <= re_max + reach
-                and im_min - reach <= z.imag <= im_max + reach):
-            raise NoConvergence(f"Newton iterate {z} left the scan window")
-        return _bs_det(model, b, z)
+    def det_at(zs):
+        out = np.full(zs.shape, np.nan, dtype=complex)
+        live = ((re_min - reach <= zs.real) & (zs.real <= re_max + reach)
+                & (im_min - reach <= zs.imag) & (zs.imag <= im_max + reach))
+        if live.any():
+            m = model.weyl_batch(zs[live])
+            out[live] = np.linalg.det(np.eye(dim) - bm @ m)
+        return out
 
     def newton_from(z0, exclude):
-        def fun(z):
-            d = det_at(z)
-            for r in exclude:
-                d /= (z - r)
+        """Lockstep Newton from the starts z0, run r on det deflated by the
+        non-NaN entries of exclude[r]; NaN where a run fails."""
+        def deflated(zs):
+            d = det_at(zs)
+            for r in exclude.T:
+                d = np.where(np.isnan(r), d, d / (zs - r))
             return d
-        scale = 1.0
-        for r in exclude:
-            scale *= max(abs(z0 - r), _ROOT_MERGE_RADIUS)
-        root = complex_newton(fun, z0, det_tol / scale)
-        if exclude:
-            # deflation only steers the iteration into the right basin;
-            # the returned root must satisfy the raw residual criterion
-            root = complex_newton(det_at, root, det_tol)
-        return root
+        scale = np.ones(len(z0))
+        for r in exclude.T:
+            scale = np.where(np.isnan(r), scale, scale * np.maximum(
+                np.abs(z0 - r), _ROOT_MERGE_RADIUS))
+        roots = complex_newton(deflated, z0, det_tol / scale)
+        # deflation only steers the iteration into the right basin; the
+        # returned root must satisfy the raw residual criterion
+        raw = ~np.isnan(exclude).all(axis=1)
+        if raw.any():
+            roots[raw] = complex_newton(det_at, roots[raw], det_tol)
+        return roots
 
     def in_window(z):
         return (re_min - 0.02 * span <= z.real <= re_max + 0.02 * span
                 and im_min - 0.02 * span <= z.imag <= im_max + 0.02 * span)
 
-    # Newton on the raw det first, then deflation passes over the same
-    # seeds: two roots closer than the grid step share one catch basin, so
-    # the first pass recovers one of them and a rescan against the deflated
-    # determinant recovers the other. Landing on an already-found root
-    # during a deflated rescan means that root has higher multiplicity
-    # (degenerate mode pairs produce double det roots); deflating it one
-    # order more and retrying then escapes its basin.
     roots = []
     for _ in range(4):
         fresh = []
-        for z0 in seeds:
-            exclude = list(roots)
-            for _retry in range(3):
-                try:
-                    root = newton_from(z0, tuple(exclude))
-                except (NoConvergence, BTripleError):
-                    break
+        pending = [(k, list(roots)) for k in range(len(seeds))]
+        for _retry in range(3):
+            if not pending:
+                break
+            exclude = np.full((len(pending), max(len(ex) for _, ex in pending)),
+                              np.nan, dtype=complex)
+            for row, (_, ex) in enumerate(pending):
+                exclude[row, :len(ex)] = ex
+            landed = newton_from(seeds[[k for k, _ in pending]], exclude)
+            retry = []
+            for (k, ex), root in zip(pending, landed):
+                if np.isnan(root):
+                    continue
+                root = complex(root)
                 known = [r for r in roots + fresh
                          if abs(root - r) <= _ROOT_MERGE_RADIUS]
                 if not known:
                     if in_window(root):
                         fresh.append(root)
-                    break
-                exclude.append(known[0])
+                    continue
+                retry.append((k, ex + [known[0]]))
+            pending = retry
         if not fresh:
             break
         roots.extend(fresh)

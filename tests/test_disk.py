@@ -134,6 +134,32 @@ class TestPositiveAxis:
         assert max(abs(z.imag) for z in roots) < 1e-8
 
 
+class TestZeroPotentialBatch:
+    LAMS = np.array([-3.0, 2.5 + 0.5j, 14.0 - 0.3j, -500.0, 40.0 - 0.5j,
+                     -1e6 + 3.0j])
+
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_matches_mode_weyl_values(self, side, disk_int_v0, disk_ext_v0):
+        model = disk_int_v0 if side == "interior" else disk_ext_v0
+        batch = model.weyl_batch(self.LAMS)
+        assert batch.shape == (len(self.LAMS), 9, 9)
+        for lam, m in zip(self.LAMS, batch):
+            want = np.diag(model.mode_weyl_values(lam))
+            assert np.abs(m - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_nan_row_where_the_point_wise_path_raises(
+            self, side, disk_int_v0, disk_ext_v0):
+        model = disk_int_v0 if side == "interior" else disk_ext_v0
+        batch = model.weyl_batch([0.0, -1.0, 5.0])
+        assert np.isnan(batch[0]).all()
+        with pytest.raises(MatchingSingular):
+            model.mode_weyl_values(0.0)
+        assert np.isfinite(batch[1]).all()
+        # [0, inf) holds no exterior K_k data, but is regular inside
+        assert np.isnan(batch[2]).all() == (side == "exterior")
+
+
 class TestFarNegativeAxis:
     """|lambda| >= 5e5 puts |s| past 700, where the unscaled I_k and K_k
     leave double range; the scaled ratios do not."""

@@ -219,3 +219,26 @@ class TestComplexNewton:
         # gradient points away from any root of exp, which has none
         with pytest.raises(NoConvergence):
             complex_newton(lambda z: np.exp(z) + 0.0, 1.0, 1e-13, max_iter=8)
+
+    def test_lockstep_batch_matches_scalar_runs(self):
+        # one batch: a converging start, a NaN start, and a start on exp,
+        # which has no root; column j of every stack belongs to start j
+        def f(z):
+            stacks.append(z.copy())
+            return np.where(np.arange(3) == 2, np.exp(z), z * z - 1.0)
+
+        stacks = []
+        z0 = np.array([0.9, np.nan, 1.0])
+        got = complex_newton(f, z0, np.array([1e-13, 1e-13, 1e-13]), max_iter=8)
+        assert abs(got[0] - 1.0) < 1e-12
+        assert np.isnan(got[1]) and np.isnan(got[2])
+        assert all(s.shape == (3, 3) for s in stacks)
+        assert all(np.isnan(s[:, 1]).all() for s in stacks)
+        # a finished run is passed as NaN from the step after it ends on
+        assert np.isnan(stacks[-1][:, 0]).all()
+        scalar = complex_newton(lambda z: z * z - 1.0, 0.9, 1e-13, max_iter=8)
+        assert abs(got[0] - scalar) <= 1e-14
+        with pytest.raises(NoConvergence):
+            complex_newton(lambda z: z * z - 1.0, np.nan, 1e-13, max_iter=8)
+        with pytest.raises(NoConvergence):
+            complex_newton(lambda z: np.exp(z), 1.0, 1e-13, max_iter=8)

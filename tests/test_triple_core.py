@@ -13,11 +13,13 @@ from btriple import (
     NotCertified,
     NotPositiveDefinite,
     Potential1D,
+    ShootConfig,
     SpectralPoint,
     TripleModel,
     bs_kernel_lift,
     build_disk,
     build_fd1d,
+    build_shoot1d,
     c1_norm_at,
     dense_robin_matrix,
     difference_identity_defect,
@@ -359,25 +361,25 @@ class TestBirmanSchwinger:
             assert min(abs(z - r) for r in roots) < 1e-6
 
     def test_newton_stays_within_one_span_of_window(self):
-        # the scan grid goes through weyl_batch, so every recorded solve is
-        # a Newton evaluation; unbounded, these reached |lambda| ~ 1e38
+        # the first weyl_batch call is the scan grid, every later one a
+        # lockstep Newton step; unbounded, these reached |lambda| ~ 1e38
         model = build_fd1d(n=96, potential=Potential1D.from_callable(
             complex_bump))
-        seen = []
-        solve = model.solve_bvp
+        calls = []
+        batch = model.weyl_batch
 
-        def recording(lam, g):
-            seen.append(complex(lam))
-            return solve(lam, g)
+        def recording(lams, tilde=False):
+            calls.append(np.array(lams, dtype=complex))
+            return batch(lams, tilde)
 
-        model.solve_bvp = recording
+        model.weyl_batch = recording
         rng = np.random.default_rng(0)
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         re0, re1, im0, im1 = region = (-20.0, 30.0, -6.0, 6.0)
         roots = robin_eigs(model, b, region, (96, 33))
         span = max(re1 - re0, im1 - im0)
-        assert seen
-        for z in seen:
+        assert len(calls) > 1
+        for z in np.concatenate(calls[1:]):
             assert re0 - span <= z.real <= re1 + span
             assert im0 - span <= z.imag <= im1 + span
         def inset(zs):
@@ -400,13 +402,91 @@ class TestBirmanSchwinger:
         assert abs(roots[1] - DISK_ROBIN_T2[1.0][3]) < 1e-8
 
 
+class TestLockstepScan:
+    def test_second_b_reuses_the_grid(self):
+        model = build_fd1d(n=32)
+        calls = []
+        batch = model.weyl_batch
+
+        def recording(lams, tilde=False):
+            calls.append(np.array(lams, dtype=complex))
+            return batch(lams, tilde)
+
+        model.weyl_batch = recording
+        region, grid = (-20.0, 30.0, -6.0, 6.0), (24, 9)
+        nodes = (np.linspace(-20.0, 30.0, 24)[:, None]
+                 + 1j * np.linspace(-6.0, 6.0, 9)[None, :]).ravel()
+
+        def grid_calls():
+            return sum(len(c) == len(nodes) and np.array_equal(c, nodes)
+                       for c in calls)
+
+        robin_eigs(model, 0.7 * np.eye(2), region, grid)
+        assert grid_calls() == 1
+        b = np.diag([1.0, -1.0j])
+        roots = robin_eigs(model, b, region, grid)
+        assert grid_calls() == 1
+        assert roots == robin_eigs(build_fd1d(n=32), b, region, grid)
+        # another window evaluates its own grid first
+        before = len(calls)
+        robin_eigs(model, b, (-20.0, 30.0, -5.0, 5.0), grid)
+        assert len(calls[before]) == len(nodes)
+        assert not np.array_equal(calls[before], nodes)
+
+    def test_grid_minima_match_the_neighbour_loop(self):
+        # the double loop the sliding minimum replaced, kept as reference;
+        # rounded values make ties, inf marks NaN-row nodes
+        def loop(values):
+            n_re, n_im = values.shape
+            mask = np.zeros(values.shape, dtype=bool)
+            for i in range(n_re):
+                for j in range(n_im):
+                    v = values[i, j]
+                    near = values[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2]
+                    mask[i, j] = np.isfinite(v) and v <= near.min()
+            return mask
+
+        rng = np.random.default_rng(3)
+        for shape in ((2, 2), (12, 3), (40, 5), (7, 9)):
+            values = np.round(rng.uniform(size=shape), 1)
+            values[rng.uniform(size=shape) < 0.2] = np.inf
+            assert np.array_equal(triple_core._grid_minima(values),
+                                  loop(values))
+
+    @pytest.mark.parametrize("family", ["fd1d", "shoot1d", "disk"])
+    def test_no_point_wise_weyl_matrix(self, family, monkeypatch):
+        # every evaluation, grid and Newton steps, goes through weyl_batch;
+        # fresh models, so no cached grid hides the grid's evaluation
+        def forbidden(*args):
+            raise AssertionError("_weyl_matrix called during robin_eigs")
+
+        if family == "fd1d":
+            model, b = build_fd1d(n=32), np.diag([1.0, -1.0j])
+            region, grid, count = (-20.0, 30.0, -6.0, 6.0), (24, 9), None
+        elif family == "shoot1d":
+            model = build_shoot1d(ShootConfig(), panels=2, order=8,
+                                  fd_nodes=32)
+            b = BoundaryOperator.scalar(0.7, 2)
+            region, grid, count = (-4.0, 12.0, -1.0, 1.0), (12, 3), 2
+        else:
+            model = build_disk(DiskModelConfig(side="interior", k_max=4))
+            b = np.eye(9)
+            region, grid, count = (12.0, 14.0, -0.4, 0.4), (40, 5), 2
+        monkeypatch.setattr(triple_core, "_weyl_matrix", forbidden)
+        roots = robin_eigs(model, b, region, grid)
+        assert roots
+        if count is not None:
+            assert len(roots) == count
+
+
 class TestWeylBatchDefault:
-    def test_disk_loop_matches_pointwise(self, disk_int_v0):
+    def test_disk_loop_matches_pointwise(self, disk_int_const):
+        # a disk with a potential keeps the contract's per-point loop
         lams = np.array([-3.0, 2.5 + 0.5j, 14.0 - 0.3j])
-        batch = disk_int_v0.weyl_batch(lams)
-        assert batch.shape == (3, 9, 9)
+        batch = disk_int_const.weyl_batch(lams)
+        assert batch.shape == (3, 7, 7)
         for lam, m in zip(lams, batch):
-            assert np.array_equal(m, _weyl_matrix(disk_int_v0, lam, False))
+            assert np.array_equal(m, _weyl_matrix(disk_int_const, lam, False))
 
     def test_failed_point_gives_nan_row(self, fd_v0):
         # the contract's own loop, not the fd1d sweep
