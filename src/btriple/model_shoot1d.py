@@ -3,13 +3,14 @@
 The Weyl function here comes straight from integrating -f'' + V f = lam f
 with scipy's DOP853 (Dormand-Prince 8(5,3), complex state), so it is
 independent of any global discretization and remains accurate at the large
-|lam| the decay studies need. In a shot every grid node is a step end, and
-no step cap applies beyond the error control. ``weyl_batch`` needs only the
-endpoint values of the two shots, so it integrates the shots of a whole
-chunk of spectral points as one stacked system per side; every grid node
-(and the singular point of a power potential) is a step end there too.
-Carriers hold samples on a composite Gauss-Legendre grid plus four
-analytic trace slots:
+|lam| the decay studies need. A shot runs one DOP853 solver from its start
+to the far end and re-targets it at every grid node in turn, and at the
+jumps of V (the window edges around a power singularity), so each of them
+is a step end; no step cap applies beyond the error control.
+``weyl_batch`` needs only the endpoint values of the two shots, so it
+integrates the shots of a whole chunk of spectral points as one stacked
+system per side, with the same step ends. Carriers hold samples on a
+composite Gauss-Legendre grid plus four analytic trace slots:
 
     [ values at the N panel nodes, f(0), f'(0), f(L), f'(L) ]
 
@@ -83,11 +84,13 @@ class ShootSolution:
 # The name is kept because the traced benchmark run patches it by name.
 def dp45_integrate(rhs, x_start, x_end, y0, rtol, atol, sample_points=None):
     """Adaptive integration of y' = rhs(x, y) for a complex state vector
-    with scipy's DOP853 (Dormand-Prince 8(5,3)), one solver per interval
-    between consecutive sample points, so every sample is a step end.
-    Integrates from x_start to x_end in either direction and returns
-    (samples, y_end) where samples[i] is the state at sample_points[i];
-    points at or behind the start get the initial state."""
+    with scipy's DOP853 (Dormand-Prince 8(5,3)). One solver runs the whole
+    integration and is re-targeted at each sample point in turn, so every
+    sample is a step end; each re-targeted leg starts with the step a fresh
+    solver would take there, so the results equal those of one solver per
+    interval bit for bit. Integrates from x_start to x_end in either
+    direction and returns (samples, y_end) where samples[i] is the state at
+    sample_points[i]; points at or behind the start get the initial state."""
     # imported here so that runs without a shoot1d model never load it
     from scipy.integrate import DOP853
 
@@ -107,15 +110,24 @@ def dp45_integrate(rhs, x_start, x_end, y0, rtol, atol, sample_points=None):
             samples[float(p)] = y.copy()  # at or behind the start
     stops = sorted(set(ahead) | {float(x_end)}, reverse=sign < 0)
 
-    h = None  # the first solver picks its own initial step
+    solver = None
     for stop in stops:
-        solver = DOP853(rhs, x, y, stop, rtol=rtol, atol=atol,
-                        first_step=None if h is None else min(h, abs(stop - x)))
+        if solver is None:  # it picks its own initial step
+            solver = DOP853(rhs, x, y, stop, rtol=rtol, atol=atol)
+        else:
+            # what a fresh solver started at x with first_step=min(h, |stop - x|)
+            # would do: the same clipped step from the same derivative
+            solver.t_bound, solver.status = stop, "running"
+            solver.h_abs = min(solver.h_abs, abs(stop - x))
         while solver.status == "running":
             message = solver.step()
         if solver.status == "failed":
             raise StepSizeUnderflow(f"{message} (x = {solver.t:.6g})")
-        x, y, h = stop, solver.y, solver.h_abs
+        # the FSAL derivative was taken at t_old + (stop - t_old), which can
+        # miss the stop by an ulp; a fresh solver would take it at the stop
+        if solver.t_old + (stop - solver.t_old) != stop:
+            solver.f = solver.fun(stop, solver.y)
+        x, y = stop, solver.y
         samples[stop] = y
 
     out = np.array([samples[float(p)] for p in sample_points],
@@ -148,6 +160,8 @@ class Shoot1dModel(TripleModel):
     def __init__(self, config, panels=8, order=16, fd_nodes=512):
         self.config = config
         self.grid = PanelGrid(graded_edges(0.0, config.length, panels), order)
+        # the step ends of every integration: the grid nodes, then the jumps of V
+        self._stops = np.append(self.grid.nodes, config.potential.breakpoints())
         self._cumint = self.grid.cumint()
         self._d2 = self.grid.diff() @ self.grid.diff()
         self._vnodes = config.potential(self.grid.nodes)
@@ -218,10 +232,14 @@ class Shoot1dModel(TripleModel):
             return hit
         cfg = self._config_for(tilde)
         if kind == "left10":      # f(0) = 1, f'(0) = 0
-            sol = solve_ivp_schrodinger(cfg, lam, 0.0, 1.0, 0.0, +1, self.grid.nodes)
+            sol = solve_ivp_schrodinger(cfg, lam, 0.0, 1.0, 0.0, +1, self._stops)
         else:                     # right10: f(L) = 1, f'(L) = 0
             sol = solve_ivp_schrodinger(cfg, lam, cfg.length, 1.0, 0.0, -1,
-                                        self.grid.nodes)
+                                        self._stops)
+        n = self.grid.size
+        if len(self._stops) > n:  # the rows past the nodes are the jumps of V
+            sol = replace(sol, f_samples=sol.f_samples[:n],
+                          df_samples=sol.df_samples[:n])
         if len(self._shot_cache) >= 96:
             self._shot_cache.clear()
         self._shot_cache[key] = sol
@@ -297,16 +315,15 @@ class Shoot1dModel(TripleModel):
         margin = _STACK_TOL_MARGIN * np.sqrt(2 * n)
         rtol = max(cfg.rtol / margin, _RTOL_FLOOR)
         atol = cfg.atol / margin
-        stops = self.grid.nodes
-        if vfun.kind == "power":  # the singular point becomes a step end
-            stops = np.append(stops, vfun.params["x0"])
 
         def rhs(x, y):  # y = (f for every lambda, then f')
             return np.concatenate([y[n:], (vfun(x) - lams) * y[:n]])
 
         y0 = np.concatenate([np.ones(n), np.zeros(n)])  # f = 1, f' = 0
-        _, left = dp45_integrate(rhs, 0.0, cfg.length, y0, rtol, atol, stops)
-        _, right = dp45_integrate(rhs, cfg.length, 0.0, y0, rtol, atol, stops)
+        _, left = dp45_integrate(rhs, 0.0, cfg.length, y0, rtol, atol,
+                                 self._stops)
+        _, right = dp45_integrate(rhs, cfg.length, 0.0, y0, rtol, atol,
+                                  self._stops)
         phi, dphi = left[:n], left[n:]    # at x = L
         psi, dpsi = right[:n], right[n:]  # at x = 0
         with np.errstate(all="ignore"):

@@ -100,11 +100,22 @@ class Potential1D:
         fn = self.params["fn"]
         return Potential1D("callable", fn=lambda x, _f=fn: np.conjugate(_f(x)))
 
+    def breakpoints(self):
+        """Points where the pointwise value jumps: the two edges of the
+        window around a power singularity. An integrator that makes them
+        step ends never steps across a jump."""
+        if self.kind != "power":
+            return ()
+        x0 = self.params["x0"]
+        return (x0 - _POINT_WINDOW, x0 + _POINT_WINDOW)
+
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x):
         """Pointwise value; near a power singularity the window average over
         |x - x0| < 1e-8 is substituted so the result stays finite."""
+        if self.kind == "constant" and isinstance(x, float):
+            return self.params["c"]  # one stage of a shot: no array set-up
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)

@@ -75,6 +75,50 @@ class TestEvaluation:
         assert w(0.9) == pytest.approx(v(0.9))
 
 
+_X0 = 0.4
+
+
+def _pointwise_kinds():
+    return {
+        "zero": Potential1D.zero(),
+        "constant": Potential1D.constant(3.0 - 2.0j),
+        "callable": Potential1D.from_callable(
+            lambda x: (3.0 - 2.0j) * np.sin(np.pi * x) ** 2),
+        "power": Potential1D.power_singularity(1.0 - 0.5j, _X0, 0.4, 2.0),
+    }
+
+
+class TestScalarEvaluation:
+    """A constant potential on a float argument (a stage of a shot) skips
+    the array set-up; every pointwise kind must give the bits of the
+    one-element array."""
+
+    # x0 itself, points inside the 1e-8 window, its edges and just outside
+    NEAR = [_X0, _X0 + 3e-9, _X0 - 9.9e-9, _X0 - 1e-8, _X0 + 1e-8,
+            _X0 + 1.0000001e-8, _X0 - 2e-8]
+
+    @pytest.mark.parametrize("kind", ["zero", "constant", "callable", "power"])
+    def test_float_matches_a_one_element_array(self, kind):
+        v = _pointwise_kinds()[kind]
+        xs = np.concatenate([
+            self.NEAR, [0.0, 1.0, 0.7],
+            np.random.default_rng(3).uniform(0.0, 1.0, 5000)])
+        for x in xs:
+            want = v(np.array([x]))[0]
+            assert np.array_equal(v(float(x)), want)
+            assert np.array_equal(v(np.float64(x)), want)
+
+    def test_table_still_raises_on_a_float(self):
+        with pytest.raises(InvalidPotential):
+            Potential1D.table(np.ones(4))(0.5)
+
+    def test_breakpoints_are_the_window_edges(self):
+        kinds = _pointwise_kinds()
+        assert kinds["power"].breakpoints() == (_X0 - 1e-8, _X0 + 1e-8)
+        for kind in ("zero", "constant", "callable"):
+            assert kinds[kind].breakpoints() == ()
+
+
 class TestCellAverages:
     def test_constant_exact(self):
         v = Potential1D.constant(4.0 + 1.0j)

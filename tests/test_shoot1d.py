@@ -85,6 +85,80 @@ class TestIntegrator:
             dp45_integrate(rhs, 0.0, 1.0, [1.0], 1e-10, 1e-12)
 
 
+def _fresh_solver_per_interval(rhs, x_start, x_end, y0, rtol, atol, points):
+    """dp45_integrate as one fresh DOP853 per interval between stops, each
+    started with first_step=min(h, |stop - x|) from the last solver's h."""
+    from scipy.integrate import DOP853
+
+    sign = 1.0 if x_end >= x_start else -1.0
+    y, x, samples, ahead = np.asarray(y0, dtype=complex), x_start, {}, []
+    for p in points:
+        if (p - x_start) * sign > 0 and (x_end - p) * sign >= 0:
+            ahead.append(float(p))
+        else:
+            samples[float(p)] = y
+    h = None
+    for stop in sorted(set(ahead) | {x_end}, reverse=sign < 0):
+        solver = DOP853(rhs, x, y, stop, rtol=rtol, atol=atol,
+                        first_step=None if h is None else min(h, abs(stop - x)))
+        while solver.status == "running":
+            solver.step()
+        assert solver.status == "finished"
+        x, y, h = stop, solver.y, solver.h_abs
+        samples[stop] = y
+    return np.array([samples[float(p)] for p in points]).reshape(len(points), -1), y
+
+
+def _stepped_rhs(lams, jump):
+    # (f, f')' = (f', (V(x) - lam) f) for every lam at once, with a V that
+    # jumps at the stop ``jump``, as a power potential does at its
+    # breakpoints: a derivative taken an ulp off that stop would show
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    n = len(lams)
+
+    def rhs(x, y):
+        v = 0.0 if x < jump else 40.0 - 20.0j
+        return np.concatenate([y[n:], (v - lams) * y[:n]])
+
+    y0 = np.concatenate([np.ones(n), np.zeros(n)])
+    return rhs, y0
+
+
+class TestOneSolverPerIntegration:
+    """dp45_integrate re-targets one solver from stop to stop; every sample
+    and the end state must equal those of one fresh solver per interval bit
+    for bit (this also catches a scipy release that changes what setting
+    t_bound and status on a solver does)."""
+
+    # forward, the step onto 0.029 ends where t + (0.029 - t) is an ulp
+    # short of it; backward, x - |0.017 - x| is an ulp short of 0.017, so a
+    # fresh solver's first step stops short of it. 1.0 and 1.25 lie at and
+    # behind the start of the backward runs.
+    @pytest.mark.parametrize("x_start, x_end, jump", [
+        (0.0, 1.0, 0.029), (1.0, 0.0, 0.017)], ids=["forward", "backward"])
+    @pytest.mark.parametrize("lams", [-1.0, [-1.0, 50.0 - 3.0j, -2e3]],
+                             ids=["one", "stacked"])
+    def test_samples_and_end_state_are_bit_identical(self, lams, x_start, x_end,
+                                                     jump):
+        points = [jump, 0.2, 0.9, 1.0, 1.25]
+        rhs, y0 = _stepped_rhs(lams, jump)
+        got = dp45_integrate(rhs, x_start, x_end, y0, 1e-6, 1e-8, points)
+        want = _fresh_solver_per_interval(rhs, x_start, x_end, y0, 1e-6, 1e-8,
+                                          points)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_shots_on_the_benchmark_grid(self, shoot_bench_v0):
+        nodes = shoot_bench_v0.grid.nodes
+        for lam, x_start, x_end in ((-1e3, 0.0, 1.0), (20.0 - 8.0j, 1.0, 0.0)):
+            rhs, y0 = _stepped_rhs(lam, nodes[7])
+            got = dp45_integrate(rhs, x_start, x_end, y0, 1e-10, 1e-12, nodes)
+            want = _fresh_solver_per_interval(rhs, x_start, x_end, y0, 1e-10,
+                                              1e-12, nodes)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
 class TestShootIvp:
     def test_cosh_solution(self):
         cfg = ShootConfig()
@@ -278,6 +352,21 @@ class TestWeylBatch:
         got = model.weyl_batch(lams)
         want = TripleModel.weyl_batch(tight, lams)
         assert np.abs(got - want).max() <= 1e-9
+
+    def test_shots_step_onto_the_jumps_of_a_power_potential(self):
+        # V jumps at the edges of its window x0 -+ 1e-8; a per-point shot
+        # that steps across them errs by up to 1.6e-7 on these points
+        pot = Potential1D.power_singularity(1.0 - 0.5j, 0.4, 0.4, 2.0)
+        model = build_shoot1d(ShootConfig(potential=pot),
+                              panels=4, order=12, fd_nodes=128)
+        tight = build_shoot1d(ShootConfig(potential=pot, rtol=1e-12),
+                              panels=4, order=12, fd_nodes=128)
+        lams = np.concatenate([_circle(8), _circle(32)[[12, 26]], [-5.0, -500.0]])
+        got = TripleModel.weyl_batch(model, lams)
+        want = tight.weyl_batch(lams)
+        rel = (np.abs(got - want).max(axis=(1, 2))
+               / np.abs(want).max(axis=(1, 2)))
+        assert rel.max() <= 3e-9
 
     def test_chunks_are_solved_independently(self, shoot_bench_v0):
         lams = _circle(300, center=-20.0, radius=15.0)
