@@ -108,6 +108,8 @@ class CliConfig:
                                 int, "region.grid")
         if len(self.region) != 4:
             raise ConfigError("region.rect must be [re_min, re_max, im_min, im_max]")
+        if self.region[0] == self.region[1] and self.region[2] == self.region[3]:
+            raise ConfigError("region.rect must not be a single point")
         if len(self.grid) != 2 or min(self.grid) < 2:
             raise ConfigError("region.grid must be [n_re, n_im], both >= 2")
 

@@ -109,11 +109,25 @@ def _neighbour_orders(k, z):
     return np.abs(k + _NEIGHBOURS.reshape(shape)), z
 
 
+def _by_distinct_order(fn, orders, z):
+    """fn(orders, z) for fn = ive or kve, with one evaluation per distinct
+    order and point: the orders of neighbouring k overlap, so fn runs once
+    on the distinct orders against the whole of z and the result is
+    gathered from that table. The values are the ones fn(orders, z) gives.
+    A single point takes fn(orders, z) itself: the table's set-up costs
+    more than the few repeated orders it saves there."""
+    if z.size == 1:
+        return fn(orders, z)
+    distinct, index = np.unique(orders, return_inverse=True)
+    table = fn(distinct.reshape((-1,) + (1,) * (orders.ndim - 1)), z)
+    return np.take_along_axis(table, index.reshape(orders.shape), axis=0)
+
+
 def bessel_i(k, z):
     """(ive(k, z), scaled I_k'(z)): both carry the factor e^{-|Re z|}, and
     I_k' = (I_{k-1} + I_{k+1}) / 2 with I_{-1} = I_1. k and z may be
     arrays that broadcast."""
-    lo, mid, hi = ive(*_neighbour_orders(k, z))
+    lo, mid, hi = _by_distinct_order(ive, *_neighbour_orders(k, z))
     return mid, 0.5 * (lo + hi)
 
 
@@ -124,7 +138,7 @@ def bessel_k(k, z):
     orders, z = _neighbour_orders(k, z)
     if (z.real <= 0.0).any():
         raise ValueError("K_k requires Re z > 0")
-    lo, mid, hi = kve(orders, z)
+    lo, mid, hi = _by_distinct_order(kve, orders, z)
     return mid, -0.5 * (lo + hi)
 
 
@@ -697,9 +711,10 @@ def disk_robin_reference(k, beta):
         sqrt(lam) J_k'(sqrt(lam)) = beta J_k(sqrt(lam)),
 
     bracketed by a fixed-step scan in t = sqrt(lam) (step 0.02, first sign
-    change) and refined with brentq. The scan stops at t = 8.5 (lam ~ 72),
-    past the roots of the modes k <= 4 that the suites compare against; a
-    mode whose first root lies beyond it raises NoRootInBracket."""
+    change; one jv/jvp call over the whole scan) and refined with brentq.
+    The scan stops at t = 8.5 (lam ~ 72), past the roots of the modes
+    k <= 4 that the suites compare against; a mode whose first root lies
+    beyond it raises NoRootInBracket."""
     k = int(k)
     if k < 0:
         raise ValueError("mode index must be nonnegative")
@@ -711,16 +726,16 @@ def disk_robin_reference(k, beta):
 
     step = 0.02
     t_max = 8.5
-    t_prev = step
-    g_prev = g(t_prev)
-    t = t_prev + step
-    while t <= t_max + 1e-12:
-        if g_prev == 0.0:
-            return t_prev ** 2
-        g_here = g(t)
-        if (g_prev < 0.0) != (g_here < 0.0):
-            return brentq(g, t_prev, t, xtol=1e-14) ** 2
-        t_prev, g_prev = t, g_here
-        t += step
+    # the points step, 2 step, ... of the running sum t += step, up to t_max
+    t = np.cumsum(np.full(int(t_max / step) + 2, step))
+    t = t[t <= t_max + 1e-12]
+    vals = t * jvp(k, t) - beta * jv(k, t)
+    neg = vals < 0.0
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (neg[:-1] != neg[1:]))
+    if hits.size:
+        i = hits[0]
+        if vals[i] == 0.0:
+            return float(t[i]) ** 2
+        return brentq(g, t[i], t[i + 1], xtol=1e-14) ** 2
     raise NoRootInBracket(
         f"no Robin crossing for mode {k}, beta = {beta:g}, t <= {t_max}")

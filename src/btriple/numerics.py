@@ -6,8 +6,8 @@ is deterministically ordered, and the Newton iteration keeps polishing past
 its residual target so that multiple roots are still located to near machine
 accuracy. The Newton iteration runs every start of an array in lockstep, one
 call of the objective per step for all of them, so an objective that
-evaluates a whole batch of points at once (the Birman-Schwinger det over
-``weyl_batch``) pays its per-call cost once per step, not once per start.
+evaluates a whole batch of points at once pays its per-call cost once per
+step, not once per start.
 Everything here is a pure function of its arguments.
 """
 

@@ -26,29 +26,44 @@ import scipy.linalg as sla
 from .errors import (
     BirmanSchwingerSingular,
     BTripleError,
+    NoConvergence,
     NotAnEigenvalue,
     NotCertified,
     NotPositiveDefinite,
     ThresholdNotFound,
 )
 from .numerics import (
-    complex_newton,
     fit_log_slope,
     smallest_singular_value,
     solve_linear,
 )
-# not called here; the traced benchmark run patches the name in this module
-from .numerics import herm_inv_sqrt  # noqa: F401
+# not called here; the traced benchmark run patches the names in this module
+from .numerics import complex_newton, herm_inv_sqrt  # noqa: F401
 
 # sigma_min floor below which I - B M(lambda) counts as singular
 _BS_SINGULAR_TOL = 1e-10
 
-# two refined roots closer than this merge into one
+# two roots closer than this merge into one
 _ROOT_MERGE_RADIUS = 1e-7
 
-# Newton iterates may leave the scan window by this many window spans (the
-# larger side) before the run is abandoned
-_NEWTON_REACH = 1.0
+# robin_eigs doubles its contour nodes up to this many
+_CONTOUR_MAX_NODES = 4096
+
+# robin_eigs cuts a region that finds no agreeing levels in two at most
+# this many times over
+_CONTOUR_SPLITS = 4
+
+# two contour levels agree when every root inside the region moved by at
+# most this fraction of the contour's scale max(a, b)
+_CONTOUR_RTOL = 1e-10
+
+# contour moments robin_eigs starts from (K); doubled while the rank fills
+# the pencil
+_MOMENTS = 6
+
+# Hankel singular values at or below this fraction of the largest (or of
+# the integrand's mass, whichever is larger) count as zero
+_HANKEL_RTOL = 1e-10
 
 # H_N - lambda counts as singular once its smallest eigenvalue distance is
 # this fraction of its largest (condition number past 1e14)
@@ -502,146 +517,190 @@ def bs_kernel_lift(model, b, lam, tol=1e-8):
     return [model.solve_bvp(complex(lam), phi) for phi in kernel]
 
 
-def _grid_weyl(model, nodes, key):
-    """model.weyl_batch over the scan grid ``nodes``, cached on the model
-    under the one-entry key (region, grid): M does not depend on B, so every
-    B scanned over one window reuses the stack."""
-    cached = getattr(model, "_grid_weyl_cache", None)
+def _contour_weyl(model, key, contour, nodes):
+    """model.weyl_batch at one level of nodes of one contour, cached on the
+    model under the one-entry key (region, grid), one stack per contour: M
+    does not depend on B, so every B solved over one region reuses the
+    stacks. Each level is every other node of the next, so a cached coarser
+    level is extended by the nodes in between."""
+    cached = getattr(model, "_contour_weyl_cache", None)
     if cached is None or cached[0] != key:
-        cached = (key, model.weyl_batch(nodes.ravel()))
-        model._grid_weyl_cache = cached
-    return cached[1]
+        cached = model._contour_weyl_cache = (key, {})
+    stacks = cached[1]
+    stack = stacks.get(contour)
+    if stack is not None and len(stack) >= len(nodes):
+        return stack[::len(stack) // len(nodes)]
+    if stack is not None and 2 * len(stack) == len(nodes):
+        finer = np.empty((len(nodes),) + stack.shape[1:], dtype=complex)
+        finer[0::2] = stack
+        finer[1::2] = model.weyl_batch(nodes[1::2])
+        stack = finer
+    else:
+        stack = model.weyl_batch(nodes)
+    stacks[contour] = stack
+    return stack
 
 
-def _grid_minima(values):
-    """Mask of the nodes of a 2-D grid that are finite and no larger than
-    any of their (up to eight) neighbours."""
-    padded = np.pad(values, 1, constant_values=np.inf)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
-    return np.isfinite(values) & (values <= windows.min(axis=(2, 3)))
+def _hankel_roots(resolvents, phi, weights, dim):
+    """Eigenvalues, in the scaled variable phi, of the block-Hankel pencil
+    built from the contour moments sum_j weights_j phi_j^p resolvents_j;
+    None when the rank still fills the pencil at the largest K the nodes
+    resolve."""
+    # every moment, and so every Hankel entry, is bounded by this mass
+    mass = float(np.sum(np.abs(weights) * np.abs(resolvents).max(axis=(1, 2))))
+    k = _MOMENTS
+    while 4 * k <= len(phi):
+        hankel = np.add.outer(np.arange(k), np.arange(k))
+        powers = phi ** np.arange(2 * k)[:, None] * weights
+        moments = (powers @ resolvents.reshape(len(phi), -1)).reshape(
+            2 * k, dim, dim)
+        h0, h1 = (moments[hankel + shift].transpose(0, 2, 1, 3)
+                  .reshape(k * dim, k * dim) for shift in (0, 1))
+        u, s, vh = np.linalg.svd(h0)
+        rank = int(np.sum(s > _HANKEL_RTOL * max(s[0], mass)))
+        if rank < k * dim:
+            reduced = (u[:, :rank].conj().T @ h1 @ vh[:rank].conj().T) / s[:rank]
+            return np.linalg.eigvals(reduced)
+        k *= 2
+    return None
+
+
+def _merged(roots):
+    """roots with every root within _ROOT_MERGE_RADIUS of an earlier one
+    dropped, sorted by (Re, Im)."""
+    kept = []
+    for z in sorted(map(complex, roots), key=lambda z: (z.real, z.imag)):
+        if all(abs(z - r) > _ROOT_MERGE_RADIUS for r in kept):
+            kept.append(z)
+    return kept
 
 
 def robin_eigs(model, b, region, grid):
     """Eigenvalues of A_B inside a rectangular region of the plane.
 
-    region = (re_min, re_max, im_min, im_max), grid = (n_re, n_im). The
-    indicator sigma_min(I - B M) is scanned on the grid; every grid local
-    minimum seeds a Newton refinement on det(I - B M), which is holomorphic
-    where sigma_min is not. The grid's Weyl stack is one
-    ``model.weyl_batch`` call, cached on the model per (region, grid), so
-    every B scanned over the same window reuses it. Nodes where it returns
-    a NaN row (Neumann spectrum) are skipped, and so are seeds whose Newton
-    iterates wander onto such points.
+    region = (re_min, re_max, im_min, im_max), grid = (n_re, n_im). By the
+    Krein formula, lambda is an eigenvalue of A_B exactly where
+    I - B M(lambda) is singular, and (I - B M)^-1 is analytic at every pole
+    of M (the Neumann spectrum) that is not one. So the contour moments
+    (1/2 pi i) oint phi^p (I - B M)^-1 dphi see the eigenvalues of A_B
+    inside the contour and nothing else, and the block-Hankel pencil built
+    from them (Beyn, Linear Algebra Appl. 436, 2012; Sakurai-Sugiura,
+    J. Comput. Appl. Math. 159, 2003) has those eigenvalues as its own.
 
-    The Newton runs go in lockstep (``complex_newton`` on an array of
-    starts): each step is one ``weyl_batch`` call over the points of every
-    live run, then one batched det. A point more than one span (the larger
-    side of the region; ``_NEWTON_REACH`` spans) outside the region is never
-    evaluated and ends its run: a root found out there would be dropped
-    anyway, and a runaway iterate can otherwise reach |lambda| where a
-    single model solve costs seconds. Refined roots are kept when
-    |det| <= 1e-9 * scale with scale the median grid |det|, then merged
-    within ``_ROOT_MERGE_RADIUS`` and sorted by (Re, Im). Spurious seeds
-    cost a few extra evaluations and are dropped by the residual test; a
-    seed cutoff on the indicator would instead lose roots that sit between
-    grid nodes (a coarse scan can sit well above any fixed level even one
-    grid step away from a root).
+    The contour is the ellipse around the rectangle with its centre, semi
+    axes a = sqrt(2) * half-width and b = max(sqrt(2) * half-height, a / 2),
+    and phi = (lambda - centre) / max(a, b). Its trapezoid nodes sit at the
+    angles 2 pi j / N + pi / N_max, so no node lies on the real axis and
+    each doubling of N keeps every earlier node. ``grid`` sets the
+    resolution: the first level has N = 2 (n_re + n_im - 2) nodes, the
+    number on the grid's boundary. The probe is the identity (all d
+    columns), K = 6 moments to start, the rank a relative cut on the Hankel
+    singular values, and K is doubled, on the same stack, while the rank
+    fills K d. N is doubled until two successive levels agree to 1e-10 of
+    max(a, b) on the roots strictly inside the rectangle; the last level's
+    roots within 2% of the larger side of the rectangle are kept.
 
-    Newton runs on the raw det first, then deflation passes over the same
-    seeds: two roots closer than the grid step share one catch basin, so
-    the first pass recovers one of them and a rescan against the deflated
-    determinant recovers the other. Within a pass every seed starts with
-    the roots of the earlier passes deflated, and all pending runs step
-    together in waves; their results merge in seed order. A run that lands
-    on a root already known has higher multiplicity there (degenerate mode
-    pairs produce double det roots), so it goes to the next wave with that
-    root deflated one order more, at most three tries per seed.
+    A contour that holds more eigenvalues than its moments resolve (a
+    dense spectrum; the pencil's singular values then fall off without a
+    gap) finds no two agreeing levels within ``_CONTOUR_MAX_NODES`` nodes.
+    Its rectangle is then cut in two across its longer side and each half
+    solved on its own ellipse, at most ``_CONTOUR_SPLITS`` cuts deep.
+
+    M is evaluated only through ``model.weyl_batch``, once per node. The
+    stacks are cached on the model per (region, grid), one per contour,
+    and grown level by level, so every B solved over one region reuses
+    them. The roots are merged within ``_ROOT_MERGE_RADIUS`` (degenerate
+    modes give double roots) and sorted by (Re, Im).
+
+    Raises NoConvergence when even the deepest cuts find no two agreeing
+    levels, or meet a node where ``weyl_batch`` gives a NaN row (the
+    Neumann spectrum) or I - B M is singular (an eigenvalue). ValueError
+    for a grid with fewer than 2 nodes per axis or a region that is a
+    single point.
     """
-    re_min, re_max, im_min, im_max = region = tuple(map(float, region))
+    region = tuple(map(float, region))
     n_re, n_im = grid = tuple(map(int, grid))
     if n_re < 2 or n_im < 2:
         raise ValueError("grid must have at least 2 nodes per axis")
-    dim = model.boundary_dim
-    bm = _bmatrix(b, dim)
-    nodes = np.empty((n_re, n_im), dtype=complex)  # Re outer, Im inner
-    nodes.real = np.linspace(re_min, re_max, n_re)[:, None]
-    nodes.imag = np.linspace(im_min, im_max, n_im)[None, :]
-    s = np.eye(dim) - bm @ _grid_weyl(model, nodes, (region, grid))
-    ok = np.isfinite(s).all(axis=(1, 2))
-    if not ok.any():
-        return []
-    values = np.full(n_re * n_im, np.inf)
-    values[ok] = np.linalg.svd(s[ok], compute_uv=False)[:, -1]
-    scale = max(float(np.median(np.abs(np.linalg.det(s[ok])))), 1e-300)
-    det_tol = 1e-9 * scale
-    seeds = nodes[_grid_minima(values.reshape(n_re, n_im))]
+    if region[0] == region[1] and region[2] == region[3]:
+        raise ValueError("region must not be a single point")
+    bm = _bmatrix(b, model.boundary_dim)
+    return _merged(_split_roots(model, bm, region, grid, (region, grid),
+                                _CONTOUR_SPLITS))
 
-    span = max(re_max - re_min, im_max - im_min)
-    reach = _NEWTON_REACH * span
 
-    def det_at(zs):
-        out = np.full(zs.shape, np.nan, dtype=complex)
-        live = ((re_min - reach <= zs.real) & (zs.real <= re_max + reach)
-                & (im_min - reach <= zs.imag) & (zs.imag <= im_max + reach))
-        if live.any():
-            m = model.weyl_batch(zs[live])
-            out[live] = np.linalg.det(np.eye(dim) - bm @ m)
-        return out
+def _split_roots(model, bm, region, grid, key, splits):
+    """_ellipse_roots on region, or on its two halves across the longer
+    side (splits more times at most) when that raises NoConvergence."""
+    try:
+        return _ellipse_roots(model, bm, region, grid, key)
+    except NoConvergence:
+        if splits == 0:
+            raise
+    re_min, re_max, im_min, im_max = region
+    if re_max - re_min >= im_max - im_min:
+        mid = 0.5 * (re_min + re_max)
+        halves = ((re_min, mid, im_min, im_max), (mid, re_max, im_min, im_max))
+    else:
+        mid = 0.5 * (im_min + im_max)
+        halves = ((re_min, re_max, im_min, mid), (re_min, re_max, mid, im_max))
+    return [z for half in halves
+            for z in _split_roots(model, bm, half, grid, key, splits - 1)]
 
-    def newton_from(z0, exclude):
-        """Lockstep Newton from the starts z0, run r on det deflated by the
-        non-NaN entries of exclude[r]; NaN where a run fails."""
-        def deflated(zs):
-            d = det_at(zs)
-            for r in exclude.T:
-                d = np.where(np.isnan(r), d, d / (zs - r))
-            return d
-        scale = np.ones(len(z0))
-        for r in exclude.T:
-            scale = np.where(np.isnan(r), scale, scale * np.maximum(
-                np.abs(z0 - r), _ROOT_MERGE_RADIUS))
-        roots = complex_newton(deflated, z0, det_tol / scale)
-        # deflation only steers the iteration into the right basin; the
-        # returned root must satisfy the raw residual criterion
-        raw = ~np.isnan(exclude).all(axis=1)
-        if raw.any():
-            roots[raw] = complex_newton(det_at, roots[raw], det_tol)
-        return roots
 
-    def in_window(z):
-        return (re_min - 0.02 * span <= z.real <= re_max + 0.02 * span
-                and im_min - 0.02 * span <= z.imag <= im_max + 0.02 * span)
+def _ellipse_roots(model, bm, region, grid, key):
+    """The roots of one contour solve (robin_eigs) within the 2% margin of
+    region, unsorted; NoConvergence when no two levels agree."""
+    re_min, re_max, im_min, im_max = region
+    dim = bm.shape[0]
+    centre = complex(re_min + re_max, im_min + im_max) / 2.0
+    a = np.sqrt(0.5) * abs(re_max - re_min)
+    b_axis = max(np.sqrt(0.5) * abs(im_max - im_min), a / 2.0)
+    rho = max(a, b_axis)
+    sizes = [2 * (grid[0] + grid[1] - 2)]
+    while 2 * sizes[-1] <= _CONTOUR_MAX_NODES:
+        sizes.append(2 * sizes[-1])
+    n_max = sizes[-1]
+    margin = 0.02 * max(re_max - re_min, im_max - im_min)
 
-    roots = []
-    for _ in range(4):
-        fresh = []
-        pending = [(k, list(roots)) for k in range(len(seeds))]
-        for _retry in range(3):
-            if not pending:
-                break
-            exclude = np.full((len(pending), max(len(ex) for _, ex in pending)),
-                              np.nan, dtype=complex)
-            for row, (_, ex) in enumerate(pending):
-                exclude[row, :len(ex)] = ex
-            landed = newton_from(seeds[[k for k, _ in pending]], exclude)
-            retry = []
-            for (k, ex), root in zip(pending, landed):
-                if np.isnan(root):
-                    continue
-                root = complex(root)
-                known = [r for r in roots + fresh
-                         if abs(root - r) <= _ROOT_MERGE_RADIUS]
-                if not known:
-                    if in_window(root):
-                        fresh.append(root)
-                    continue
-                retry.append((k, ex + [known[0]]))
-            pending = retry
-        if not fresh:
+    def inside(z, margin=0.0):
+        return (re_min - margin <= z.real <= re_max + margin
+                and im_min - margin <= z.imag <= im_max + margin)
+
+    def agree(roots, other):
+        return all(min((abs(z - w) for w in other), default=np.inf)
+                   <= _CONTOUR_RTOL * rho for z in roots if inside(z))
+
+    previous = None
+    for size in sizes:
+        if size > _CONTOUR_MAX_NODES:
             break
-        roots.extend(fresh)
-    roots.sort(key=lambda z: (z.real, z.imag))
-    return roots
+        theta = np.pi * (1 + 2 * (n_max // size) * np.arange(size)) / n_max
+        nodes = centre + a * np.cos(theta) + 1j * b_axis * np.sin(theta)
+        m = _contour_weyl(model, key, (region, n_max), nodes)
+        bad = ~np.isfinite(m).all(axis=(1, 2))
+        if bad.any():
+            raise NoConvergence(
+                f"weyl_batch has no value at the contour node "
+                f"{complex(nodes[bad][0]):.6g}: the contour meets the Neumann "
+                "spectrum")
+        try:
+            resolvents = np.linalg.inv(np.eye(dim) - bm @ m)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(
+                "I - B M(lambda) is singular at a contour node: the contour "
+                "meets an eigenvalue") from exc
+        weights = (-a * np.sin(theta) + 1j * b_axis * np.cos(theta)) / (
+            1j * size * rho)
+        phis = _hankel_roots(resolvents, (nodes - centre) / rho, weights, dim)
+        roots = None if phis is None else _merged(centre + rho * phis)
+        if (roots is not None and previous is not None
+                and agree(roots, previous) and agree(previous, roots)):
+            return [z for z in roots if inside(z, margin)]
+        previous = roots
+    raise NoConvergence(
+        f"robin_eigs: no two contour levels agreed within "
+        f"{_CONTOUR_MAX_NODES} nodes on the region {list(region)}")
 
 
 # -- sectorial factorization and asymptotic studies -------------------------

@@ -3,8 +3,9 @@ mpmath and against a hand-rolled series."""
 import numpy as np
 import pytest
 from mpmath import mp
+from scipy.special import ive, kve
 
-from btriple.model_disk import bessel_i, bessel_j, bessel_k
+from btriple.model_disk import _neighbour_orders, bessel_i, bessel_j, bessel_k
 
 from .oracles import (
     I0_AT_1,
@@ -107,6 +108,44 @@ class TestWronskian:
             vk, dvk = unscaled_k(k, z)
             w = vi * dvk - dvi * vk
             assert abs(w + 1.0 / z) < 1e-10 * abs(1.0 / z), f"k={k}, z={z}"
+
+
+class TestDistinctOrders:
+    """bessel_i/bessel_k evaluate each distinct order once; the values must
+    be the ones of ive/kve on the full (|k - 1|, k, k + 1) stack."""
+
+    @staticmethod
+    def three_stacks(fn, sign, k, z):
+        lo, mid, hi = fn(*_neighbour_orders(k, z))
+        return mid, sign * 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("r_cut", [1.0, 16.0])
+    def test_mode_stack_matches_three_stacks(self, r_cut):
+        # the closed-form disk Weyl values: modes 0..4 against s = sqrt(-lam)
+        # on a contour level (r_cut = 1) and at the exterior cut (s r_cut)
+        theta = np.pi * (1 + 2 * np.arange(656)) / 2624
+        lams = 20.3 + 28.3 * np.cos(theta) + 14.1j * np.sin(theta)
+        z = np.sqrt(0j - lams) * r_cut
+        k = np.arange(5)[:, None]
+        got = bessel_i(k, z)
+        want = self.three_stacks(ive, 1.0, k, z)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        got = bessel_k(k, z)
+        want = self.three_stacks(kve, -1.0, k, z)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("k, z", [
+        (0, 1.5 + 0.5j),
+        (3, 2.0),
+        (np.array([0, 1, 4]), np.array([0.3, 1.0 + 2.0j, 7.0])),
+        (np.arange(3)[:, None, None], np.full((2, 4), 1.0 + 1.0j)),
+    ])
+    def test_broadcast_shapes_match_three_stacks(self, k, z):
+        for fn, scaled, sign in ((bessel_i, ive, 1.0), (bessel_k, kve, -1.0)):
+            got = fn(k, z)
+            want = self.three_stacks(scaled, sign, k, z)
+            assert all(np.shape(g) == np.shape(w) and np.array_equal(g, w)
+                       for g, w in zip(got, want))
 
 
 class TestDomainGuards:

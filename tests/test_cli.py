@@ -67,6 +67,7 @@ class TestExitCodes:
         # json writes inf as Infinity, which json.load reads back
         ("boundary_operator", {"kind": "scalar", "beta": float("inf")}),
         ("region", {"grid": [1, 5]}),
+        ("region", {"rect": [1.0, 1.0, 2.0, 2.0]}),
     ])
     def test_malformed_numbers_exit_2(self, tmp_path, section, value):
         # eigs is the command that scans region.grid

@@ -4,11 +4,15 @@ collocation solve against a dense one, truncation of boundary symbols, and
 the Robin reference roots."""
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+
+import btriple.triple_core as triple_core
 
 from btriple import (
     DiskModelConfig,
     InvalidPotential,
     MatchingSingular,
+    NoConvergence,
     NoRootInBracket,
     Potential1D,
     TruncationWarning,
@@ -132,6 +136,26 @@ class TestPositiveAxis:
         assert roots
         # B = I is Hermitian, so A_B is selfadjoint
         assert max(abs(z.imag) for z in roots) < 1e-8
+
+    def test_dense_window_is_solved_in_halves(self, monkeypatch):
+        # the r_cut = 16 truncation puts about 80 eigenvalues (with their
+        # multiplicity) inside the window's ellipse, more than its moments
+        # resolve; the cut halves hold few enough. With B = I the roots are
+        # where m_k = 1 for one mode k: 37 distinct in the window by a sign
+        # count of 1 - m_k on the real axis, plus 0.2751 in the margin
+        model = build_disk(DiskModelConfig(side="exterior", k_max=2))
+        region, grid = (0.3, 10.3, -0.5, 0.5), (20, 5)
+        roots = robin_eigs(model, np.eye(5), region, grid)
+        assert len([z for z in roots if 0.3 <= z.real <= 10.3]) == 37
+        assert len(roots) == 38
+        for z in roots:
+            gap = min(abs(1.0 - disk_weyl_v0("exterior", k, z.real))
+                      for k in range(3))
+            assert gap < 1e-8, z
+        # the whole window's own contour finds no two agreeing levels
+        monkeypatch.setattr(triple_core, "_CONTOUR_SPLITS", 0)
+        with pytest.raises(NoConvergence):
+            robin_eigs(model, np.eye(5), region, grid)
 
 
 class TestZeroPotentialBatch:
@@ -345,6 +369,32 @@ class TestRobinReference:
     def test_dirichlet_limit(self):
         got = disk_robin_reference(0, -1e6)
         assert abs(got - J0_ZERO1_SQ) < 1e-2
+
+    @pytest.mark.parametrize("beta", [-1.0, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_scan_matches_the_scalar_loop(self, beta, k):
+        # the scalar t += step loop the one-call scan replaced, kept as
+        # reference: same bracket, so the same brentq root bit for bit
+        def g(t):
+            jv_t, jd_t = model_disk.bessel_j(k, t)
+            return t * jd_t - beta * jv_t
+
+        def loop():
+            step, t_max = 0.02, 8.5
+            t_prev = step
+            g_prev = g(t_prev)
+            t = t_prev + step
+            while t <= t_max + 1e-12:
+                if g_prev == 0.0:
+                    return t_prev ** 2
+                g_here = g(t)
+                if (g_prev < 0.0) != (g_here < 0.0):
+                    return brentq(g, t_prev, t, xtol=1e-14) ** 2
+                t_prev, g_prev = t, g_here
+                t += step
+            raise NoRootInBracket("no crossing")
+
+        assert disk_robin_reference(k, beta) == loop()
 
     def test_root_out_of_reach(self):
         # j'_{8,1} ~ 9.65 lies beyond the scan window

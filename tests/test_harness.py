@@ -261,6 +261,19 @@ class TestRecordOrder:
         assert sum(n for _, n in runs) == 206
 
 
+class TestBsCrossCheck:
+    def test_fd1d_seed_33_finds_the_root_next_to_a_pole(self):
+        # draw 2 has the root -0.2354-0.0556i, 0.24 from the Neumann
+        # eigenvalue 0 (a pole of M); the grid scan's Newton runs missed it
+        # and bs_hausdorff_dense read 15.6
+        config = SuiteConfig(models=({"model": "fd1d", "n": 96},), seed=33)
+        records = run_bs_cross_check(config).records
+        assert [r.check_name for r in records if not r.passed] == []
+        draw2 = [r for r in records if r.check_name == "bs_hausdorff_dense"
+                 and r.parameters["draw"] == 2]
+        assert draw2[0].parameters["found"] == draw2[0].parameters["dense"] == 2
+
+
 class TestRegistryCoverage:
     def test_every_registered_check_is_emitted(self):
         # fd1d plus a coarse V = 0 interior disk reach every check family;
@@ -275,17 +288,21 @@ class TestRegistryCoverage:
         assert emitted == set(CHECK_REGISTRY)
 
 
+def _load_tracing(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 class TestTracedNames:
     def test_tracer_wraps_and_restores_every_name(self, monkeypatch):
         # perfbench/tracing.py patches package attributes by name, so a
         # renamed function (model_disk.lu_factor, model_shoot1d.dp45_integrate)
         # would break the traced benchmark run
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
-        tracer = tracing.Tracer()
+        tracer = _load_tracing(monkeypatch).Tracer()
         try:
             tracer.install()
             saved = list(tracer._saved)
@@ -299,3 +316,27 @@ class TestTracedNames:
         assert len(names) == len(saved)
         for owner, attr, original in saved:
             assert getattr(owner, attr) is original, attr
+
+    def test_traced_scan_and_weyl_run(self, monkeypatch):
+        # a small traced run through the wrapped names: one fd1d robin_eigs
+        # and one weyl, counted by the tracer and unwrapped afterwards
+        import btriple.triple_core as tc
+
+        tracer = _load_tracing(monkeypatch).Tracer()
+        model = model_from_spec({"model": "fd1d", "n": 32})
+        try:
+            tracer.install()
+            roots = tc.robin_eigs(model, tc.BoundaryOperator.scalar(0.7, 2),
+                                  (-20.0, 30.0, -6.0, 6.0), (24, 9))
+            sample = tc.weyl(model, -3.0)
+        finally:
+            tracer.uninstall()
+        assert roots
+        assert sample.m.shape == (2, 2)
+        metrics = tracer.metrics()
+        assert tracer.calls[("triple_core", "robin_eigs")] == 1
+        assert tracer.calls[("triple_core", "weyl")] == 1
+        assert metrics["triple_core.robin_eigs_s"] > 0.0
+        assert metrics["model_fd1d.bvp_solves"] == 4
+        assert tc.robin_eigs.__name__ == "robin_eigs"
+        assert tc.weyl.__name__ == "weyl"

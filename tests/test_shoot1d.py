@@ -403,6 +403,15 @@ class TestRobinScan:
         assert len(roots) == 2
         assert max(abs(z - w) for z, w in zip(roots, want)) < 1e-8
 
+    def test_finds_the_root_far_left_of_the_grid_minima(self, shoot_bench_v0):
+        # the grid scan missed -1.5796 here: its one seed left of 6.86
+        # converged to 6.86, and the deflated rescan walked out of the window
+        roots = robin_eigs(shoot_bench_v0, BoundaryOperator.scalar(0.7, 2),
+                           (-4.0, 35.0, -1.0, 1.0), (12, 3))
+        want = [ROBIN_LAM_NEG, ROBIN_LAMS_POS[0]]
+        assert len(roots) == 2
+        assert max(abs(z - w) for z, w in zip(roots, want)) < 1e-8
+
 
 class TestIdentitySuite:
     def test_complex_potential_passes_at_rtol_1e_9(self):

@@ -9,6 +9,7 @@ from btriple import (
     BirmanSchwingerSingular,
     BoundaryOperator,
     DiskModelConfig,
+    NoConvergence,
     NotAnEigenvalue,
     NotCertified,
     NotPositiveDefinite,
@@ -404,6 +405,8 @@ class TestBirmanSchwinger:
 
 class TestLockstepScan:
     def test_second_b_reuses_the_grid(self):
+        # the contour's Weyl stack is cached per (region, grid) and grown
+        # level by level: no node is evaluated twice, whatever the B
         model = build_fd1d(n=32)
         calls = []
         batch = model.weyl_batch
@@ -414,44 +417,49 @@ class TestLockstepScan:
 
         model.weyl_batch = recording
         region, grid = (-20.0, 30.0, -6.0, 6.0), (24, 9)
-        nodes = (np.linspace(-20.0, 30.0, 24)[:, None]
-                 + 1j * np.linspace(-6.0, 6.0, 9)[None, :]).ravel()
+        first_level = 2 * (24 + 9 - 2)
 
-        def grid_calls():
-            return sum(len(c) == len(nodes) and np.array_equal(c, nodes)
-                       for c in calls)
+        def evaluated():
+            return np.concatenate(calls)
 
         robin_eigs(model, 0.7 * np.eye(2), region, grid)
-        assert grid_calls() == 1
+        assert len(calls[0]) == first_level
+        # each later call holds the nodes between those of the level before
+        assert [len(c) for c in calls[1:]] == [
+            first_level * 2**j for j in range(len(calls) - 1)]
         b = np.diag([1.0, -1.0j])
         roots = robin_eigs(model, b, region, grid)
-        assert grid_calls() == 1
+        nodes = evaluated()
+        assert len(np.unique(nodes)) == len(nodes)
         assert roots == robin_eigs(build_fd1d(n=32), b, region, grid)
-        # another window evaluates its own grid first
+        # another window evaluates its own contour first
         before = len(calls)
-        robin_eigs(model, b, (-20.0, 30.0, -5.0, 5.0), grid)
-        assert len(calls[before]) == len(nodes)
-        assert not np.array_equal(calls[before], nodes)
+        robin_eigs(model, b, (-10.0, 30.0, -6.0, 6.0), grid)
+        assert len(calls[before]) == first_level
+        assert not np.isin(calls[before], nodes).any()
 
-    def test_grid_minima_match_the_neighbour_loop(self):
-        # the double loop the sliding minimum replaced, kept as reference;
-        # rounded values make ties, inf marks NaN-row nodes
-        def loop(values):
-            n_re, n_im = values.shape
-            mask = np.zeros(values.shape, dtype=bool)
-            for i in range(n_re):
-                for j in range(n_im):
-                    v = values[i, j]
-                    near = values[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2]
-                    mask[i, j] = np.isfinite(v) and v <= near.min()
-            return mask
+    def test_node_cap_without_agreeing_levels_raises(self, monkeypatch):
+        # with the cap at the first level, no contour (nor any cut of the
+        # region) gets the second level it needs to agree with
+        monkeypatch.setattr(triple_core, "_CONTOUR_MAX_NODES", 2 * (24 + 9 - 2))
+        with pytest.raises(NoConvergence):
+            robin_eigs(build_fd1d(n=32), np.diag([1.0, -1.0j]),
+                       (-20.0, 30.0, -6.0, 6.0), (24, 9))
 
-        rng = np.random.default_rng(3)
-        for shape in ((2, 2), (12, 3), (40, 5), (7, 9)):
-            values = np.round(rng.uniform(size=shape), 1)
-            values[rng.uniform(size=shape) < 0.2] = np.inf
-            assert np.array_equal(triple_core._grid_minima(values),
-                                  loop(values))
+    def test_nan_row_on_the_contour_raises(self):
+        # a node on the Neumann spectrum gives a NaN row; every contour meets it
+        model = build_fd1d(n=32)
+        batch = model.weyl_batch
+
+        def holed(lams, tilde=False):
+            out = batch(lams, tilde)
+            out[0] = np.nan
+            return out
+
+        model.weyl_batch = holed
+        with pytest.raises(NoConvergence):
+            robin_eigs(model, np.diag([1.0, -1.0j]), (-20.0, 30.0, -6.0, 6.0),
+                       (24, 9))
 
     @pytest.mark.parametrize("family", ["fd1d", "shoot1d", "disk"])
     def test_no_point_wise_weyl_matrix(self, family, monkeypatch):
