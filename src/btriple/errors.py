@@ -24,11 +24,6 @@ class DegenerateInput(BTripleError):
     """Input data carries no usable information for the requested fit."""
 
 
-class BvpSolveFailure(BTripleError):
-    """A kernel boundary-value solve was singular; the spectral parameter
-    sits on (or numerically on top of) the Neumann spectrum."""
-
-
 class BirmanSchwingerSingular(BTripleError):
     """I - B M(lambda) is singular to tolerance: lambda is, or is
     indistinguishable from, an eigenvalue of the Robin realization."""
@@ -64,8 +59,10 @@ class StepSizeUnderflow(BTripleError):
 
 
 class MatchingSingular(BTripleError):
-    """The 2x2 shooting matching system is singular; the spectral parameter
-    hits the Neumann spectrum of the continuum operator."""
+    """A kernel or Neumann solve is singular: the spectral parameter sits on
+    (or numerically on top of) the Neumann spectrum. The fd1d banded solve,
+    the shoot1d matching system and the disk collocation LU or mode Weyl
+    value all raise it there."""
 
 
 class NoRootInBracket(BTripleError):

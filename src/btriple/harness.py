@@ -20,6 +20,7 @@ as JSON null, so a report is strict JSON whether or not its checks pass.
 
 from __future__ import annotations
 
+import cmath
 import json
 import platform
 import sys
@@ -165,20 +166,28 @@ _POTENTIAL_KEYS = {
 
 
 def _as_complex(value, where):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{where}: expected a number or [re, im] pair")
+    """A finite complex from a number or an [re, im] pair; anything else,
+    NaN and infinities included, is a ConfigError."""
+    pair = isinstance(value, (list, tuple)) and len(value) == 2
+    parts = value if pair else [value]
+    if not all(isinstance(v, (int, float)) for v in parts):
+        raise ConfigError(f"{where}: expected a number or [re, im] pair")
+    z = complex(*parts)
+    if not cmath.isfinite(z):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return z
 
 
 def _as_numbers(values, convert, where):
-    """Tuple of convert(v) over values; malformed input is a ConfigError."""
+    """Tuple of convert(v) over values; malformed or non-finite input is a
+    ConfigError."""
     try:
-        return tuple(convert(v) for v in values)
-    except (TypeError, ValueError) as exc:
+        out = tuple(convert(v) for v in values)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: expected numbers ({exc})") from exc
+    if not all(cmath.isfinite(v) for v in out):
+        raise ConfigError(f"{where}: expected finite numbers, got {values!r}")
+    return out
 
 
 def potential_from_spec(spec):
@@ -808,24 +817,16 @@ def decay_samples_csv(report):
 # Birman-Schwinger cross-check suite
 
 
-def _hausdorff(a, b):
-    if not a and not b:
-        return 0.0
-    if not a or not b:
-        return float("inf")
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    d_ab = max(min(abs(x - y) for y in b) for x in a)
-    d_ba = max(min(abs(x - y) for y in a) for x in b)
-    return float(max(d_ab, d_ba))
-
-
 def _directed_match(reference, found):
     if not reference:
         return 0.0
     if not found:
         return float("inf")
     return float(max(min(abs(r - f) for f in found) for r in reference))
+
+
+def _hausdorff(a, b):
+    return max(_directed_match(a, b), _directed_match(b, a))
 
 
 def _region_inset(region, frac=0.002):

@@ -29,14 +29,15 @@ end at r_cut for the exterior). Every row touches one panel, or two
 neighbouring panels for an interface row, so the matrix is banded with
 kl = ku = quad_order: it is built once per model in LAPACK band storage,
 and per (lambda, |k|) only the collocation diagonal k^2/r^2 + V - lambda
-is added before a banded LU (zgbtrf). That one factorization serves both
-the kernel solve and the Neumann resolvent, so the discrete resolvent
-identities hold to rounding by construction. Because the collocated
-operator is the same one apply_T evaluates, kernel and resolvent outputs
-satisfy the strong equation at the grid nodes up to the LU backward error.
+is added before a banded LU (zgbtrf). On every disk, V = 0 included, that
+one factorization serves both the kernel solve and the Neumann resolvent,
+so the discrete resolvent identities hold to rounding by construction.
+Because the collocated operator is the same one apply_T evaluates, kernel
+and resolvent outputs satisfy the strong equation at the grid nodes up to
+the LU backward error.
 
-For V = 0 the boundary scalars bypass collocation: interior kernels are
-c I_k(s r) with s = sqrt(-lam), Re s > 0, and the mode Weyl values are
+For V = 0 the Weyl values bypass collocation: with s = sqrt(-lam),
+Re s > 0, the mode Weyl values are
 
     interior  m_k = I_k(s) / (s I_k'(s)),
     exterior  m_k = (K_k + rho I_k)(s) / (-s (K_k' + rho I_k')(s)),
@@ -51,16 +52,15 @@ kve(k, z) = e^{z} K_k(z) (Amos, ACM TOMS 644), with no cap on |lambda|:
               rho' = -kve(k, s r_cut) / ive(k, s r_cut)
                      * exp(-(s + Re s)(r_cut - 1)),
 
-where rho' underflows to 0 once Re(s)(r_cut - 1) is large. Interior V = 0
-kernel samples are ive(k, s r) exp(Re s (r - 1)) = e^{-Re s} I_k(s r), the
-same factor f and f' carry, so the normalized kernel is unchanged.
+where rho' underflows to 0 once Re(s)(r_cut - 1) is large.
 
 The exterior domain is the truncation at r_cut with a Dirichlet far end;
 that truncated operator, not the unbounded-domain one, is what every solve
 and identity refers to, and its mode Weyl values differ from the
-unbounded-domain ones by O(exp(-2 Re(s) (r_cut - 1))). Kernel samples at
-|lambda| beyond the panel resolution (boundary layers thinner than the
-first panel) lose accuracy; the boundary scalars stay exact.
+unbounded-domain ones by O(exp(-2 Re(s) (r_cut - 1))). On every disk,
+kernel samples at |lambda| beyond the panel resolution (boundary layers
+thinner than the first panel) lose accuracy; the V = 0 Weyl values stay
+exact.
 
 Radial potentials are read through an explicit support window away from
 r = 0, and the panel edges are aligned with the window endpoints so the
@@ -149,6 +149,13 @@ def bessel_j(k, x):
     if not float(x) >= 0.0:
         raise ValueError("argument must be nonnegative")
     return float(jv(k, x)), float(jvp(k, x))
+
+
+def _neumann_singular(f1, denom):
+    """Whether the Neumann datum denom of a kernel with Dirichlet value f1
+    is too small to divide by: lambda is a Neumann eigenvalue of the mode
+    (elementwise for arrays)."""
+    return np.abs(denom) <= 1e-300 + 1e-13 * np.abs(f1)
 
 
 # The name is kept because the traced benchmark run patches it by name.
@@ -476,8 +483,8 @@ class DiskModel(TripleModel):
         """V = 0 mode Weyl values m_k, k = 0..k_max, at every point of the
         1-D array lams as an (N, k_max + 1) array. An entry is NaN where
         mode_weyl_values raises: lambda = 0 or not finite, lambda on
-        [0, inf) for the exterior (K_k needs Re s > 0), or a mode whose
-        denominator fails the 1e-13 test (a Neumann eigenvalue)."""
+        [0, inf) for the exterior (K_k needs Re s > 0), or a mode that
+        _neumann_singular flags."""
         s = self._s_of(lams)
         ok = np.isfinite(s) & (s != 0.0)
         if self.config.side == "exterior":
@@ -486,34 +493,23 @@ class DiskModel(TripleModel):
         f1, df1 = self._exact_scalars(
             s[ok], np.arange(self.config.k_max + 1)[:, None])
         denom = self._side * df1
-        regular = np.abs(denom) > 1e-300 + 1e-13 * np.abs(f1)
         out[ok] = np.divide(f1, denom, out=np.full_like(f1, np.nan),
-                            where=regular).T
+                            where=~_neumann_singular(f1, denom)).T
         return out
 
-    def _kernel(self, lam, tilde, k, need_values):
-        """Kernel-side mode solution, unnormalized: (values_or_None, f(1),
-        f'(1)). Interior V = 0 comes from the scaled I_k(s r); everything
-        else from the collocation solve with unit Neumann derivative."""
+    def _kernel(self, lam, tilde, k):
+        """Kernel-side mode solution of the collocation solve with unit
+        Neumann derivative f'(1) = 1: (samples, f(1)). MatchingSingular
+        where f(1) is too large for that datum (a Neumann eigenvalue)."""
         data = self._mode_data(lam, tilde)
         entry = data.get(("kernel", k))
-        if entry is not None and (entry[0] is not None or not need_values):
-            return entry
-        if not self._has_v and self.config.side == "interior":
-            s = complex(self._s_of(lam))
-            if s == 0.0:
-                raise MatchingSingular(
-                    "lambda = 0 sits on the Neumann band edge")
-            f1, df1 = self._exact_scalars(s, k)
-            vals = None
-            if need_values:
-                vals = ive(k, s * self._r) * np.exp(s.real * (self._r - 1.0))
-        else:
+        if entry is None:
             vals = self._colloc_solve(lam, tilde, k, None, 1.0)
             f1 = complex(self._row_u1 @ vals)
-            df1 = 1.0 + 0.0j
-        entry = (vals, complex(f1), complex(df1))
-        data[("kernel", k)] = entry
+            if _neumann_singular(f1, 1.0):
+                raise MatchingSingular(
+                    f"mode {k} is Neumann-singular at lambda = {lam}")
+            entry = data[("kernel", k)] = (vals, f1)
         return entry
 
     def mode_weyl_values(self, lam, tilde=False):
@@ -528,14 +524,8 @@ class DiskModel(TripleModel):
                 raise MatchingSingular(
                     f"mode {singular[0]} is Neumann-singular at lambda = {lam}")
             return by_order[np.abs(self.mode_numbers)]
-        by_order = {}
-        for k in range(self.config.k_max + 1):
-            _, f1, df1 = self._kernel(lam, tilde, k, need_values=False)
-            denom = self._side * df1
-            if abs(denom) <= 1e-300 + 1e-13 * abs(f1):
-                raise MatchingSingular(
-                    f"mode {k} is Neumann-singular at lambda = {lam}")
-            by_order[k] = f1 / denom
+        by_order = [self._kernel(lam, tilde, k)[1] / self._side
+                    for k in range(self.config.k_max + 1)]
         return np.array([by_order[abs(int(k))] for k in self.mode_numbers])
 
     def weyl_batch(self, lams, tilde=False):
@@ -563,15 +553,11 @@ class DiskModel(TripleModel):
             if g[p] == 0.0:
                 continue
             k = abs(int(self.mode_numbers[p]))
-            w, f1, df1 = self._kernel(lam, tilde, k, need_values=True)
-            denom = self._side * df1
-            if abs(denom) <= 1e-300 + 1e-13 * abs(f1):
-                raise MatchingSingular(
-                    f"mode {k} is Neumann-singular at lambda = {lam}")
-            c = g[p] / denom
+            w, f1 = self._kernel(lam, tilde, k)
+            c = g[p] / self._side
             vals[p] = c * w
             traces[2 * p] = c * f1
-            traces[2 * p + 1] = c * df1
+            traces[2 * p + 1] = c
         return self._assemble(vals, traces)
 
     def solve_bvp(self, lam, g):

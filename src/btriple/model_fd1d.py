@@ -66,11 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (
-    BvpSolveFailure,
-    ConstraintSingular,
-    InvalidPotential,
-)
+from .errors import ConstraintSingular, InvalidPotential, MatchingSingular
 from .potentials import Potential1D
 from .triple_core import _BATCH_CHUNK, TripleModel, _bmatrix
 # not called here; the traced benchmark run patches the name in this module
@@ -275,9 +271,9 @@ class Fd1dModel(TripleModel):
         try:
             sol = sla.solve_banded((1, 1), bands, rhs)
         except (sla.LinAlgError, ValueError) as exc:
-            raise BvpSolveFailure(f"{who}: banded solve failed: {exc}") from exc
+            raise MatchingSingular(f"{who}: banded solve failed: {exc}") from exc
         if not np.all(np.isfinite(sol)):
-            raise BvpSolveFailure(f"{who}: banded solve overflowed")
+            raise MatchingSingular(f"{who}: banded solve overflowed")
         # residual guard: solve_banded does not signal near-singularity
         upper, diag, lower = bands
         lhs = diag * sol
@@ -285,8 +281,8 @@ class Fd1dModel(TripleModel):
         lhs[1:] += lower[:-1] * sol[:-1]
         scale = np.abs(bands).max() * np.abs(sol).max() + np.abs(rhs).max()
         if np.abs(lhs - rhs).max() > 1e-8 * scale:
-            raise BvpSolveFailure(f"{who}: solution residual exceeds 1e-8 of scale; "
-                                  "spectral parameter sits on the Neumann spectrum")
+            raise MatchingSingular(f"{who}: solution residual exceeds 1e-8 of scale; "
+                                   "spectral parameter sits on the Neumann spectrum")
         return sol
 
     def _solve_bvp(self, lam, g, v, who):

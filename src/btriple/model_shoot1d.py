@@ -40,9 +40,11 @@ from .grids import PanelGrid, graded_edges
 from .potentials import Potential1D
 from .triple_core import _BATCH_CHUNK, TripleModel
 
-# |f'| at the far end of a one-sided Neumann shot at or below this fraction
-# of max(|f|, |f'|, 1) there means lambda is a Neumann eigenvalue
-_MATCHING_TOL = 1e-13
+# |f'| at the far end of a one-sided Neumann shot at or below this many
+# times rtol, as a fraction of max(|f|, |f'|, 1) there, means lambda is a
+# Neumann eigenvalue: the ODE error of f' there reaches 1e-9 at rtol = 1e-10
+# (V = 0, lambda = 25 pi^2, a 4-panel grid of order 12)
+_MATCHING_TOL_PER_RTOL = 100.0
 
 # scipy's DOP853 measures the error as an RMS over all components; a stacked
 # solve of n components divides the tolerances by this times sqrt(n), so that
@@ -114,6 +116,9 @@ def dp45_integrate(rhs, x_start, x_end, y0, rtol, atol, sample_points=None):
     for stop in stops:
         if solver is None:  # it picks its own initial step
             solver = DOP853(rhs, x, y, stop, rtol=rtol, atol=atol)
+            # from a NaN state or rhs the step is NaN, and step() never ends
+            if not np.isfinite(solver.h_abs):
+                raise StepSizeUnderflow(f"first step is not finite (x = {x:.6g})")
         else:
             # what a fresh solver started at x with first_step=min(h, |stop - x|)
             # would do: the same clipped step from the same derivative
@@ -167,6 +172,7 @@ class Shoot1dModel(TripleModel):
         self._vnodes = config.potential(self.grid.nodes)
         self._vnodes_conj = np.conjugate(self._vnodes)
         self._shot_cache = {}  # (lam, tilde, kind) -> ShootSolution
+        self._matching_tol = _MATCHING_TOL_PER_RTOL * config.rtol
         from .model_fd1d import build_fd1d
 
         self._fd = build_fd1d(fd_nodes, config.length, config.potential)
@@ -260,7 +266,7 @@ class Shoot1dModel(TripleModel):
         # the far trace as a difference of exp(sqrt(-lam) L) sized terms
         # and lose it to cancellation for strongly negative lambda.
         for shot in (phi, psi):
-            if _matching_singular(shot.f_end, shot.df_end):
+            if self._matching_singular(shot.f_end, shot.df_end):
                 raise MatchingSingular(
                     f"Neumann shooting data singular at lambda = {lam}"
                 )
@@ -289,10 +295,9 @@ class Shoot1dModel(TripleModel):
         with the shots of each chunk of at most ``_BATCH_CHUNK`` points
         stacked into one DOP853 solve per side, so that V is evaluated once
         per stage for the whole chunk. The grid nodes stay step ends, as in
-        a shot: a chunk of small |lambda| alone would otherwise take steps
-        so long that its error at a Neumann eigenvalue such as pi^2 (V = 0)
-        stays above the 1e-13 of the matching guard, which the per-point
-        path passes there. A point gets a NaN row where the
+        a shot, so that near a Neumann eigenvalue both paths carry errors
+        of the same size and agree on the matching guard. A point gets a
+        NaN row where the
         result is not finite or where the matching guard of ``solve_bvp``
         fails (the Neumann spectrum). A chunk whose stacked solve fails
         falls back to the point-wise default.
@@ -330,8 +335,8 @@ class Shoot1dModel(TripleModel):
             m = np.stack([-psi / dpsi, 1.0 / dphi, -1.0 / dpsi, phi / dphi],
                          axis=1).reshape(n, 2, 2)
             bad = (~np.isfinite(m).all(axis=(1, 2))
-                   | _matching_singular(phi, dphi)
-                   | _matching_singular(psi, dpsi))
+                   | self._matching_singular(phi, dphi)
+                   | self._matching_singular(psi, dpsi))
         m[bad] = np.nan
         return m
 
@@ -341,7 +346,7 @@ class Shoot1dModel(TripleModel):
         phi, dphi = phi_s.f_samples, phi_s.df_samples
         psi, dpsi = psi_s.f_samples, psi_s.df_samples
         w = phi[0] * dpsi[0] - dphi[0] * psi[0]  # constant Wronskian
-        if abs(w) <= 1e-13 * max(1.0, abs(phi[0] * dpsi[0])):
+        if abs(w) <= self._matching_tol * max(1.0, abs(phi[0] * dpsi[0])):
             raise MatchingSingular(
                 f"Wronskian vanishes at lambda = {lam}: Neumann eigenvalue"
             )
@@ -363,6 +368,12 @@ class Shoot1dModel(TripleModel):
     def neumann_resolvent_tilde(self, mu, f):
         return self._neumann_resolvent(mu, f, tilde=True)
 
+    def _matching_singular(self, f_end, df_end):
+        """Whether one-sided Neumann shots ending at (f_end, df_end) leave
+        the Neumann matching singular (elementwise for arrays)."""
+        scale = np.maximum(np.maximum(np.abs(f_end), np.abs(df_end)), 1.0)
+        return np.abs(df_end) <= self._matching_tol * scale
+
     # -- matrices and certification -----------------------------------------
 
     def hn_v_blocks(self):
@@ -370,13 +381,9 @@ class Shoot1dModel(TripleModel):
 
     def random_domain_vector(self, rng):
         # smooth synthesis with analytically consistent trace slots
-        x = self.grid.nodes
         length = self.config.length
         coeff = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         w = np.pi / length
-        values = (coeff[0] + coeff[1] * x + coeff[2] * x**2 + coeff[3] * x**3
-                  + coeff[4] * np.cos(w * x) + coeff[5] * np.sin(w * x)
-                  + coeff[6] * np.cos(2 * w * x) + coeff[7] * np.sin(2 * w * x))
 
         def val(t):
             return (coeff[0] + coeff[1] * t + coeff[2] * t**2 + coeff[3] * t**3
@@ -389,14 +396,8 @@ class Shoot1dModel(TripleModel):
                     - 2 * w * coeff[6] * np.sin(2 * w * t)
                     + 2 * w * coeff[7] * np.cos(2 * w * t))
 
-        return self._assemble(values, val(0.0), deriv(0.0), val(length), deriv(length))
-
-
-def _matching_singular(f_end, df_end):
-    """Whether one-sided Neumann shots ending at (f_end, df_end) leave the
-    Neumann matching singular (elementwise for arrays)."""
-    scale = np.maximum(np.maximum(np.abs(f_end), np.abs(df_end)), 1.0)
-    return np.abs(df_end) <= _MATCHING_TOL * scale
+        return self._assemble(val(self.grid.nodes), val(0.0), deriv(0.0),
+                              val(length), deriv(length))
 
 
 def build_shoot1d(config, panels=8, order=16, fd_nodes=512):

@@ -465,40 +465,36 @@ def krein_resolvent(model, b, lam, f, allow_uncertified=False):
     """(A_B - lam)^-1 f assembled from the Neumann resolvent, the gamma
     field, and M(lambda); A_B carries the boundary condition
     B trace1 = trace0."""
-    lam = _as_lambda(model, lam, allow_uncertified, "krein_resolvent")
-    bm = _bmatrix(b, model.boundary_dim)
-    f = np.asarray(f, dtype=complex)
-    w = model.neumann_resolvent(lam, f)
-    # gamma~(conj lam)* f is the Dirichlet trace of the same Neumann solve
-    adj = model.trace1(w)
-    m = _weyl_matrix(model, lam, tilde=False)
-    s = np.eye(model.boundary_dim, dtype=complex) - bm @ m
-    sigma = smallest_singular_value(s)
-    if sigma <= _BS_SINGULAR_TOL:
-        raise BirmanSchwingerSingular(
-            f"sigma_min(I - B M(lambda)) = {sigma:.3e} at lambda = {lam}; "
-            "lambda is an eigenvalue of A_B to working precision"
-        )
-    bd = solve_linear(s, bm @ adj)
-    return w + model.solve_bvp(lam, bd)
+    return _krein(model, b, lam, f, allow_uncertified, tilde=False)
 
 
 def krein_resolvent_tilde(model, b_tilde, mu, g, allow_uncertified=False):
     """(A~_B~ - mu)^-1 g, the adjoint-side mirror of krein_resolvent."""
-    mu = _as_lambda(model, mu, allow_uncertified, "krein_resolvent_tilde")
-    bm = _bmatrix(b_tilde, model.boundary_dim)
-    g = np.asarray(g, dtype=complex)
-    w = model.neumann_resolvent_tilde(mu, g)
+    return _krein(model, b_tilde, mu, g, allow_uncertified, tilde=True)
+
+
+def _krein(model, b, lam, f, allow_uncertified, tilde):
+    """The Krein formula w + gamma(lam) (I - B M(lam))^-1 B gamma~(conj lam)* f
+    with w the Neumann resolvent of f, on the adjoint side when tilde."""
+    who = "krein_resolvent_tilde" if tilde else "krein_resolvent"
+    lam = _as_lambda(model, lam, allow_uncertified, who)
+    bm = _bmatrix(b, model.boundary_dim)
+    f = np.asarray(f, dtype=complex)
+    resolvent, solve_bvp = ((model.neumann_resolvent_tilde, model.solve_bvp_tilde)
+                            if tilde else (model.neumann_resolvent, model.solve_bvp))
+    w = resolvent(lam, f)
+    # gamma~(conj lam)* f is the Dirichlet trace of the same Neumann solve
     adj = model.trace1(w)
-    m_tilde = _weyl_matrix(model, mu, tilde=True)
-    s = np.eye(model.boundary_dim, dtype=complex) - bm @ m_tilde
+    m = _weyl_matrix(model, lam, tilde)
+    s = np.eye(model.boundary_dim, dtype=complex) - bm @ m
     sigma = smallest_singular_value(s)
     if sigma <= _BS_SINGULAR_TOL:
         raise BirmanSchwingerSingular(
-            f"sigma_min(I - B~ M~(mu)) = {sigma:.3e} at mu = {mu}"
+            f"{who}: sigma_min(I - B M) = {sigma:.3e} at {lam}; the point is "
+            "an eigenvalue of the Robin realization to working precision"
         )
     bd = solve_linear(s, bm @ adj)
-    return w + model.solve_bvp_tilde(mu, bd)
+    return w + solve_bvp(lam, bd)
 
 
 def bs_kernel_lift(model, b, lam, tol=1e-8):
@@ -781,33 +777,32 @@ def c1_norm_at(model, lam):
                default=0.0)
 
 
-def find_xi2(model, lam_start=-0.5, max_doublings=20, confirmations=2):
+def find_xi2(model):
     """Empirical contraction threshold: largest point of the geometric scan
-    lam_start * 2^k with ||C1|| <= 1/2 there and at the next ``confirmations``
-    scan points below it. ThresholdNotFound past 2^max_doublings.
+    -0.5 * 2^k, k = 0..20, with ||C1|| <= 1/2 there and at the next two scan
+    points below it. ThresholdNotFound past the end of the scan.
 
     ||S V S|| decays like ||V|| / |lambda| as lambda -> -inf, so the first
     passing point with confirmed decay is the scan's best estimate of the
     threshold; points above it are left uncertified.
     """
-    if lam_start >= 0.0:
-        raise ValueError("lam_start must be negative")
+    start, doublings, confirmations = -0.5, 20, 2
     cache = {}
 
     def norm_at(k):
         if k not in cache:
             try:
-                cache[k] = c1_norm_at(model, lam_start * 2.0**k)
+                cache[k] = c1_norm_at(model, start * 2.0**k)
             except NotPositiveDefinite:
                 cache[k] = np.inf
         return cache[k]
 
-    for k in range(max_doublings + 1):
+    for k in range(doublings + 1):
         if norm_at(k) <= 0.5:
             if all(norm_at(k + i) <= 0.5 for i in range(1, confirmations + 1)):
-                return lam_start * 2.0**k
+                return start * 2.0**k
     raise ThresholdNotFound(
-        f"||C1|| > 1/2 on the whole scan down to {lam_start * 2.0**max_doublings:.3e}"
+        f"||C1|| > 1/2 on the whole scan down to {start * 2.0**doublings:.3e}"
     )
 
 

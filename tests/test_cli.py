@@ -1,11 +1,16 @@
-"""Command line front end: every exit code, fixed-seed determinism of the
-verify report, the shoot1d Robin scan over the default region, and the disk
-Weyl sweep past |lambda| = 4.9e5."""
+"""Command line front end: every exit code, fixed-seed determinism of every
+command's output, the shoot1d Robin scan over the default region, and the
+disk Weyl sweep past |lambda| = 4.9e5."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import btriple
 from btriple import cli
 from btriple.harness import CheckRecord, VerificationReport
 
@@ -23,6 +28,18 @@ def _run(tmp_path, command, config=None, *flags):
         path.write_text(json.dumps(config), encoding="utf-8")
         argv += ["--config", str(path)]
     return cli.main(argv + list(flags))
+
+
+def _run_subprocess(tmp_path, command, config, *flags, timeout=60):
+    """Exit code of the CLI run as its own process, killed after timeout
+    seconds (subprocess.TimeoutExpired)."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(btriple.__file__).parents[1]))
+    argv = [sys.executable, "-m", "btriple.cli", command, "--out",
+            str(tmp_path), "--config", str(path), *flags]
+    return subprocess.run(argv, env=env, capture_output=True,
+                          timeout=timeout).returncode
 
 
 def _csv_rows(path):
@@ -75,12 +92,35 @@ class TestExitCodes:
         for command in ("resolve", "eigs"):
             assert _run(tmp_path, command, config) == cli.EXIT_CONFIG
 
-    def test_neumann_point_of_fd1d_exits_3(self, tmp_path):
+    def test_neumann_point_of_fd1d_exits_4(self, tmp_path):
         # lambda = 0 is a Neumann eigenvalue: the kernel solve is singular
         config = {"model": {"family": "fd1d", "n": 32},
                   "lambda": {"points": [0.0]}}
         assert _run(tmp_path, "weyl", config, "--allow-uncertified") == \
-            cli.EXIT_SOLVER
+            cli.EXIT_SINGULAR
+
+    def test_neumann_point_of_shoot1d_exits_4(self, tmp_path):
+        config = {"model": {"family": "shoot1d", "panels": 2, "order": 8,
+                            "fd_nodes": 32},
+                  "lambda": {"points": [0.0]}}
+        assert _run(tmp_path, "weyl", config, "--allow-uncertified") == \
+            cli.EXIT_SINGULAR
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("family", ["fd1d", "shoot1d", "disk"])
+    def test_non_finite_lambda_exits_2(self, tmp_path, family, value):
+        # json writes NaN and Infinity, which json.load reads back; on
+        # shoot1d such a lambda once left DOP853 stepping forever, hence
+        # the subprocess and its timeout
+        config = {"model": {"family": family}, "lambda": {"points": [value]}}
+        assert _run_subprocess(tmp_path, "weyl", config,
+                               "--allow-uncertified") == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_region_exits_2(self, tmp_path, value):
+        config = {"model": {"family": "shoot1d"},
+                  "region": {"rect": [-10.0, value, -1.0, 1.0]}}
+        assert _run_subprocess(tmp_path, "eigs", config) == cli.EXIT_CONFIG
 
     def test_neumann_point_of_disk_exits_4(self, tmp_path):
         # the interior disk at its Neumann point, and the V = 0 exterior
@@ -104,6 +144,24 @@ class TestVerifyReport:
         assert texts[0] == texts[1]
         assert (outs[0] / "report.csv").read_bytes() == \
             (outs[1] / "report.csv").read_bytes()
+
+
+class TestFixedSeedOutputs:
+    @pytest.mark.parametrize("command", ["weyl", "resolve", "eigs", "decay"])
+    def test_two_runs_are_byte_identical(self, tmp_path, command):
+        config = {"model": {"family": "fd1d", "n": 32},
+                  "boundary_operator": {"kind": "scalar", "beta": 0.7},
+                  "region": {"rect": [-20.0, 30.0, -6.0, 6.0],
+                             "grid": [24, 9]}}
+        outputs = []
+        for run in ("first", "second"):
+            out = tmp_path / run
+            out.mkdir()
+            assert _run(out, command, config, "--seed", "7") == cli.EXIT_OK
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "config.json"})
+        assert len(outputs[0]) == 1
+        assert outputs[0] == outputs[1]
 
 
 class TestShootEigs:

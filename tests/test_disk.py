@@ -1,10 +1,12 @@
-"""Interior and exterior disk models: exact Bessel scalars for V = 0, a 2x2
-interface-matching oracle for piecewise-constant potentials, the banded
-collocation solve against a dense one, truncation of boundary symbols, and
-the Robin reference roots."""
+"""Interior and exterior disk models: exact Bessel scalars for V = 0, the
+V = 0 kernel against its Bessel closed form, a 2x2 interface-matching
+oracle for piecewise-constant potentials, the banded collocation solve
+against a dense one, truncation of boundary symbols, and the Robin
+reference roots."""
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import ive
 
 import btriple.triple_core as triple_core
 
@@ -206,6 +208,29 @@ class TestFarNegativeAxis:
             f = model.solve_bvp(-6e5, e)
             assert np.all(np.isfinite(f))
             assert np.abs(model.trace0(f) - e).max() < 1e-15
+
+
+class TestZeroPotentialKernel:
+    """The interior V = 0 kernel comes from the collocation solve, as on
+    every disk; the closed form it replaced, I_k(s r) / (s I_k'(s)) from
+    the scaled ive, is the reference."""
+
+    @pytest.mark.parametrize("k_max", [4, 16])
+    def test_collocation_matches_the_bessel_kernel(self, k_max, disk_int_v0):
+        model = (disk_int_v0 if k_max == 4 else
+                 build_disk(DiskModelConfig(side="interior", k_max=k_max)))
+        r, nr = model.grid.nodes, model.grid.size
+        for lam in (-0.75, -8.0, -100.0, 3.0 + 2.0j):
+            s = np.sqrt(0j - lam)
+            for p, e in enumerate(model.boundary_basis()):
+                k = abs(int(model.mode_numbers[p]))
+                got = model.solve_bvp(lam, e)
+                want = np.zeros_like(got)
+                scaled_dik = model_disk.bessel_i(k, s)[1]
+                want[p * nr:(p + 1) * nr] = (
+                    ive(k, s * r) * np.exp(s.real * (r - 1.0)) / (s * scaled_dik))
+                assert model.hnorm(got - want) <= 1e-10 * model.hnorm(want), \
+                    f"lambda = {lam}, mode {k}"
 
 
 class TestConstantPotentialOracle:

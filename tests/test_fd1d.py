@@ -236,7 +236,7 @@ class TestWeylBatch:
 
     def test_neumann_eigenvalue_gives_nan_row(self, fd_v0):
         # lambda = 0 is the bottom of the V = 0 Neumann spectrum, where the
-        # pointwise solve raises BvpSolveFailure
+        # pointwise solve raises MatchingSingular
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             batch = fd_v0.weyl_batch([0.0, -1.0])

@@ -1,5 +1,6 @@
 """Verification harness: report serialization, suite configuration,
-registry coverage, and the package names the benchmark's tracer wraps."""
+registry coverage, one benchmark round, and the package names the
+benchmark's tracer wraps."""
 import importlib.util
 import itertools
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import btriple.harness as harness
-from btriple import (BvpSolveFailure, ConfigError, NotPositiveDefinite,
+from btriple import (ConfigError, MatchingSingular, NotPositiveDefinite,
                      TripleModel, model_from_spec)
 from btriple.harness import (
     CHECK_REGISTRY,
@@ -168,7 +169,7 @@ class FailingResolventModel(ForwardingModel):
     """ForwardingModel whose Neumann resolvent always fails."""
 
     def neumann_resolvent(self, lam, f):
-        raise BvpSolveFailure(f"no Neumann solve at lambda = {lam}")
+        raise MatchingSingular(f"no Neumann solve at lambda = {lam}")
 
 
 class FailingSpectraModel(ForwardingModel):
@@ -210,7 +211,7 @@ class TestRecordGuard:
         for bad, good in zip(failed, ok):
             assert not bad.passed and bad.defect == float("inf")
             error = bad.parameters.pop("error")
-            assert error.startswith("BvpSolveFailure: no Neumann solve")
+            assert error.startswith("MatchingSingular: no Neumann solve")
             assert bad.parameters == good.parameters
 
     def test_failing_pair_writes_both_records(self, monkeypatch,
@@ -295,6 +296,20 @@ def _load_tracing(monkeypatch):
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing
+
+
+class TestBenchmarkRound:
+    def test_one_disk_round_has_no_problem(self, monkeypatch):
+        # the benchmark's own output checks: Weyl and eigenvalue references,
+        # every record passing, strict JSON, one CSV row per record
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(perfbench))
+        workloads = importlib.import_module("workloads")
+        workload = workloads.WORKLOADS["disk"]()
+        rnd = workloads.run_round(workload, workloads.make_inputs(workload, 1))
+        assert rnd.problems == []
+        assert rnd.failed == 0
 
 
 class TestTracedNames:
