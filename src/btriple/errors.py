@@ -12,7 +12,7 @@ class SingularMatrix(BTripleError):
 
 class NoConvergence(BTripleError):
     """An iterative routine exhausted its iteration budget without meeting
-    its residual target."""
+    its residual target, or a special function gave no finite value."""
 
 
 class NotPositiveDefinite(BTripleError):

@@ -45,14 +45,16 @@ Re s > 0, the mode Weyl values are
 with rho = -K_k(s r_cut) / I_k(s r_cut) the Dirichlet truncation weight.
 Both are ratios, so they are formed from the exponentially scaled
 scipy.special functions ive(k, z) = e^{-|Re z|} I_k(z) and
-kve(k, z) = e^{z} K_k(z) (Amos, ACM TOMS 644), with no cap on |lambda|:
+kve(k, z) = e^{z} K_k(z) (Amos, ACM TOMS 644), which hold up to |z| = 2^30:
 
     interior  f = ive(k, s),   f' = s ive'(k, s),
     exterior  f = e^{s} (K_k + rho I_k)(s) = kve(k, s) + rho' ive(k, s),
               rho' = -kve(k, s r_cut) / ive(k, s r_cut)
                      * exp(-(s + Re s)(r_cut - 1)),
 
-where rho' underflows to 0 once Re(s)(r_cut - 1) is large.
+where rho' underflows to 0 once Re(s)(r_cut - 1) is large, and is taken
+as 0 there even where s r_cut is past 2^30. Past |s| = 2^30 the Bessel data
+are NaN, and mode_weyl_values raises NoConvergence.
 
 The exterior domain is the truncation at r_cut with a Dirichlet far end;
 that truncated operator, not the unbounded-domain one, is what every solve
@@ -84,8 +86,8 @@ from scipy.linalg.lapack import zgbtrf, zgbtrs
 from scipy.optimize import brentq
 from scipy.special import ive, jv, jvp, kve
 
-from .errors import (InvalidPotential, MatchingSingular, NoRootInBracket,
-                     TruncationWarning)
+from .errors import (InvalidPotential, MatchingSingular, NoConvergence,
+                     NoRootInBracket, TruncationWarning)
 from .grids import PanelGrid, _bary_weights, graded_edges
 from .potentials import Potential1D
 from .triple_core import BoundaryOperator, TripleModel
@@ -314,19 +316,14 @@ class DiskModel(TripleModel):
 
     # -- operator action -------------------------------------------------
 
-    def _apply(self, f, vr):
+    def _apply(self, f, tilde):
         u = self._values(f)
+        vr = self._vr_conj if tilde else self._vr
         r = self._r
         ksq = (self.mode_numbers.astype(float) ** 2)[:, None]
         out = (-(u @ self._d2.T) - (u @ self._d1.T) / r
                + (ksq / r ** 2) * u + vr * u)
         return self._assemble(out, np.zeros(2 * self._nm, dtype=complex))
-
-    def apply_T(self, f):
-        return self._apply(f, self._vr)
-
-    def apply_Ttilde(self, g):
-        return self._apply(g, self._vr_conj)
 
     def trace0(self, f):
         return self._side * self._traces(f)[1::2]
@@ -475,27 +472,35 @@ class DiskModel(TripleModel):
             return ib, s * ibp
         kb, kbp = bessel_k(k, s)
         zc = s * self.config.r_cut
-        rho = (-bessel_k(k, zc)[0] / bessel_i(k, zc)[0]
-               * np.exp(-(s + s.real) * (self.config.r_cut - 1.0)))
+        weight = np.exp(-(s + s.real) * (self.config.r_cut - 1.0))
+        # past |zc| = 2^30 kve and ive give NaN, but by then weight is 0
+        with np.errstate(invalid="ignore"):
+            rho = -bessel_k(k, zc)[0] / bessel_i(k, zc)[0] * weight
+        rho = np.where(weight == 0.0, 0.0, rho)
         return kb + rho * ib, s * (kbp + rho * ibp)
 
     def _exact_weyl(self, lams):
         """V = 0 mode Weyl values m_k, k = 0..k_max, at every point of the
-        1-D array lams as an (N, k_max + 1) array. An entry is NaN where
+        1-D array lams as an (N, k_max + 1) array, and an (N,) mask of the
+        points whose Bessel data are not finite (|s| past the 2^30 that
+        scipy's ive and kve reach). An entry is NaN where
         mode_weyl_values raises: lambda = 0 or not finite, lambda on
-        [0, inf) for the exterior (K_k needs Re s > 0), or a mode that
-        _neumann_singular flags."""
+        [0, inf) for the exterior (K_k needs Re s > 0), Bessel data that are
+        not finite, or a mode that _neumann_singular flags."""
         s = self._s_of(lams)
         ok = np.isfinite(s) & (s != 0.0)
         if self.config.side == "exterior":
             ok &= s.real > 0.0
         out = np.full((len(s), self.config.k_max + 1), np.nan, dtype=complex)
+        lost = np.zeros(len(s), dtype=bool)
         f1, df1 = self._exact_scalars(
             s[ok], np.arange(self.config.k_max + 1)[:, None])
         denom = self._side * df1
+        finite = np.isfinite(f1) & np.isfinite(denom)
+        lost[ok] = ~finite.all(axis=0)
         out[ok] = np.divide(f1, denom, out=np.full_like(f1, np.nan),
-                            where=~_neumann_singular(f1, denom)).T
-        return out
+                            where=finite & ~_neumann_singular(f1, denom)).T
+        return out, lost
 
     def _kernel(self, lam, tilde, k):
         """Kernel-side mode solution of the collocation solve with unit
@@ -518,7 +523,11 @@ class DiskModel(TripleModel):
         closed form weyl_batch evaluates over a whole array; the tilde flag
         is then immaterial since the coefficients are real."""
         if not self._has_v:
-            by_order = self._exact_weyl(np.array([lam], dtype=complex))[0]
+            by_order, lost = self._exact_weyl(np.array([lam], dtype=complex))
+            if lost[0]:
+                raise NoConvergence(
+                    f"Bessel data are not finite at lambda = {lam}")
+            by_order = by_order[0]
             singular = np.flatnonzero(np.isnan(by_order))
             if singular.size:
                 raise MatchingSingular(
@@ -534,7 +543,7 @@ class DiskModel(TripleModel):
         contract's per-point loop."""
         if self._has_v:
             return super().weyl_batch(lams, tilde)
-        by_order = self._exact_weyl(np.asarray(lams, dtype=complex).ravel())
+        by_order, _ = self._exact_weyl(np.asarray(lams, dtype=complex).ravel())
         diag = np.arange(self._nm)
         out = np.zeros((len(by_order), self._nm, self._nm), dtype=complex)
         out[:, diag, diag] = by_order[:, np.abs(self.mode_numbers)]
@@ -560,12 +569,6 @@ class DiskModel(TripleModel):
             traces[2 * p + 1] = c
         return self._assemble(vals, traces)
 
-    def solve_bvp(self, lam, g):
-        return self._solve_bvp(lam, g, tilde=False)
-
-    def solve_bvp_tilde(self, mu, g):
-        return self._solve_bvp(mu, g, tilde=True)
-
     def _neumann_resolvent(self, lam, f, tilde):
         fv = self._values(f)
         vals = np.zeros((self._nm, self._nr), dtype=complex)
@@ -579,12 +582,6 @@ class DiskModel(TripleModel):
             traces[2 * p] = complex(self._row_u1 @ u)
             traces[2 * p + 1] = 0.0
         return self._assemble(vals, traces)
-
-    def neumann_resolvent(self, lam, f):
-        return self._neumann_resolvent(lam, f, tilde=False)
-
-    def neumann_resolvent_tilde(self, mu, f):
-        return self._neumann_resolvent(mu, f, tilde=True)
 
     @property
     def reference_robin_eigs(self):
@@ -633,22 +630,18 @@ class DiskModel(TripleModel):
         h = (hi_edge - lo_edge) / m
         centers = lo_edge + (np.arange(m) + 0.5) * h
         faces = lo_edge + np.arange(m + 1) * h
-        hn = np.zeros((m, m))
-        # interior faces carry flux face_r/h^2, symmetrized by sqrt(r h)
-        for j in range(m - 1):
-            c = faces[j + 1] / h ** 2
-            hn[j, j] += c / centers[j]
-            hn[j + 1, j + 1] += c / centers[j + 1]
-            coupling = c / np.sqrt(centers[j] * centers[j + 1])
-            hn[j, j + 1] -= coupling
-            hn[j + 1, j] -= coupling
-        if self.config.side == "interior":
-            # face at r = 0 carries zero flux, face at r = 1 is Neumann
-            pass
-        else:
-            # face at r = 1 is Neumann; far end is a Dirichlet truncation
-            hn[m - 1, m - 1] += 2.0 * faces[m] / (h ** 2 * centers[m - 1])
-        hn = hn + np.diag(float(k * k) / centers ** 2)
+        # interior faces carry flux face_r/h^2, symmetrized by sqrt(r h); the
+        # face at r = 0 carries zero flux and the face at r = 1 is Neumann
+        flux = faces[1:m] / h ** 2
+        diag = np.zeros(m)
+        diag[1:] = flux / centers[1:]
+        diag[:-1] += flux / centers[:-1]
+        if self.config.side == "exterior":
+            # the far end is a Dirichlet truncation
+            diag[-1] += 2.0 * faces[m] / (h ** 2 * centers[m - 1])
+        coupling = flux / np.sqrt(centers[:-1] * centers[1:])
+        hn = (np.diag(diag + float(k * k) / centers ** 2)
+              - np.diag(coupling, 1) - np.diag(coupling, -1))
         v = np.diag(self._window_values(centers))
         return hn, v
 

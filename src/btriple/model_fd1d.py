@@ -102,9 +102,23 @@ def _pair_pieces(coef, a, b, re_out, im_out):
                            (ai, br, im_out, 1.0), (ar, bi, im_out, -1.0)):
         p, e = _two_prod(x, y)
         c = coef * sgn
-        re_im = out
-        re_im.append(np.atleast_1d(c * p))
-        re_im.append(np.atleast_1d(c * e))
+        out.append(np.atleast_1d(c * p))
+        out.append(np.atleast_1d(c * e))
+
+
+def _residual_ok(upper, diag, lower, x, rhs):
+    """Whether each solution x of A x = rhs (A's bands as solve_banded takes
+    them; all may carry trailing batch axes that broadcast) is finite with
+    max |A x - rhs| <= 1e-8 (max |A| max |x| + max |rhs|). The solves do not
+    signal near-singularity, so this flags the Neumann spectrum."""
+    lhs = diag * x
+    lhs[:-1] += upper[1:] * x[1:]
+    lhs[1:] += lower[:-1] * x[:-1]
+    band_max = np.maximum(np.maximum(np.abs(upper).max(), np.abs(lower).max()),
+                          np.abs(diag).max(axis=0))
+    scale = band_max * np.abs(x).max(axis=0) + np.abs(rhs).max(axis=0)
+    return (np.isfinite(x).all(axis=0)
+            & (np.abs(lhs - rhs).max(axis=0) <= 1e-8 * scale))
 
 
 @dataclass(frozen=True)
@@ -141,7 +155,6 @@ class Fd1dModel(TripleModel):
         self._v = potential.cell_averages(grid.cell_edges())
         self._v_conj = self._v.conjugate()
         self._v_proxy = potential.sup_proxy(0.0, grid.length)
-        self._hn = None
 
     # -- structure -----------------------------------------------------
 
@@ -160,7 +173,7 @@ class Fd1dModel(TripleModel):
 
     # -- operator action -------------------------------------------------
 
-    def _apply(self, f, v):
+    def _apply(self, f, tilde):
         f = np.asarray(f, dtype=complex)
         m = self.grid.cells
         h = self.grid.h
@@ -169,14 +182,8 @@ class Fd1dModel(TripleModel):
         out[2:m] = (-c[:-2] + 2.0 * c[1:-1] - c[2:]) / h**2
         out[1] = (-2.0 * f[0] + 3.0 * f[1] - f[2]) / h**2
         out[m] = (-f[m - 1] + 3.0 * f[m] - 2.0 * f[m + 1]) / h**2
-        out[1:m + 1] += v * c
+        out[1:m + 1] += (self._v_conj if tilde else self._v) * c
         return out
-
-    def apply_T(self, f):
-        return self._apply(f, self._v)
-
-    def apply_Ttilde(self, g):
-        return self._apply(g, self._v_conj)
 
     def trace0(self, f):
         h2 = 0.5 * self.grid.h
@@ -188,9 +195,6 @@ class Fd1dModel(TripleModel):
     def inner(self, f, g):
         m = self.grid.cells
         return self.grid.h * np.vdot(np.asarray(g)[1:m + 1], np.asarray(f)[1:m + 1])
-
-    def binner(self, phi, psi):
-        return np.vdot(np.asarray(psi), np.asarray(phi))
 
     def green_pairing_defect(self, f, g):
         """(Tf, g) - (f, T~g) - (t1 f, t0 g) + (t0 f, t1 g), evaluated in
@@ -243,8 +247,9 @@ class Fd1dModel(TripleModel):
 
     # -- solves ------------------------------------------------------------
 
-    def _bvp_bands(self, lam, v):
+    def _bvp_bands(self, lam, tilde):
         # tridiagonal rows: [trace row; kernel rows; trace row]
+        v = self._v_conj if tilde else self._v
         n = self.grid.n
         m = self.grid.cells
         h = self.grid.h
@@ -274,28 +279,20 @@ class Fd1dModel(TripleModel):
             raise MatchingSingular(f"{who}: banded solve failed: {exc}") from exc
         if not np.all(np.isfinite(sol)):
             raise MatchingSingular(f"{who}: banded solve overflowed")
-        # residual guard: solve_banded does not signal near-singularity
-        upper, diag, lower = bands
-        lhs = diag * sol
-        lhs[:-1] += upper[1:] * sol[1:]
-        lhs[1:] += lower[:-1] * sol[:-1]
-        scale = np.abs(bands).max() * np.abs(sol).max() + np.abs(rhs).max()
-        if np.abs(lhs - rhs).max() > 1e-8 * scale:
+        if not _residual_ok(*bands, sol, rhs):
             raise MatchingSingular(f"{who}: solution residual exceeds 1e-8 of scale; "
                                    "spectral parameter sits on the Neumann spectrum")
         return sol
 
-    def _solve_bvp(self, lam, g, v, who):
+    def _solve_bvp(self, lam, g, tilde):
         g = np.asarray(g, dtype=complex)
         if g.shape != (2,):
             raise ValueError("boundary data must have length 2")
         rhs = np.zeros(self.grid.n, dtype=complex)
         rhs[0] = g[0]
         rhs[-1] = g[1]
-        return self._solve_banded(self._bvp_bands(lam, v), rhs, who)
-
-    def solve_bvp(self, lam, g):
-        return self._solve_bvp(lam, g, self._v, "solve_bvp")
+        return self._solve_banded(self._bvp_bands(lam, tilde), rhs,
+                                  "solve_bvp_tilde" if tilde else "solve_bvp")
 
     def weyl_batch(self, lams, tilde=False):
         """Weyl matrices at every point of ``lams``, from one Thomas sweep
@@ -308,7 +305,7 @@ class Fd1dModel(TripleModel):
         fails it or overflows, as on the Neumann spectrum, gets a NaN row.
         """
         lams = np.asarray(lams, dtype=complex).ravel()
-        bands = self._bvp_bands(0.0, self._v_conj if tilde else self._v)
+        bands = self._bvp_bands(0.0, tilde)
         out = np.empty((len(lams), 2, 2), dtype=complex)
         with np.errstate(all="ignore"):
             for start in range(0, len(lams), _BATCH_CHUNK):
@@ -337,63 +334,39 @@ class Fd1dModel(TripleModel):
             x[i] /= pivot
         for i in range(n - 2, -1, -1):
             x[i] -= cp[i] * x[i + 1]
-        # residual guard of _solve_banded, per point and right-hand side
-        resid = diag[:, None] * x
-        resid[:-1] += c[:, :, None] * x[1:]
-        resid[1:] += a[:, :, None] * x[:-1]
-        resid[0, 0] -= 1.0
-        resid[-1, 1] -= 1.0
-        band_max = np.maximum(np.abs(bands[[0, 2]]).max(),
-                              np.abs(diag).max(axis=0))
-        scale = band_max * np.abs(x).max(axis=0) + 1.0
-        good = (np.isfinite(x).all(axis=0)
-                & (np.abs(resid).max(axis=0) <= 1e-8 * scale)).all(axis=0)
+        # the residual guard of _solve_banded, per point and right-hand side
+        rhs = np.zeros((n, 2, 1))
+        rhs[0, 0] = rhs[-1, 1] = 1.0
+        good = _residual_ok(upper[:, None, None], diag[:, None],
+                            lower[:, None, None], x, rhs).all(axis=0)
         m = np.stack([x[0], x[-1]]).transpose(2, 0, 1)
         m[~good] = np.nan
         return m
 
-    def solve_bvp_tilde(self, mu, g):
-        return self._solve_bvp(mu, g, self._v_conj, "solve_bvp_tilde")
-
-    def _resolvent(self, lam, f, v):
+    def _neumann_resolvent(self, lam, f, tilde):
         # reduced interior system (hn + v - lam) u_c = f_c; the Neumann
         # condition makes the boundary slots copy the adjacent cells
-        f = np.asarray(f, dtype=complex)
-        m = self.grid.cells
-        h = self.grid.h
-        upper = np.zeros(m, dtype=complex)
-        diag = np.full(m, 2.0 / h**2, dtype=complex)
-        lower = np.zeros(m, dtype=complex)
-        diag[0] = 1.0 / h**2
-        diag[-1] = 1.0 / h**2
-        diag += v - lam
-        upper[1:] = -1.0 / h**2
-        lower[:-1] = -1.0 / h**2
-        sol = self._solve_banded(np.vstack([upper, diag, lower]), f[1:m + 1],
+        bands = self._hn_bands().astype(complex)
+        bands[1] += (self._v_conj if tilde else self._v) - lam
+        sol = self._solve_banded(bands, np.asarray(f, dtype=complex)[1:-1],
                                  "neumann_resolvent")
         return np.concatenate(([sol[0]], sol, [sol[-1]]))
 
-    def neumann_resolvent(self, lam, f):
-        return self._resolvent(lam, f, self._v)
-
-    def neumann_resolvent_tilde(self, mu, f):
-        return self._resolvent(mu, f, self._v_conj)
-
     # -- matrices and certification -----------------------------------------
 
+    def _hn_bands(self):
+        """H_N, the reduced Neumann matrix on the cells, in solve_banded
+        layout: the 3-point stencil with 1/h^2 on the two edge cells."""
+        h2 = self.grid.h ** 2
+        bands = np.zeros((3, self.grid.cells))
+        bands[0, 1:] = bands[2, :-1] = -1.0 / h2
+        bands[1] = 2.0 / h2
+        bands[1, [0, -1]] = 1.0 / h2
+        return bands
+
     def hn_matrix(self):
-        if self._hn is None:
-            m = self.grid.cells
-            h = self.grid.h
-            hn = np.zeros((m, m))
-            idx = np.arange(m)
-            hn[idx, idx] = 2.0 / h**2
-            hn[0, 0] = 1.0 / h**2
-            hn[-1, -1] = 1.0 / h**2
-            hn[idx[:-1], idx[:-1] + 1] = -1.0 / h**2
-            hn[idx[:-1] + 1, idx[:-1]] = -1.0 / h**2
-            self._hn = hn
-        return self._hn.copy()
+        upper, diag, lower = self._hn_bands()
+        return np.diag(diag) + np.diag(upper[1:], 1) + np.diag(lower[:-1], -1)
 
     def v_matrix(self):
         return np.diag(self._v)

@@ -41,9 +41,11 @@ from .potentials import Potential1D
 from .triple_core import _BATCH_CHUNK, TripleModel
 
 # |f'| at the far end of a one-sided Neumann shot at or below this many
-# times rtol, as a fraction of max(|f|, |f'|, 1) there, means lambda is a
-# Neumann eigenvalue: the ODE error of f' there reaches 1e-9 at rtol = 1e-10
-# (V = 0, lambda = 25 pi^2, a 4-panel grid of order 12)
+# times rtol times max(1, k), as a fraction of max(|f|, |f'|, 1) there, means
+# lambda is a Neumann eigenvalue. k = sqrt(max(Re lambda, 0)) L / pi counts
+# the oscillations of the shot, and the ODE error of f' grows about linearly
+# in it: 2.6e-8 at (20 pi)^2 with rtol = 1e-10 (V = 0, L = 1, 4 panels of
+# order 12). Off the positive axis the shot does not oscillate (k = 0).
 _MATCHING_TOL_PER_RTOL = 100.0
 
 # scipy's DOP853 measures the error as an RMS over all components; a stacked
@@ -164,6 +166,9 @@ class Shoot1dModel(TripleModel):
 
     def __init__(self, config, panels=8, order=16, fd_nodes=512):
         self.config = config
+        # the configuration of T~: V replaced by conj(V)
+        self._config_tilde = replace(config,
+                                     potential=config.potential.conjugate())
         self.grid = PanelGrid(graded_edges(0.0, config.length, panels), order)
         # the step ends of every integration: the grid nodes, then the jumps of V
         self._stops = np.append(self.grid.nodes, config.potential.breakpoints())
@@ -172,7 +177,6 @@ class Shoot1dModel(TripleModel):
         self._vnodes = config.potential(self.grid.nodes)
         self._vnodes_conj = np.conjugate(self._vnodes)
         self._shot_cache = {}  # (lam, tilde, kind) -> ShootSolution
-        self._matching_tol = _MATCHING_TOL_PER_RTOL * config.rtol
         from .model_fd1d import build_fd1d
 
         self._fd = build_fd1d(fd_nodes, config.length, config.potential)
@@ -194,18 +198,13 @@ class Shoot1dModel(TripleModel):
 
     # -- operator action -------------------------------------------------
 
-    def _apply(self, f, vnodes):
+    def _apply(self, f, tilde):
         f = np.asarray(f, dtype=complex)
         u = f[:self.grid.size]
+        vnodes = self._vnodes_conj if tilde else self._vnodes
         out = np.zeros_like(f)
         out[:self.grid.size] = -(self._d2 @ u) + vnodes * u
         return out
-
-    def apply_T(self, f):
-        return self._apply(f, self._vnodes)
-
-    def apply_Ttilde(self, g):
-        return self._apply(g, self._vnodes_conj)
 
     def trace0(self, f):
         n = self.grid.size
@@ -220,15 +219,7 @@ class Shoot1dModel(TripleModel):
         fg = np.asarray(f)[:n] * np.conjugate(np.asarray(g)[:n])
         return complex(fg @ self.grid.weights)
 
-    def binner(self, phi, psi):
-        return np.vdot(np.asarray(psi), np.asarray(phi))
-
     # -- kernel machinery ---------------------------------------------------
-
-    def _config_for(self, tilde):
-        if not tilde:
-            return self.config
-        return replace(self.config, potential=self.config.potential.conjugate())
 
     def _shot(self, lam, tilde, kind):
         """Memoized one-sided kernel solutions keyed by (lam, tilde, kind)."""
@@ -236,7 +227,7 @@ class Shoot1dModel(TripleModel):
         hit = self._shot_cache.get(key)
         if hit is not None:
             return hit
-        cfg = self._config_for(tilde)
+        cfg = self._config_tilde if tilde else self.config
         if kind == "left10":      # f(0) = 1, f'(0) = 0
             sol = solve_ivp_schrodinger(cfg, lam, 0.0, 1.0, 0.0, +1, self._stops)
         else:                     # right10: f(L) = 1, f'(L) = 0
@@ -266,7 +257,7 @@ class Shoot1dModel(TripleModel):
         # the far trace as a difference of exp(sqrt(-lam) L) sized terms
         # and lose it to cancellation for strongly negative lambda.
         for shot in (phi, psi):
-            if self._matching_singular(shot.f_end, shot.df_end):
+            if self._matching_singular(lam, shot.f_end, shot.df_end):
                 raise MatchingSingular(
                     f"Neumann shooting data singular at lambda = {lam}"
                 )
@@ -278,12 +269,6 @@ class Shoot1dModel(TripleModel):
         fL = a * phi.f_end + b
         dfL = a * phi.df_end
         return self._assemble(values, f0, df0, fL, dfL)
-
-    def solve_bvp(self, lam, g):
-        return self._solve_bvp(lam, g, tilde=False)
-
-    def solve_bvp_tilde(self, mu, g):
-        return self._solve_bvp(mu, g, tilde=True)
 
     def weyl_batch(self, lams, tilde=False):
         """Weyl matrices at every point of ``lams`` from the endpoint values
@@ -314,7 +299,7 @@ class Shoot1dModel(TripleModel):
         return out
 
     def _weyl_stack(self, lams, tilde):
-        cfg = self._config_for(tilde)
+        cfg = self._config_tilde if tilde else self.config
         vfun = cfg.potential
         n = len(lams)
         margin = _STACK_TOL_MARGIN * np.sqrt(2 * n)
@@ -335,8 +320,8 @@ class Shoot1dModel(TripleModel):
             m = np.stack([-psi / dpsi, 1.0 / dphi, -1.0 / dpsi, phi / dphi],
                          axis=1).reshape(n, 2, 2)
             bad = (~np.isfinite(m).all(axis=(1, 2))
-                   | self._matching_singular(phi, dphi)
-                   | self._matching_singular(psi, dpsi))
+                   | self._matching_singular(lams, phi, dphi)
+                   | self._matching_singular(lams, psi, dpsi))
         m[bad] = np.nan
         return m
 
@@ -346,7 +331,7 @@ class Shoot1dModel(TripleModel):
         phi, dphi = phi_s.f_samples, phi_s.df_samples
         psi, dpsi = psi_s.f_samples, psi_s.df_samples
         w = phi[0] * dpsi[0] - dphi[0] * psi[0]  # constant Wronskian
-        if abs(w) <= self._matching_tol * max(1.0, abs(phi[0] * dpsi[0])):
+        if self._matching_singular(lam, phi[0] * dpsi[0], w):
             raise MatchingSingular(
                 f"Wronskian vanishes at lambda = {lam}: Neumann eigenvalue"
             )
@@ -362,17 +347,14 @@ class Shoot1dModel(TripleModel):
         uL = -total_phi / w   # psi(L) = 1
         return self._assemble(u, u0, 0.0, uL, 0.0)
 
-    def neumann_resolvent(self, lam, f):
-        return self._neumann_resolvent(lam, f, tilde=False)
-
-    def neumann_resolvent_tilde(self, mu, f):
-        return self._neumann_resolvent(mu, f, tilde=True)
-
-    def _matching_singular(self, f_end, df_end):
-        """Whether one-sided Neumann shots ending at (f_end, df_end) leave
-        the Neumann matching singular (elementwise for arrays)."""
+    def _matching_singular(self, lam, f_end, df_end):
+        """Whether one-sided Neumann shots at lam ending at (f_end, df_end)
+        leave the Neumann matching singular (elementwise for arrays). With
+        (phi(0) psi'(0), W) for (f_end, df_end) it tests the Wronskian W."""
+        k = np.sqrt(np.maximum(np.real(lam), 0.0)) * self.config.length / np.pi
+        tol = _MATCHING_TOL_PER_RTOL * self.config.rtol * np.maximum(1.0, k)
         scale = np.maximum(np.maximum(np.abs(f_end), np.abs(df_end)), 1.0)
-        return np.abs(df_end) <= self._matching_tol * scale
+        return np.abs(df_end) <= tol * scale
 
     # -- matrices and certification -----------------------------------------
 

@@ -5,9 +5,9 @@ solves raise SingularMatrix instead of returning garbage, eigenvalue output
 is deterministically ordered, and the Newton iteration keeps polishing past
 its residual target so that multiple roots are still located to near machine
 accuracy. The Newton iteration runs every start of an array in lockstep, one
-call of the objective per step for all of them, so an objective that
-evaluates a whole batch of points at once pays its per-call cost once per
-step, not once per start.
+call of the objective per step for all of them. No package code calls it
+(robin_eigs is a contour solve); it stays exported for its tests and
+because the traced benchmark run patches its name in triple_core.
 Everything here is a pure function of its arguments.
 """
 

@@ -84,14 +84,17 @@ class TripleModel(abc.ABC):
     data, not L² mass.
 
     Required (abstract) members: ``kind``, ``has_potential``,
-    ``v_sup_proxy``, ``boundary_dim``, ``apply_T``/``apply_Ttilde``,
-    ``trace0``/``trace1``, ``inner``/``binner``, ``solve_bvp``/``_tilde``,
-    ``neumann_resolvent``/``_tilde``, ``hn_v_blocks`` and
-    ``random_domain_vector``. Derived from them, computed once per model
-    and the same for every family: ``hn_spectra``, one eigendecomposition
-    of each H_N block with V cut down to its support, and
-    ``certified_threshold``. Hooks, None by
-    default (``mode_weyl_values`` by default returns None):
+    ``v_sup_proxy``, ``boundary_dim``, ``trace0``/``trace1``, ``inner``,
+    ``hn_v_blocks``, ``random_domain_vector``, and one body per operator of
+    the adjoint pair, ``_apply(f, tilde)``, ``_solve_bvp(lam, g, tilde)``
+    and ``_neumann_resolvent(lam, f, tilde)``, on the T~ side (V replaced
+    by conj(V)) with ``tilde``. Callers use the public twins that call
+    them: ``apply_T``/``apply_Ttilde``, ``solve_bvp``/``_tilde`` and
+    ``neumann_resolvent``/``_tilde``. ``binner`` defaults to the plain dot
+    product. Derived from them, computed once per model and the same for
+    every family: ``hn_spectra``, one eigendecomposition of each H_N block
+    with V cut down to its support, and ``certified_threshold``. Hooks,
+    None by default (``mode_weyl_values`` by default returns None):
     ``mode_weyl_values(lam, tilde)``, the diagonal of a diagonal Weyl
     matrix; ``green_pairing_defect(f, g)``, a cancellation-free Green
     bracket for ``green_defect``; ``dense_robin(b, tilde=False)``, the
@@ -137,12 +140,9 @@ class TripleModel(abc.ABC):
         """Dimension of the boundary space carrier."""
 
     @abc.abstractmethod
-    def apply_T(self, f):
-        """Action of T = -Delta + V on a carrier (interior entries)."""
-
-    @abc.abstractmethod
-    def apply_Ttilde(self, g):
-        """Action of T~ = -Delta + conj(V)."""
+    def _apply(self, f, tilde):
+        """Action of T = -Delta + V on a carrier (interior entries); of
+        T~ = -Delta + conj(V) with ``tilde``."""
 
     @abc.abstractmethod
     def trace0(self, f):
@@ -157,24 +157,39 @@ class TripleModel(abc.ABC):
         """The 𝓗 inner product, conjugate-linear in g."""
 
     @abc.abstractmethod
+    def _solve_bvp(self, lam, g, tilde):
+        """The unique kernel element f with (T - lam) f = 0, trace0(f) = g;
+        of T~ with ``tilde``."""
+
+    @abc.abstractmethod
+    def _neumann_resolvent(self, lam, f, tilde):
+        """(A0 - lam)^-1 f, where A0 is T restricted to ker trace0; the
+        same for A0~ with ``tilde``."""
+
     def binner(self, phi, psi):
-        """The boundary-space inner product, conjugate-linear in psi."""
+        """The boundary-space inner product, conjugate-linear in psi: the
+        plain dot product unless a model weights its boundary basis."""
+        return np.vdot(np.asarray(psi), np.asarray(phi))
 
-    @abc.abstractmethod
+    # -- the adjoint pair: T side and T~ side of each body -----------------
+
+    def apply_T(self, f):
+        return self._apply(f, False)
+
+    def apply_Ttilde(self, g):
+        return self._apply(g, True)
+
     def solve_bvp(self, lam, g):
-        """The unique kernel element f with (T - lam) f = 0, trace0(f) = g."""
+        return self._solve_bvp(lam, g, False)
 
-    @abc.abstractmethod
     def solve_bvp_tilde(self, mu, g):
-        """Kernel solve for T~."""
+        return self._solve_bvp(mu, g, True)
 
-    @abc.abstractmethod
     def neumann_resolvent(self, lam, f):
-        """(A0 - lam)^-1 f, where A0 is T restricted to ker trace0."""
+        return self._neumann_resolvent(lam, f, False)
 
-    @abc.abstractmethod
     def neumann_resolvent_tilde(self, mu, f):
-        """(A0~ - mu)^-1 f."""
+        return self._neumann_resolvent(mu, f, True)
 
     @abc.abstractmethod
     def hn_v_blocks(self):

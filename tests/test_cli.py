@@ -193,6 +193,24 @@ class TestDiskWeylReach:
             assert np.abs(m - np.diag(np.diag(m))).max() == 0.0
             assert np.abs(np.diag(m) - want).max() < 1e-12 * np.abs(want).min()
 
+    def test_exterior_disk_past_the_bessel_range_of_its_cut(self, tmp_path):
+        # s r_cut = 1.6e9 is past the 2^30 of scipy's kve and ive, where the
+        # Dirichlet weight of the cut has underflowed to 0
+        config = {"model": {"family": "disk", "side": "exterior", "k_max": 2},
+                  "lambda": {"points": [-1e16]}}
+        assert _run(tmp_path, "weyl", config) == cli.EXIT_OK
+        row, = _csv_rows(tmp_path / "weyl.csv")
+        m = (row[2:-1:2] + 1j * row[3:-1:2]).reshape(5, 5)
+        want = [disk_weyl_v0("exterior", k, -1e16) for k in (2, 1, 0, 1, 2)]
+        assert np.abs(np.diag(m) - want).max() < 1e-12 * np.abs(want).min()
+
+    def test_interior_disk_past_the_bessel_range_exits_3(self, tmp_path):
+        # s = 1e10: ive gives NaN, a solver failure, not a Neumann point
+        config = {"model": {"family": "disk", "side": "interior", "k_max": 2},
+                  "lambda": {"points": [-1e20]}}
+        assert _run(tmp_path, "weyl", config, "--allow-uncertified") == \
+            cli.EXIT_SOLVER
+
 
 class TestHelp:
     @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])

@@ -188,9 +188,11 @@ class TestZeroPotentialBatch:
 
 class TestFarNegativeAxis:
     """|lambda| >= 5e5 puts |s| past 700, where the unscaled I_k and K_k
-    leave double range; the scaled ratios do not."""
+    leave double range; the scaled ratios do not. At -1e16 the exterior's
+    s r_cut passes 2^30, past scipy's ive and kve, but the Dirichlet weight
+    rho' has underflowed to 0 there; at -1e20 s itself passes 2^30."""
 
-    @pytest.mark.parametrize("lam", [-5e5, -6e5])
+    @pytest.mark.parametrize("lam", [-5e5, -6e5, -1e16])
     @pytest.mark.parametrize("side", ["interior", "exterior"])
     def test_mode_weyl_values_match_mpmath(self, disk_int_v0, disk_ext_v0,
                                            side, lam):
@@ -199,6 +201,16 @@ class TestFarNegativeAxis:
         want = np.array([disk_weyl_v0(side, abs(int(k)), lam)
                          for k in model.mode_numbers])
         assert np.all(np.abs(got - want) < 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_bessel_data_past_their_range_fail_to_converge(
+            self, disk_int_v0, disk_ext_v0, side):
+        model = disk_int_v0 if side == "interior" else disk_ext_v0
+        with pytest.raises(NoConvergence):
+            model.mode_weyl_values(-1e20)
+        batch = model.weyl_batch([-1e20, -1.0])
+        assert np.isnan(batch[0]).all()
+        assert np.isfinite(batch[1]).all()
 
     @pytest.mark.parametrize("side", ["interior", "exterior"])
     def test_kernel_solve_keeps_its_trace(self, disk_int_v0, disk_ext_v0,
@@ -358,6 +370,35 @@ class TestSingularCollocation:
             model._colloc_lu(-3.0, False, 1)
         m = model.weyl_batch([-3.0])
         assert m.shape == (1, 3, 3) and np.isnan(m).all()
+
+
+def _mode_block_by_faces(model, k):
+    """H_N of mode k built face by face, the loop _mode_block replaces."""
+    m = model.config.radial_grid
+    lo, hi = (0.0, 1.0) if model.config.side == "interior" else (
+        1.0, model.config.r_cut)
+    h = (hi - lo) / m
+    centers = lo + (np.arange(m) + 0.5) * h
+    faces = lo + np.arange(m + 1) * h
+    hn = np.zeros((m, m))
+    for j in range(m - 1):
+        c = faces[j + 1] / h ** 2
+        hn[j, j] += c / centers[j]
+        hn[j + 1, j + 1] += c / centers[j + 1]
+        coupling = c / np.sqrt(centers[j] * centers[j + 1])
+        hn[j, j + 1] -= coupling
+        hn[j + 1, j] -= coupling
+    if model.config.side == "exterior":
+        hn[m - 1, m - 1] += 2.0 * faces[m] / (h ** 2 * centers[m - 1])
+    return hn + np.diag(float(k * k) / centers ** 2)
+
+
+class TestModeBlocks:
+    def test_match_the_face_loop_bit_for_bit(self, disk_int_v0, disk_ext_const):
+        for model in (disk_int_v0, disk_ext_const):
+            for k, (hn, _) in enumerate(model.hn_v_blocks()):
+                want = _mode_block_by_faces(model, k)
+                assert hn.tobytes() == want.tobytes(), (model.kind, k)
 
 
 class TestBoundaryMultiplication:

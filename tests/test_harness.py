@@ -121,16 +121,13 @@ class ForwardingModel(TripleModel):
     dense_robin = _forward("dense_robin")
     reference_robin_eigs = _forward("reference_robin_eigs")
     v_sup_proxy = _delegate("v_sup_proxy")
-    apply_T = _delegate("apply_T")
-    apply_Ttilde = _delegate("apply_Ttilde")
+    _apply = _delegate("_apply")
     trace0 = _delegate("trace0")
     trace1 = _delegate("trace1")
     inner = _delegate("inner")
     binner = _delegate("binner")
-    solve_bvp = _delegate("solve_bvp")
-    solve_bvp_tilde = _delegate("solve_bvp_tilde")
-    neumann_resolvent = _delegate("neumann_resolvent")
-    neumann_resolvent_tilde = _delegate("neumann_resolvent_tilde")
+    _solve_bvp = _delegate("_solve_bvp")
+    _neumann_resolvent = _delegate("_neumann_resolvent")
     hn_v_blocks = _delegate("hn_v_blocks")
     certified_threshold = _delegate("certified_threshold")
     random_domain_vector = _delegate("random_domain_vector")

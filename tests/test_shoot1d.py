@@ -348,6 +348,31 @@ class TestWeylBatch:
                       TripleModel.weyl_batch(model, near)):
                 assert np.isfinite(m).all()
 
+    def test_guard_scales_with_the_mode_number(self, shoot_bench_v0, shoot_v0):
+        # the ODE error of phi'(L) at k^2 pi^2 grows about linearly in k, to
+        # 2.6e-8 of scale at k = 20, past a guard of 100 rtol = 1e-8; the
+        # guard 1e-8 k still sits below the 4.7e-7 that 1e-6 off gives
+        ks = np.arange(6, 21)
+        eigs = (ks * np.pi) ** 2
+        for model in (shoot_bench_v0, shoot_v0):
+            for lam in eigs:
+                with pytest.raises(MatchingSingular):
+                    weyl(model, lam, allow_uncertified=True)
+                assert np.isfinite(
+                    weyl(model, lam + 1e-6, allow_uncertified=True).m).all()
+            got = model.weyl_batch(np.concatenate([eigs, eigs + 1e-6]))
+            assert np.isnan(got[:len(ks)]).all()
+            assert np.isfinite(got[len(ks):]).all()
+
+    def test_guard_does_not_scale_off_the_positive_axis(self):
+        # the shot does not oscillate there; scaled by sqrt|lambda| the
+        # guard would pass 1 at rtol = 1e-4 and flag every point
+        model = build_shoot1d(ShootConfig(rtol=1e-4, atol=1e-6), panels=4,
+                              order=12, fd_nodes=64)
+        for lam in (-3e5, -3e5 + 1e5j):
+            got = weyl(model, lam, allow_uncertified=True).m
+            assert np.abs(got - interval_weyl_v0(lam)).max() < 1e-6
+
     def test_nan_point_gets_a_nan_row(self, shoot_bench_v0):
         # DOP853's first step from a NaN right-hand side is NaN, and its
         # step loop would never end; the stacked solve falls back point-wise
