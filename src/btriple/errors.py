@@ -11,8 +11,8 @@ class SingularMatrix(BTripleError):
 
 
 class NoConvergence(BTripleError):
-    """An iterative routine exhausted its iteration budget without meeting
-    its residual target, or a special function gave no finite value."""
+    """An iteration ran out of budget short of its residual target, a
+    special function gave no finite value, or an ODE left double range."""
 
 
 class NotPositiveDefinite(BTripleError):

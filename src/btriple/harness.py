@@ -36,9 +36,9 @@ from .errors import BTripleError, ConfigError
 from .model_disk import DiskModelConfig, build_disk
 from .model_fd1d import build_fd1d
 from .model_shoot1d import ShootConfig, build_shoot1d
-from .numerics import eig_dense, smallest_singular_value, solve_linear
-# not called here; the traced benchmark run patches the name in this module
-from .numerics import fit_log_slope  # noqa: F401
+from .numerics import eig_dense, solve_linear
+# not called here; the traced benchmark run patches the names in this module
+from .numerics import fit_log_slope, smallest_singular_value  # noqa: F401
 from .potentials import Potential1D
 from .triple_core import BoundaryOperator
 
@@ -702,12 +702,7 @@ def _check_sectorial(out, model, lams, rng):
         with out.guard("sectorial_c1_bound", params, "sectorial_defect"):
             fact = tc.sectorial_factorization(model, lam)
             out.add("sectorial_c1_bound", params, fact.c1_norm)
-            res_norm = max(
-                1.0 / smallest_singular_value(
-                    np.asarray(hn) + np.asarray(v)
-                    - lam * np.eye(np.asarray(hn).shape[0]))
-                for hn, v in model.hn_v_blocks())
-            out.add("sectorial_defect", params, fact.defect / res_norm)
+            out.add("sectorial_defect", params, fact.defect / fact.resolvent_norm)
     if not model.has_potential:
         for lam in lams[:2]:
             params = {"lambda": lam}
@@ -776,18 +771,12 @@ def _decay_checks(out, model, seed):
     lams = _decay_lams(out.kind, model.certified_threshold())
     params = {"lambda_ray": lams}
     with out.guard("decay_exponent", params):
-        points, (slope, intercept, _) = tc.weyl_decay_study(model, lams)
-        logx = np.log([p[0] for p in points])
-        logy = np.log([p[1] for p in points])
-        # the fit needs three points and spread in x, so the band is finite
-        spread = float(np.sum((logx - logx.mean()) ** 2))
-        sigma2 = (float(np.sum((logy - (intercept + slope * logx)) ** 2))
-                  / (len(points) - 2))
+        points, (slope, intercept, stderr) = tc.weyl_decay_study(model, lams)
         params.update({
             "samples": [list(p) for p in points],
             "amplitude": float(np.exp(intercept)),
             "exponent": slope,
-            "band": 1.96 * float(np.sqrt(sigma2 / spread)),
+            "band": 1.96 * stderr,
         })
         if model.has_potential:
             out.add("decay_exponent", params, max(0.0, slope + 0.45),

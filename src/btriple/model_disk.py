@@ -520,8 +520,8 @@ class DiskModel(TripleModel):
     def mode_weyl_values(self, lam, tilde=False):
         """Diagonal of the Weyl matrix in the mode basis. For V = 0 this is
         boundary data alone (exact Bessel scalars, no radial solve), the
-        closed form weyl_batch evaluates over a whole array; the tilde flag
-        is then immaterial since the coefficients are real."""
+        closed form that weyl_batch evaluates over a chunk of points; the
+        tilde flag is then immaterial since the coefficients are real."""
         if not self._has_v:
             by_order, lost = self._exact_weyl(np.array([lam], dtype=complex))
             if lost[0]:
@@ -537,18 +537,22 @@ class DiskModel(TripleModel):
                     for k in range(self.config.k_max + 1)]
         return np.array([by_order[abs(int(k))] for k in self.mode_numbers])
 
-    def weyl_batch(self, lams, tilde=False):
-        """For V = 0 the closed form of mode_weyl_values over the whole
-        array, with an all-NaN row where that raises; with a potential, the
-        contract's per-point loop."""
+    @property
+    def _weyl_chunk(self):
+        """For V = 0, the closed form of mode_weyl_values over a chunk of
+        points, with an all-NaN row where that raises; None with a
+        potential, which leaves weyl_batch to the per-point loop."""
         if self._has_v:
-            return super().weyl_batch(lams, tilde)
-        by_order, _ = self._exact_weyl(np.asarray(lams, dtype=complex).ravel())
-        diag = np.arange(self._nm)
-        out = np.zeros((len(by_order), self._nm, self._nm), dtype=complex)
-        out[:, diag, diag] = by_order[:, np.abs(self.mode_numbers)]
-        out[np.isnan(by_order).any(axis=1)] = np.nan
-        return out
+            return None
+
+        def chunk(lams, tilde):
+            by_order, _ = self._exact_weyl(lams)
+            diag = np.arange(self._nm)
+            out = np.zeros((len(lams), self._nm, self._nm), dtype=complex)
+            out[:, diag, diag] = by_order[:, np.abs(self.mode_numbers)]
+            out[np.isnan(by_order).any(axis=1)] = np.nan
+            return out
+        return chunk
 
     # -- kernel solves and resolvents ----------------------------------------
 

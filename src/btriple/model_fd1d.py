@@ -68,7 +68,7 @@ import scipy.linalg as sla
 
 from .errors import ConstraintSingular, InvalidPotential, MatchingSingular
 from .potentials import Potential1D
-from .triple_core import _BATCH_CHUNK, TripleModel, _bmatrix
+from .triple_core import TripleModel, _bmatrix
 # not called here; the traced benchmark run patches the name in this module
 from .triple_core import find_xi2  # noqa: F401
 
@@ -294,28 +294,16 @@ class Fd1dModel(TripleModel):
         return self._solve_banded(self._bvp_bands(lam, tilde), rhs,
                                   "solve_bvp_tilde" if tilde else "solve_bvp")
 
-    def weyl_batch(self, lams, tilde=False):
-        """Weyl matrices at every point of ``lams``, from one Thomas sweep
-        per chunk of at most 256 points that carries both boundary
-        right-hand sides (the columns of M are the boundary values of the
-        solutions with Neumann data e_0 and e_1).
-
+    def _weyl_chunk(self, lams, tilde):
+        """Weyl matrices of a chunk of points from one Thomas sweep that
+        carries both boundary right-hand sides (the columns of M are the
+        boundary values of the solutions with Neumann data e_0 and e_1).
         The sweep does not pivot, so every solution passes the residual
         guard of ``_solve_banded`` (1e-8 of the same scale); a point that
         fails it or overflows, as on the Neumann spectrum, gets a NaN row.
         """
-        lams = np.asarray(lams, dtype=complex).ravel()
-        bands = self._bvp_bands(0.0, tilde)
-        out = np.empty((len(lams), 2, 2), dtype=complex)
-        with np.errstate(all="ignore"):
-            for start in range(0, len(lams), _BATCH_CHUNK):
-                stop = start + _BATCH_CHUNK
-                out[start:stop] = self._weyl_sweep(bands, lams[start:stop])
-        return out
-
-    def _weyl_sweep(self, bands, lams):
         # arrays are (row, [rhs,] point) so each row step is contiguous
-        upper, diag0, lower = bands
+        upper, diag0, lower = self._bvp_bands(0.0, tilde)
         a = lower[:-1, None]  # a[i - 1] = A[i, i - 1]
         c = upper[1:, None]   # c[i] = A[i, i + 1]
         n = self.grid.n

@@ -6,11 +6,11 @@ independent of any global discretization and remains accurate at the large
 |lam| the decay studies need. A shot runs one DOP853 solver from its start
 to the far end and re-targets it at every grid node in turn, and at the
 jumps of V (the window edges around a power singularity), so each of them
-is a step end; no step cap applies beyond the error control.
-``weyl_batch`` needs only the endpoint values of the two shots, so it
-integrates the shots of a whole chunk of spectral points as one stacked
-system per side, with the same step ends. Carriers hold samples on a
-composite Gauss-Legendre grid plus four analytic trace slots:
+is a step end; no step cap applies beyond the error control. The chunk
+kernel of ``weyl_batch`` needs only the endpoint values of the two shots,
+so it integrates the shots of a whole chunk of spectral points as one
+stacked system per side, with the same step ends. Carriers hold samples
+on a composite Gauss-Legendre grid plus four analytic trace slots:
 
     [ values at the N panel nodes, f(0), f'(0), f(L), f'(L) ]
 
@@ -35,10 +35,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MatchingSingular, StepSizeUnderflow
+from .errors import MatchingSingular, NoConvergence, StepSizeUnderflow
 from .grids import PanelGrid, graded_edges
 from .potentials import Potential1D
-from .triple_core import _BATCH_CHUNK, TripleModel
+from .triple_core import TripleModel
 
 # |f'| at the far end of a one-sided Neumann shot at or below this many
 # times rtol times max(1, k), as a fraction of max(|f|, |f'|, 1) there, means
@@ -115,27 +115,35 @@ def dp45_integrate(rhs, x_start, x_end, y0, rtol, atol, sample_points=None):
     stops = sorted(set(ahead) | {float(x_end)}, reverse=sign < 0)
 
     solver = None
-    for stop in stops:
-        if solver is None:  # it picks its own initial step
-            solver = DOP853(rhs, x, y, stop, rtol=rtol, atol=atol)
-            # from a NaN state or rhs the step is NaN, and step() never ends
-            if not np.isfinite(solver.h_abs):
-                raise StepSizeUnderflow(f"first step is not finite (x = {x:.6g})")
-        else:
-            # what a fresh solver started at x with first_step=min(h, |stop - x|)
-            # would do: the same clipped step from the same derivative
-            solver.t_bound, solver.status = stop, "running"
-            solver.h_abs = min(solver.h_abs, abs(stop - x))
-        while solver.status == "running":
-            message = solver.step()
-        if solver.status == "failed":
-            raise StepSizeUnderflow(f"{message} (x = {solver.t:.6g})")
-        # the FSAL derivative was taken at t_old + (stop - t_old), which can
-        # miss the stop by an ulp; a fresh solver would take it at the stop
-        if solver.t_old + (stop - solver.t_old) != stop:
-            solver.f = solver.fun(stop, solver.y)
-        x, y = stop, solver.y
-        samples[stop] = y
+    # one context per integration, not per leg; past double range the
+    # solver would step on through inf and NaN and fail on its step size
+    try:
+        with np.errstate(over="raise"):
+            for stop in stops:
+                if solver is None:  # it picks its own initial step
+                    solver = DOP853(rhs, x, y, stop, rtol=rtol, atol=atol)
+                    # a NaN state or rhs gives a NaN step; step() never ends
+                    if not np.isfinite(solver.h_abs):
+                        raise StepSizeUnderflow(
+                            f"first step is not finite (x = {x:.6g})")
+                else:
+                    # a fresh solver at x with first_step=min(h, |stop - x|)
+                    # takes the same clipped step from the same derivative
+                    solver.t_bound, solver.status = stop, "running"
+                    solver.h_abs = min(solver.h_abs, abs(stop - x))
+                while solver.status == "running":
+                    message = solver.step()
+                if solver.status == "failed":
+                    raise StepSizeUnderflow(f"{message} (x = {solver.t:.6g})")
+                # the FSAL derivative was taken at t_old + (stop - t_old),
+                # an ulp off the stop at worst; a fresh solver takes it there
+                if solver.t_old + (stop - solver.t_old) != stop:
+                    solver.f = solver.fun(stop, solver.y)
+                x, y = stop, solver.y
+                samples[stop] = y
+    except FloatingPointError as exc:
+        raise NoConvergence(f"the state left double range ({exc}) near x = "
+                            f"{x if solver is None else solver.t:.6g}") from exc
 
     out = np.array([samples[float(p)] for p in sample_points],
                    dtype=complex).reshape(len(sample_points), y.size)
@@ -270,35 +278,20 @@ class Shoot1dModel(TripleModel):
         dfL = a * phi.df_end
         return self._assemble(values, f0, df0, fL, dfL)
 
-    def weyl_batch(self, lams, tilde=False):
-        """Weyl matrices at every point of ``lams`` from the endpoint values
-        of the two shots alone,
+    def _weyl_chunk(self, lams, tilde):
+        """Weyl matrices of a chunk of points from the endpoint values of
+        the two shots alone,
 
             M = [[-psi(0) / psi'(0), 1 / phi'(L)],
                  [-1 / psi'(0),      phi(L) / phi'(L)]],
 
-        with the shots of each chunk of at most ``_BATCH_CHUNK`` points
-        stacked into one DOP853 solve per side, so that V is evaluated once
-        per stage for the whole chunk. The grid nodes stay step ends, as in
-        a shot, so that near a Neumann eigenvalue both paths carry errors
-        of the same size and agree on the matching guard. A point gets a
-        NaN row where the
-        result is not finite or where the matching guard of ``solve_bvp``
-        fails (the Neumann spectrum). A chunk whose stacked solve fails
-        falls back to the point-wise default.
+        with the shots of every point stacked into one DOP853 solve per
+        side, so that V is evaluated once per stage for the whole chunk.
+        The grid nodes stay step ends, as in a shot, so that near a Neumann
+        eigenvalue both paths carry errors of the same size and agree on
+        the matching guard. A point gets a NaN row where M is not finite or
+        the matching guard of ``solve_bvp`` fails (the Neumann spectrum).
         """
-        lams = np.asarray(lams, dtype=complex).ravel()
-        out = np.empty((len(lams), 2, 2), dtype=complex)
-        for start in range(0, len(lams), _BATCH_CHUNK):
-            chunk = lams[start:start + _BATCH_CHUNK]
-            try:
-                out[start:start + len(chunk)] = self._weyl_stack(chunk, tilde)
-            except StepSizeUnderflow:
-                out[start:start + len(chunk)] = TripleModel.weyl_batch(
-                    self, chunk, tilde)
-        return out
-
-    def _weyl_stack(self, lams, tilde):
         cfg = self._config_tilde if tilde else self.config
         vfun = cfg.potential
         n = len(lams)
@@ -316,12 +309,11 @@ class Shoot1dModel(TripleModel):
                                   self._stops)
         phi, dphi = left[:n], left[n:]    # at x = L
         psi, dpsi = right[:n], right[n:]  # at x = 0
-        with np.errstate(all="ignore"):
-            m = np.stack([-psi / dpsi, 1.0 / dphi, -1.0 / dpsi, phi / dphi],
-                         axis=1).reshape(n, 2, 2)
-            bad = (~np.isfinite(m).all(axis=(1, 2))
-                   | self._matching_singular(lams, phi, dphi)
-                   | self._matching_singular(lams, psi, dpsi))
+        m = np.stack([-psi / dpsi, 1.0 / dphi, -1.0 / dpsi, phi / dphi],
+                     axis=1).reshape(n, 2, 2)
+        bad = (~np.isfinite(m).all(axis=(1, 2))
+               | self._matching_singular(lams, phi, dphi)
+               | self._matching_singular(lams, psi, dpsi))
         m[bad] = np.nan
         return m
 

@@ -110,9 +110,9 @@ def fit_log_slope(points):
     """Least-squares line through (log x, log y).
 
     ``points`` is a sequence of (x, y) pairs, all positive, at least three
-    of them. Returns (slope, intercept, residual) where residual is the
-    root-mean-square misfit in log-log coordinates. Raises DegenerateInput
-    when every x coincides (no abscissa spread to fit against).
+    of them. Returns (slope, intercept, stderr), stderr the standard error
+    of the slope. Raises DegenerateInput when every x coincides (no
+    abscissa spread to fit against).
     """
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
@@ -124,9 +124,9 @@ def fit_log_slope(points):
     if np.ptp(lx) == 0.0:
         raise DegenerateInput("all x values coincide; slope is undefined")
     slope, intercept = np.polyfit(lx, ly, 1)
-    misfit = ly - (slope * lx + intercept)
-    residual = float(np.sqrt(np.mean(misfit**2)))
-    return float(slope), float(intercept), residual
+    sigma2 = np.sum((ly - (intercept + slope * lx)) ** 2) / (len(lx) - 2)
+    spread = np.sum((lx - lx.mean()) ** 2)
+    return float(slope), float(intercept), float(np.sqrt(sigma2 / spread))
 
 
 def complex_newton(f, z0, tol, fprime=None, max_iter=50):

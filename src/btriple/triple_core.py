@@ -69,8 +69,8 @@ _HANKEL_RTOL = 1e-10
 # this fraction of its largest (condition number past 1e14)
 _SPECTRUM_HIT_REL = 1e-14
 
-# spectral points per vectorized weyl_batch pass (fd1d, shoot1d); bounds
-# the pass's working arrays
+# spectral points per _weyl_chunk call of weyl_batch; bounds the working
+# arrays of a family's vectorized kernel
 _BATCH_CHUNK = 256
 
 
@@ -100,23 +100,26 @@ class TripleModel(abc.ABC):
     bracket for ``green_defect``; ``dense_robin(b, tilde=False)``, the
     dense matrix of A_B (A~_B with ``tilde``) on carrier slots 1..m, m its
     order; ``reference_robin_eigs(beta)``, closed-form Robin eigenvalues at
-    B = beta I. The harness gates its oracle checks on these hooks.
+    B = beta I; ``_weyl_chunk(lams, tilde)``, the vectorized kernel of
+    ``weyl_batch``. The harness gates its oracle checks on these hooks.
 
     ``weyl_batch(lams, tilde=False)`` returns the Weyl matrices M(lambda)
     (M~(lambda) with ``tilde``) of a whole vector of spectral points as one
     (N, d, d) stack, d = boundary_dim. A point where the model cannot
     evaluate M, i.e. one on the Neumann spectrum, gets an all-NaN row
-    instead of an exception, so one bad node never aborts a batch. The
-    default evaluates the points one at a time. fd1d overrides it with one
-    Thomas sweep and shoot1d with one stacked DOP853 solve per side, each
-    per chunk of at most ``_BATCH_CHUNK`` points; the V = 0 disk with its
-    closed Bessel form over the whole array (a disk with a potential keeps
-    the default loop). ``robin_eigs`` evaluates M only through this call.
+    instead of an exception, so one bad node never aborts a batch. It hands
+    chunks of at most ``_BATCH_CHUNK`` points to the family's vectorized
+    ``_weyl_chunk``, which gives those NaN rows itself (fd1d: one Thomas
+    sweep; shoot1d: one stacked DOP853 solve per side; the V = 0 disk: its
+    closed Bessel form), and evaluates point by point a chunk whose kernel
+    raises a BTripleError, and every chunk of a model without a kernel.
+    ``robin_eigs`` evaluates M only through this call.
     """
 
     green_pairing_defect = None
     dense_robin = None
     reference_robin_eigs = None
+    _weyl_chunk = None
 
     # -- structure ---------------------------------------------------------
 
@@ -247,15 +250,25 @@ class TripleModel(abc.ABC):
 
     def weyl_batch(self, lams, tilde=False):
         """Weyl matrices at every point of ``lams`` as an (N, d, d) stack;
-        NaN rows where the point-wise evaluation fails."""
+        NaN rows where the model cannot evaluate M (class docstring)."""
         lams = np.asarray(lams, dtype=complex).ravel()
         dim = self.boundary_dim
         out = np.full((len(lams), dim, dim), np.nan, dtype=complex)
-        for k, lam in enumerate(lams):
-            try:
-                out[k] = _weyl_matrix(self, complex(lam), tilde)
-            except BTripleError:
-                continue  # Neumann-spectrum point; leave the NaN row
+        # a NaN row's inf and NaN arithmetic is expected, not a warning
+        with np.errstate(all="ignore"):
+            for start in range(0, len(lams), _BATCH_CHUNK):
+                rows = slice(start, start + _BATCH_CHUNK)
+                if self._weyl_chunk is not None:
+                    try:
+                        out[rows] = self._weyl_chunk(lams[rows], tilde)
+                        continue
+                    except BTripleError:
+                        pass  # evaluate this chunk point by point
+                for k, lam in enumerate(lams[rows], start):
+                    try:
+                        out[k] = _weyl_matrix(self, complex(lam), tilde)
+                    except BTripleError:
+                        continue  # Neumann-spectrum point; leave the NaN row
         return out
 
     def boundary_basis(self):
@@ -363,6 +376,7 @@ class SectorialFactorization:
     lam: float
     c1_norm: float
     defect: float
+    resolvent_norm: float
 
 
 # -- gamma field and Weyl function ----------------------------------------
@@ -755,16 +769,16 @@ def sectorial_factorization(model, lam):
     is an independent LU solve of H_N + V - lam, so the reported defect is
     the rounding gap between two separate computations; c1_norm <= 1/2 is
     the contraction property that makes (I + C1) invertible by Neumann
-    series. Block models are processed per block and the norms/defects are
-    the maxima over blocks.
+    series; resolvent_norm = 1 / sigma_min(H_N + V - lam) is its scale.
+    Block models are processed per block and the norms/defects are the
+    maxima over blocks.
     """
     lam = float(lam)
     if lam >= model.certified_threshold():
         raise NotCertified(
             f"sectorial factorization requires lambda < {model.certified_threshold():.6g}"
         )
-    c1_norm = 0.0
-    defect = 0.0
+    c1_norm = defect = resolvent_norm = 0.0
     spectra = _spectra_below(model, lam)
     for block, (hn, v) in zip(spectra, model.hn_v_blocks()):
         c1_norm = max(c1_norm, _c1_norm(block, lam))
@@ -772,11 +786,14 @@ def sectorial_factorization(model, lam):
         k = block.support
         c1 = s[:, k] @ block.v_kk @ s[k, :]
         eye = np.eye(s.shape[0], dtype=complex)
-        resolvent = solve_linear(np.asarray(hn) + np.asarray(v) - lam * eye,
-                                 eye)
+        shifted = np.asarray(hn) + np.asarray(v) - lam * eye
+        resolvent = solve_linear(shifted, eye)
         factored = s @ solve_linear(eye + c1, s)
         defect = max(defect, float(sla.svdvals(resolvent - factored).max()))
-    return SectorialFactorization(lam=lam, c1_norm=c1_norm, defect=defect)
+        resolvent_norm = max(resolvent_norm,
+                             1.0 / smallest_singular_value(shifted))
+    return SectorialFactorization(lam=lam, c1_norm=c1_norm, defect=defect,
+                                  resolvent_norm=resolvent_norm)
 
 
 def c1_norm_at(model, lam):
@@ -825,7 +842,7 @@ def weyl_decay_study(model, lam_list, allow_uncertified=False):
     """Sample ||M(lambda)|| along real lam_list -> -inf and fit the log-log
     decay line. Returns (points, fit): points are the (|lambda|,
     ||M(lambda)||) pairs, fit is fit_log_slope's (slope, intercept,
-    residual) over them. Only M is evaluated, not M~."""
+    stderr) over them. Only M is evaluated, not M~."""
     points = []
     for lam in lam_list:
         lam = _as_lambda(model, lam, allow_uncertified, "weyl_decay_study")

@@ -3,7 +3,9 @@
 Everything here is deliberately built from a different route than the package:
 mpmath special functions, closed-form solutions of the half-line and interval
 problems, characteristic polynomials via Faddeev-LeVerrier, and direct 2x2
-interface matching for the disk modes.  None of it imports btriple.
+interface matching for the disk modes.  None of it imports btriple, except
+pointwise_weyl: the per-point reference that weyl_batch's chunk kernels are
+compared with.
 """
 from __future__ import annotations
 
@@ -323,3 +325,25 @@ def bisect_real(fn, a, b, iters=200):
         else:
             a, fa = c, fc
     return 0.5 * (a + b)
+
+
+# ---------------------------------------------------------------------------
+# weyl_batch without a chunk kernel
+# ---------------------------------------------------------------------------
+
+def pointwise_weyl(model, lams, tilde=False):
+    """The package's point-wise Weyl matrix (triple_core._weyl_matrix) at
+    every point of lams as an (N, d, d) stack, with an all-NaN row where it
+    raises a BTripleError: weyl_batch with no vectorized kernel."""
+    from btriple import BTripleError
+    from btriple.triple_core import _weyl_matrix
+
+    lams = np.asarray(lams, dtype=complex).ravel()
+    dim = model.boundary_dim
+    out = np.full((len(lams), dim, dim), np.nan, dtype=complex)
+    for k, lam in enumerate(lams):
+        try:
+            out[k] = _weyl_matrix(model, complex(lam), tilde)
+        except BTripleError:
+            pass
+    return out

@@ -211,6 +211,16 @@ class TestDiskWeylReach:
         assert _run(tmp_path, "weyl", config, "--allow-uncertified") == \
             cli.EXIT_SOLVER
 
+    def test_shoot1d_past_double_range_exits_3(self, tmp_path, capsys):
+        # the shot's cosh(sqrt(5e5) x) overflows before x = 1: a solver
+        # failure that names its cause, not a step-size underflow
+        config = {"model": {"family": "shoot1d", "panels": 4, "order": 12,
+                            "fd_nodes": 128},
+                  "lambda": {"points": [-5e5]}}
+        assert _run(tmp_path, "weyl", config, "--allow-uncertified") == \
+            cli.EXIT_SOLVER
+        assert "double range" in capsys.readouterr().err
+
 
 class TestHelp:
     @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])

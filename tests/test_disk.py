@@ -185,6 +185,15 @@ class TestZeroPotentialBatch:
         # [0, inf) holds no exterior K_k data, but is regular inside
         assert np.isnan(batch[2]).all() == (side == "exterior")
 
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_chunks_are_solved_independently(self, side, disk_int_v0,
+                                             disk_ext_v0):
+        model = disk_int_v0 if side == "interior" else disk_ext_v0
+        lams = -20.0 + 15.0 * np.exp(2j * np.pi * (np.arange(300) + 0.5) / 300)
+        whole = model.weyl_batch(lams)
+        assert np.array_equal(whole[:256], model.weyl_batch(lams[:256]))
+        assert np.array_equal(whole[256:], model.weyl_batch(lams[256:]))
+
 
 class TestFarNegativeAxis:
     """|lambda| >= 5e5 puts |s| past 700, where the unscaled I_k and K_k

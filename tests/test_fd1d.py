@@ -242,3 +242,9 @@ class TestWeylBatch:
             batch = fd_v0.weyl_batch([0.0, -1.0])
         assert np.isnan(batch[0]).all()
         assert np.allclose(batch[1], weyl(fd_v0, -1.0).m, rtol=1e-12)
+
+    def test_chunks_are_solved_independently(self, fd_v0):
+        lams = -20.0 + 15.0 * np.exp(2j * np.pi * (np.arange(300) + 0.5) / 300)
+        whole = fd_v0.weyl_batch(lams)
+        assert np.array_equal(whole[:256], fd_v0.weyl_batch(lams[:256]))
+        assert np.array_equal(whole[256:], fd_v0.weyl_batch(lams[256:]))

@@ -120,6 +120,7 @@ class ForwardingModel(TripleModel):
     green_pairing_defect = _forward("green_pairing_defect")
     dense_robin = _forward("dense_robin")
     reference_robin_eigs = _forward("reference_robin_eigs")
+    _weyl_chunk = _forward("_weyl_chunk")
     v_sup_proxy = _delegate("v_sup_proxy")
     _apply = _delegate("_apply")
     trace0 = _delegate("trace0")
@@ -132,7 +133,6 @@ class ForwardingModel(TripleModel):
     certified_threshold = _delegate("certified_threshold")
     random_domain_vector = _delegate("random_domain_vector")
     mode_weyl_values = _delegate("mode_weyl_values")
-    weyl_batch = _delegate("weyl_batch")
     boundary_basis = _delegate("boundary_basis")
     hnorm = _delegate("hnorm")
 
@@ -296,14 +296,15 @@ def _load_tracing(monkeypatch):
 
 
 class TestBenchmarkRound:
-    def test_one_disk_round_has_no_problem(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["fd1d", "shoot1d", "disk"])
+    def test_one_round_has_no_problem(self, monkeypatch, name):
         # the benchmark's own output checks: Weyl and eigenvalue references,
         # every record passing, strict JSON, one CSV row per record
         perfbench = Path(__file__).resolve().parents[1] / "perfbench"
         monkeypatch.setattr(sys, "dont_write_bytecode", True)
         monkeypatch.syspath_prepend(str(perfbench))
         workloads = importlib.import_module("workloads")
-        workload = workloads.WORKLOADS["disk"]()
+        workload = workloads.WORKLOADS[name]()
         rnd = workloads.run_round(workload, workloads.make_inputs(workload, 1))
         assert rnd.problems == []
         assert rnd.failed == 0

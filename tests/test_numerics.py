@@ -1,6 +1,7 @@
 """Dense linear algebra helpers, log-log fitting, and the Newton solver."""
 import numpy as np
 import pytest
+from scipy.stats import linregress
 
 from btriple import (
     DegenerateInput,
@@ -177,16 +178,27 @@ class TestHermInvSqrt:
 class TestFitLogSlope:
     def test_exact_power_law(self):
         xs = np.array([1.0, 10.0, 100.0, 1000.0])
-        slope, intercept, residual = fit_log_slope([(x, 7.0 / x) for x in xs])
+        slope, intercept, stderr = fit_log_slope([(x, 7.0 / x) for x in xs])
         assert slope == pytest.approx(-1.0, abs=1e-12)
         assert intercept == pytest.approx(np.log(7.0), abs=1e-12)
-        assert residual < 1e-12
+        assert stderr < 1e-12
 
     def test_half_power(self):
         xs = np.geomspace(1.0, 1e4, 9)
-        slope, _, residual = fit_log_slope([(x, x**-0.5) for x in xs])
+        slope, _, stderr = fit_log_slope([(x, x**-0.5) for x in xs])
         assert slope == pytest.approx(-0.5, abs=1e-12)
-        assert residual < 1e-12
+        assert stderr < 1e-12
+
+    def test_noisy_fit_matches_linregress(self):
+        rng = np.random.default_rng(3)
+        xs = np.geomspace(4.0, 4.0**8, 8)
+        ys = 2.0 * xs**-0.5 * np.exp(0.05 * rng.standard_normal(len(xs)))
+        slope, intercept, stderr = fit_log_slope(zip(xs, ys))
+        want = linregress(np.log(xs), np.log(ys))
+        assert slope == pytest.approx(want.slope, rel=1e-12)
+        assert intercept == pytest.approx(want.intercept, rel=1e-12)
+        assert stderr == pytest.approx(want.stderr, rel=1e-10)
+        assert stderr > 1e-3
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):

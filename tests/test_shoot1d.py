@@ -15,10 +15,10 @@ import btriple.model_shoot1d as model_shoot1d
 from btriple import (
     BoundaryOperator,
     MatchingSingular,
+    NoConvergence,
     Potential1D,
     ShootConfig,
     StepSizeUnderflow,
-    TripleModel,
     build_fd1d,
     build_shoot1d,
     dp45_integrate,
@@ -37,6 +37,7 @@ from .oracles import (
     ROBIN_LAMS_POS,
     SINH1,
     interval_weyl_v0,
+    pointwise_weyl,
 )
 
 
@@ -344,8 +345,7 @@ class TestWeylBatch:
                 weyl(model, lam, allow_uncertified=True)
             assert np.isnan(model.weyl_batch([lam])).all()
             near = [lam - 1e-6, lam + 1e-6]
-            for m in (model.weyl_batch(near),
-                      TripleModel.weyl_batch(model, near)):
+            for m in (model.weyl_batch(near), pointwise_weyl(model, near)):
                 assert np.isfinite(m).all()
 
     def test_guard_scales_with_the_mode_number(self, shoot_bench_v0, shoot_v0):
@@ -395,7 +395,7 @@ class TestWeylBatch:
                               panels=4, order=12, fd_nodes=128)
         lams = np.concatenate([_circle(8), [-5.0, -500.0]])
         got = model.weyl_batch(lams)
-        want = TripleModel.weyl_batch(tight, lams)
+        want = pointwise_weyl(tight, lams)
         assert np.abs(got - want).max() <= 1e-9
 
     def test_shots_step_onto_the_jumps_of_a_power_potential(self):
@@ -407,7 +407,7 @@ class TestWeylBatch:
         tight = build_shoot1d(ShootConfig(potential=pot, rtol=1e-12),
                               panels=4, order=12, fd_nodes=128)
         lams = np.concatenate([_circle(8), _circle(32)[[12, 26]], [-5.0, -500.0]])
-        got = TripleModel.weyl_batch(model, lams)
+        got = pointwise_weyl(model, lams)
         want = tight.weyl_batch(lams)
         rel = (np.abs(got - want).max(axis=(1, 2))
                / np.abs(want).max(axis=(1, 2)))
@@ -434,9 +434,30 @@ class TestWeylBatch:
         monkeypatch.setattr(model_shoot1d, "dp45_integrate", stacked_fails)
         lams = np.array([-1.0, 5.0 + 3.0j, 0.0])
         got = shoot_bench_v0.weyl_batch(lams)
-        want = TripleModel.weyl_batch(shoot_bench_v0, lams)
+        want = pointwise_weyl(shoot_bench_v0, lams)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.isnan(got[2]).all()
+
+
+class TestFarNegativeAxis:
+    """Past lambda = -4.9e5 the shots' cosh(sqrt(-lambda) x) leaves double
+    range before x = L: the integration stops there, and says so."""
+
+    @pytest.mark.parametrize("lam", [-5e5, -1e6])
+    def test_overflow_fails_to_converge(self, shoot_bench_v0, lam):
+        # with no RuntimeWarning first: tier-1 makes each one an error
+        with pytest.raises(NoConvergence, match="double range"):
+            weyl(shoot_bench_v0, lam, allow_uncertified=True)
+
+    def test_overflow_gets_a_nan_row(self, shoot_bench_v0):
+        got = shoot_bench_v0.weyl_batch([-5e5, -1.0])
+        assert np.isnan(got[0]).all()
+        assert np.abs(got[1] - interval_weyl_v0(-1.0)).max() < 1e-12
+
+    def test_last_point_in_range_matches_closed_form(self, shoot_bench_v0):
+        got = weyl(shoot_bench_v0, -4.5e5, allow_uncertified=True).m
+        want = interval_weyl_v0(-4.5e5)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestRobinScan:

@@ -1,6 +1,8 @@
 """Model-independent boundary-triple operations: gamma fields, Weyl maps and
 their identities, Krein resolvents, eigenvalue location, and the sectorial
 factorization, exercised over all three model families."""
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -9,6 +11,7 @@ from btriple import (
     BirmanSchwingerSingular,
     BoundaryOperator,
     DiskModelConfig,
+    Fd1dModel,
     NoConvergence,
     NotAnEigenvalue,
     NotCertified,
@@ -16,7 +19,6 @@ from btriple import (
     Potential1D,
     ShootConfig,
     SpectralPoint,
-    TripleModel,
     bs_kernel_lift,
     build_disk,
     build_fd1d,
@@ -54,6 +56,7 @@ from .oracles import (
     ROBIN_KS,
     ROBIN_LAM_NEG,
     ROBIN_LAMS_POS,
+    pointwise_weyl,
     robin_eigenfunction_neg,
     robin_eigenfunction_pos,
 )
@@ -496,11 +499,61 @@ class TestWeylBatchDefault:
         for lam, m in zip(lams, batch):
             assert np.array_equal(m, _weyl_matrix(disk_int_const, lam, False))
 
-    def test_failed_point_gives_nan_row(self, fd_v0):
-        # the contract's own loop, not the fd1d sweep
-        batch = TripleModel.weyl_batch(fd_v0, [0.0, -1.0])
+    def test_failed_point_gives_nan_row(self, fd_v0, monkeypatch):
+        # the contract's own loop, which takes over where the fd1d sweep fails
+        monkeypatch.setattr(Fd1dModel, "_weyl_chunk", _refused)
+        batch = fd_v0.weyl_batch([0.0, -1.0])
         assert np.isnan(batch[0]).all()
         assert np.array_equal(batch[1], weyl(fd_v0, -1.0).m)
+
+    def test_failed_kernel_falls_back_to_pointwise(self, fd_v0, monkeypatch):
+        monkeypatch.setattr(Fd1dModel, "_weyl_chunk", _refused)
+        lams = np.concatenate([[0.0, np.nan], _circle(298)])
+        assert np.array_equal(fd_v0.weyl_batch(lams),
+                              pointwise_weyl(fd_v0, lams), equal_nan=True)
+
+    def test_only_the_failed_chunk_falls_back(self, fd_v0, monkeypatch):
+        lams = _circle(300)
+        swept = fd_v0.weyl_batch(lams)
+        sweep = Fd1dModel._weyl_chunk
+
+        def short_chunk_fails(model, chunk, tilde):
+            if len(chunk) < 256:
+                raise NoConvergence("short chunk refused")
+            return sweep(model, chunk, tilde)
+
+        monkeypatch.setattr(Fd1dModel, "_weyl_chunk", short_chunk_fails)
+        got = fd_v0.weyl_batch(lams)
+        assert np.array_equal(got[:256], swept[:256])
+        assert np.array_equal(got[256:], pointwise_weyl(fd_v0, lams[256:]))
+        # the sweep rounds otherwise than the banded solve
+        assert not np.array_equal(got[256:], swept[256:])
+
+    @pytest.mark.parametrize("fixture, points", [
+        ("fd_v0", [0.0]),
+        ("shoot_v0", [0.0, np.pi**2]),
+        ("disk_int_v0", [0.0]),
+        ("disk_ext_v0", [0.0, 5.0]),
+        ("disk_int_const", []),
+    ])
+    def test_nan_and_neumann_points_raise_no_warning(self, fixture, points,
+                                                     request):
+        # NaN, inf and zero pivots in a NaN row are expected, not warnings
+        model = request.getfixturevalue(fixture)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = model.weyl_batch([np.nan, *points, -1.0])
+        assert np.isnan(batch[:-1]).all()
+        assert np.isfinite(batch[-1]).all()
+
+
+def _refused(model, lams, tilde):
+    raise NoConvergence("chunk kernel refused")
+
+
+def _circle(count, center=-20.0, radius=15.0):
+    return center + radius * np.exp(2j * np.pi * (np.arange(count) + 0.5)
+                                    / count)
 
 
 class TestSectorialFactorization:
