@@ -34,7 +34,7 @@ from .errors import (BirmanSchwingerSingular, BTripleError, ConfigError,
 from .harness import (SuiteConfig, VerificationReport, _as_complex,
                       _as_numbers, decay_samples_csv, model_from_spec,
                       run_bs_cross_check, run_decay_suite, run_identity_suite)
-from .triple_core import BoundaryOperator, SpectralPoint
+from .triple_core import BoundaryOperator
 
 WEYL_CSV_SCHEMA = "btriple-weyl-csv/1"
 RESOLVE_CSV_SCHEMA = "btriple-resolve-csv/1"
@@ -176,16 +176,6 @@ def _write(path, text):
     print(f"wrote {path}")
 
 
-def _gate_lambda(model, lam, allow):
-    point = SpectralPoint.at(model, lam)
-    if not point.certified and not allow:
-        raise ConfigError(
-            f"lambda = {point.value} is outside the certified half-line "
-            f"(-inf, {model.certified_threshold():.6g}); rerun with "
-            "--allow-uncertified to evaluate anyway")
-    return point.value
-
-
 def cmd_weyl(args):
     config = CliConfig.load(args.config)
     model = config.build_model()
@@ -202,9 +192,8 @@ def cmd_weyl(args):
         ",".join(header),
     ]
     for lam in config.lambda_points:
-        lam = _gate_lambda(model, lam, args.allow_uncertified)
-        ws = tc.weyl(model, lam, allow_uncertified=True)
-        row = [_fmt(lam.real), _fmt(lam.imag)]
+        ws = tc.weyl(model, lam, allow_uncertified=args.allow_uncertified)
+        row = [_fmt(ws.lam.real), _fmt(ws.lam.imag)]
         for value in ws.m.reshape(-1):
             row.extend([_fmt(value.real), _fmt(value.imag)])
         row.append(_fmt(ws.norm))
@@ -218,15 +207,12 @@ def cmd_resolve(args):
     model = config.build_model()
     if not config.lambda_points:
         raise ConfigError("resolve needs at least one lambda point")
-    lam = _gate_lambda(model, config.lambda_points[0], args.allow_uncertified)
+    lam = config.lambda_points[0]
     b = config.boundary_operator(model.boundary_dim)
     rng = np.random.default_rng(args.seed)
     f = np.asarray(model.random_domain_vector(rng), dtype=complex)
-    if np.any(b.matrix):
-        u = tc.krein_resolvent(model, b, lam, f, allow_uncertified=True)
-    else:
-        # B = 0 is the Neumann realization itself
-        u = model.neumann_resolvent(lam, f)
+    u = tc.krein_resolvent(model, b, lam, f,
+                           allow_uncertified=args.allow_uncertified)
     res = model.apply_T(u) - lam * u
     residual = model.hnorm(res - f) / max(model.hnorm(f), 1e-300)
     t0 = model.trace0(u)
@@ -351,8 +337,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, InvalidPotential, NotCertified) as exc:
+    except (ConfigError, InvalidPotential) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NotCertified as exc:
+        print(f"config error: {exc}; on the command line, rerun with "
+              "--allow-uncertified", file=sys.stderr)
         return EXIT_CONFIG
     except (BirmanSchwingerSingular, MatchingSingular, NotAnEigenvalue) as exc:
         print(f"spectral singularity: {exc}", file=sys.stderr)

@@ -105,10 +105,6 @@ class PanelGrid:
     def panel_slice(self, p):
         return slice(p * self.order, (p + 1) * self.order)
 
-    def integrate(self, values):
-        """Integral over the whole grid of the sampled function."""
-        return np.asarray(values) @ self.weights
-
     def diff(self):
         """Block-diagonal differentiation matrix (per-panel interpolant)."""
         if self._diff is None:

@@ -7,13 +7,15 @@ report is always complete. A suite builds each configured model and hands
 it to a per-model body that writes its records through ``_Records``:
 ``add`` appends a record at the configured tolerance, and a check that can
 fail runs inside ``guard(check, params, *siblings)``, which turns a
-BTripleError into a failing record (defect inf, the error text added to its
-params) for that check and every sibling check its body writes, so which
-records a run writes does not depend on which checks fail. A fixed seed
-makes the whole run deterministic: random draws come from SeedSequence
-children spawned per model and check family in a fixed order, and the
-checks run one after another in that order, so re-running with the same
-configuration produces byte-identical JSON up to the timing subtree.
+BTripleError, or the ValueError of a library input gate (the non-finite
+points of a model whose certified threshold is -inf), into a failing record
+(defect inf, the error text added to its params) for that check and every
+sibling check its body writes, so which records a run writes does not
+depend on which checks fail. A fixed seed makes the whole run
+deterministic: random draws come from SeedSequence children spawned per
+model and check family in a fixed order, and the checks run one after
+another in that order, so re-running with the same configuration produces
+byte-identical JSON up to the timing subtree.
 Non-finite numbers (the defect of a failing record, for one) are written
 as JSON null, so a report is strict JSON whether or not its checks pass.
 """
@@ -125,6 +127,12 @@ _DEFAULT_TOLERANCES = {
     ("bs_kernel_residual", "fd1d"): 1e-9,
     ("bs_kernel_residual", "*"): 1e-7,
 }
+
+# the keys a tolerance override may take: "check" or "check:kind", with kind
+# the TripleModel.kind of a family
+_OVERRIDE_KEYS = {check + suffix for check, _ in _DEFAULT_TOLERANCES
+                  for suffix in ("", ":fd1d", ":shoot1d", ":disk-interior",
+                                 ":disk-exterior")}
 
 
 def _json_float(value):
@@ -278,53 +286,27 @@ class SuiteConfig:
     """What to verify: model specs, certified sample points, scan regions,
     tolerance overrides, and the seed that fixes every random draw."""
 
-    models: tuple = ((("model", "fd1d"),),)
+    models: tuple = ({"model": "fd1d"},)
     lambda_grid: tuple = (-0.7, -1.6, -3.5, -8.0)
     complex_scan_regions: tuple = ()
     tolerances: dict = field(default_factory=dict)
     seed: int = 7
 
     def __post_init__(self):
-        models = []
-        for spec in self.models:
-            if isinstance(spec, dict):
-                models.append(tuple(sorted(spec.items())))
-            else:
-                models.append(tuple(tuple(item) for item in spec))
-        object.__setattr__(self, "models", tuple(models))
         object.__setattr__(self, "lambda_grid",
                            tuple(float(v) for v in self.lambda_grid))
         regions = tuple(tuple(float(x) for x in region)
                         for region in self.complex_scan_regions)
         object.__setattr__(self, "complex_scan_regions", regions)
+        unknown = set(self.tolerances) - _OVERRIDE_KEYS
+        if unknown:
+            raise ConfigError(
+                f"unknown tolerance override keys {sorted(map(str, unknown))}: "
+                "a key is a check name, or check:kind with a model kind")
         for key, value in self.tolerances.items():
             if not value > 0.0:
                 raise ConfigError(f"tolerance override {key!r} must be positive")
         object.__setattr__(self, "seed", int(self.seed))
-
-    def model_specs(self):
-        return [dict(items) for items in self.models]
-
-    @classmethod
-    def from_dict(cls, data):
-        if not isinstance(data, dict):
-            raise ConfigError("suite config must be a mapping")
-        known = {"models", "lambda_grid", "complex_scan_regions",
-                 "tolerances", "seed"}
-        extra = set(data) - known
-        if extra:
-            raise ConfigError(f"unknown suite keys {sorted(extra)}")
-        kwargs = {}
-        if "models" in data:
-            kwargs["models"] = tuple(data["models"])
-        for key in ("lambda_grid", "complex_scan_regions"):
-            if key in data:
-                kwargs[key] = tuple(data[key])
-        if "tolerances" in data:
-            kwargs["tolerances"] = dict(data["tolerances"])
-        if "seed" in data:
-            kwargs["seed"] = int(data["seed"])
-        return cls(**kwargs)
 
     def tolerance(self, check, kind):
         for key in (f"{check}:{kind}", check):
@@ -359,17 +341,6 @@ class CheckRecord:
             "tolerance": _json_float(self.tolerance),
             "pass": bool(self.passed),
         }
-
-    @classmethod
-    def from_dict(cls, data):
-        # as_dict writes a non-finite defect (a failure) as null
-        def number(x):
-            return float("inf") if x is None else x
-
-        return cls(check_name=data["check_name"], model=data["model"],
-                   parameters=data["parameters"],
-                   defect=number(data["defect"]),
-                   tolerance=number(data["tolerance"]))
 
 
 def _environment():
@@ -420,11 +391,17 @@ class VerificationReport:
         data = json.loads(text)
         if data.get("schema") != REPORT_SCHEMA:
             raise ConfigError(f"unexpected report schema {data.get('schema')!r}")
-        records = [CheckRecord.from_dict(rec) for rec in data["records"]]
-        report = cls(records=records, summary=data["summary"],
-                     environment=data["environment"],
-                     timings=data.get("timings", {}))
-        return report
+        # as_dict writes a non-finite number (a failure's defect) as null
+        def number(x):
+            return float("inf") if x is None else x
+
+        records = [CheckRecord(
+            check_name=rec["check_name"], model=rec["model"],
+            parameters=rec["parameters"], defect=number(rec["defect"]),
+            tolerance=number(rec["tolerance"])) for rec in data["records"]]
+        return cls(records=records, summary=data["summary"],
+                   environment=data["environment"],
+                   timings=data.get("timings", {}))
 
     def to_csv(self):
         lines = [f"# {CSV_SCHEMA}", "check_name,model,defect,tolerance,pass"]
@@ -456,14 +433,15 @@ class _Records(list):
 
     @contextmanager
     def guard(self, check, params, *siblings):
-        """A BTripleError raised inside becomes a failing record (defect
-        inf, the error added to the params as they stand) for check and
-        for each sibling check the body writes too, except those it wrote
-        before the error; a run with failures keeps every record."""
+        """A BTripleError or ValueError raised inside becomes a failing
+        record (defect inf, the error added to the params as they stand)
+        for check and for each sibling check the body writes too, except
+        those it wrote before the error; a run with failures keeps every
+        record."""
         start = len(self)
         try:
             yield
-        except BTripleError as exc:
+        except (BTripleError, ValueError) as exc:
             written = {rec.check_name for rec in self[start:]}
             error = f"{type(exc).__name__}: {exc}"
             for name in (check,) + siblings:
@@ -477,7 +455,7 @@ def _run_suite(config, per_model):
     SeedSequence(config.seed)."""
     config = config or SuiteConfig()
     t0 = time.perf_counter()
-    specs = config.model_specs()
+    specs = [dict(spec) for spec in config.models]
     seeds = np.random.SeedSequence(config.seed).spawn(len(specs))
     records = []
     for spec, seed in zip(specs, seeds):

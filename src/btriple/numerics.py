@@ -53,28 +53,20 @@ def solve_linear(a, b):
     return sla.lu_solve((lu, piv), b)
 
 
-def eig_dense(a, return_vectors=False):
+def eig_dense(a):
     """Eigenvalues of a dense square matrix, sorted by (real, imag).
-
-    With ``return_vectors`` the matching right eigenvectors come back as
-    columns. Refuses matrices larger than 4000x4000.
-    """
+    Refuses matrices larger than 4000x4000 (ValueError); NoConvergence
+    when LAPACK's QR iteration does not converge."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected square matrix, got shape {a.shape}")
     if a.shape[0] > _EIG_DIM_CAP:
         raise ValueError(f"matrix dimension {a.shape[0]} exceeds {_EIG_DIM_CAP}")
     try:
-        if return_vectors:
-            w, v = sla.eig(a)
-        else:
-            w = sla.eigvals(a)
+        w = sla.eigvals(a)
     except sla.LinAlgError as exc:  # QR iteration cap exhausted
         raise NoConvergence(f"dense eigensolve did not converge: {exc}") from exc
-    order = np.lexsort((w.imag, w.real))
-    if return_vectors:
-        return w[order], v[:, order]
-    return w[order]
+    return w[np.lexsort((w.imag, w.real))]
 
 
 def smallest_singular_value(a):

@@ -78,15 +78,6 @@ class Potential1D:
     def is_zero(self):
         return self.kind == "constant" and self.params["c"] == 0.0
 
-    def is_real(self):
-        if self.kind == "constant":
-            return self.params["c"].imag == 0.0
-        if self.kind == "power":
-            return self.params["c"].imag == 0.0
-        if self.kind == "table":
-            return bool(np.all(self.params["values"].imag == 0.0))
-        return False  # callable: unknown, assume complex
-
     def conjugate(self):
         """The potential x -> conj(V(x))."""
         if self.kind == "constant":

@@ -18,6 +18,7 @@ the test suite pins each one to a model-specific tolerance.
 from __future__ import annotations
 
 import abc
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,32 +286,21 @@ def _unit(n, j):
     return e
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """A spectral parameter plus its certification status."""
-
-    value: complex
-    certified: bool
-
-    @classmethod
-    def at(cls, model, value):
-        value = complex(value)
-        certified = value.imag == 0.0 and value.real < model.certified_threshold()
-        return cls(value=value, certified=certified)
-
-
 def _as_lambda(model, lam, allow_uncertified, who):
-    if isinstance(lam, SpectralPoint):
-        point = SpectralPoint.at(model, lam.value)
-    else:
-        point = SpectralPoint.at(model, lam)
-    if not point.certified and not allow_uncertified:
+    """lam as a complex number, the one gate for spectral points: ValueError
+    when it is NaN or infinite, NotCertified when it is off the certified
+    half-line (-inf, xi) and allow_uncertified is not set."""
+    lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"{who}: lambda = {lam} is not finite")
+    certified = lam.imag == 0.0 and lam.real < model.certified_threshold()
+    if not certified and not allow_uncertified:
         raise NotCertified(
-            f"{who}: lambda = {point.value} is outside the certified half-line "
+            f"{who}: lambda = {lam} is outside the certified half-line "
             f"(-inf, {model.certified_threshold():.6g}); pass allow_uncertified=True "
             "to evaluate anyway"
         )
-    return point.value
+    return lam
 
 
 @dataclass(frozen=True)
@@ -333,10 +323,11 @@ class BoundaryOperator:
 
 
 def _bmatrix(b, dim):
-    if isinstance(b, BoundaryOperator):
-        m = b.matrix
-    else:
-        m = np.asarray(b, dtype=complex)
+    """The matrix of b, a BoundaryOperator or a raw array (checked square
+    and finite as one), as a dim-square complex array."""
+    if not isinstance(b, BoundaryOperator):
+        b = BoundaryOperator(matrix=b)
+    m = b.matrix
     if m.shape != (dim, dim):
         raise ValueError(f"boundary operator shape {m.shape} != ({dim}, {dim})")
     return m
@@ -640,13 +631,16 @@ def robin_eigs(model, b, region, grid):
     Raises NoConvergence when even the deepest cuts find no two agreeing
     levels, or meet a node where ``weyl_batch`` gives a NaN row (the
     Neumann spectrum) or I - B M is singular (an eigenvalue). ValueError
-    for a grid with fewer than 2 nodes per axis or a region that is a
-    single point.
+    for a grid with fewer than 2 nodes per axis, a region with a NaN or
+    infinite bound or that is a single point, and a B that is not a
+    square finite matrix of the boundary dimension.
     """
     region = tuple(map(float, region))
     n_re, n_im = grid = tuple(map(int, grid))
     if n_re < 2 or n_im < 2:
         raise ValueError("grid must have at least 2 nodes per axis")
+    if not np.all(np.isfinite(region)):
+        raise ValueError(f"region {list(region)} is not finite")
     if region[0] == region[1] and region[2] == region[3]:
         raise ValueError("region must not be a single point")
     bm = _bmatrix(b, model.boundary_dim)

@@ -131,6 +131,35 @@ class TestExitCodes:
             assert _run(tmp_path, "weyl", config, "--allow-uncertified") == \
                 cli.EXIT_SINGULAR
 
+    @pytest.mark.parametrize("command", ["weyl", "resolve"])
+    def test_uncertified_lambda_exits_2_naming_the_flag(self, tmp_path,
+                                                        capsys, command):
+        # the V = 0 fd1d threshold is -0.5
+        config = {"model": {"family": "fd1d", "n": 32},
+                  "lambda": {"points": [-0.3]}}
+        assert _run(tmp_path, command, config) == cli.EXIT_CONFIG
+        assert "--allow-uncertified" in capsys.readouterr().err
+
+
+class TestResolve:
+    @pytest.mark.parametrize("model", [
+        {"family": "fd1d", "n": 32},
+        {"family": "shoot1d", "panels": 2, "order": 8, "fd_nodes": 32},
+        {"family": "disk", "k_max": 2},
+    ])
+    def test_zero_b_is_the_neumann_resolvent(self, tmp_path, model):
+        # the default boundary operator is B = 0, and the Krein formula
+        # then gives the Neumann resolvent bit for bit
+        config = {"model": model, "lambda": {"points": [-1.5]}}
+        assert _run(tmp_path, "resolve", config, "--seed", "3") == cli.EXIT_OK
+        built = cli.CliConfig(config).build_model()
+        f = built.random_domain_vector(np.random.default_rng(3))
+        u = built.neumann_resolvent(-1.5 + 0j, np.asarray(f, dtype=complex))
+        want = [f"{i},{cli._fmt(v.real)},{cli._fmt(v.imag)}"
+                for i, v in enumerate(u)]
+        lines = (tmp_path / "resolve.csv").read_text().splitlines()
+        assert [line for line in lines[3:] if not line.startswith("#")] == want
+
 
 class TestVerifyReport:
     def test_fixed_seed_is_byte_identical(self, default_verify_twice):

@@ -32,11 +32,6 @@ class TestGrid:
         grid = FdGrid(n=96, length=1.0)
         assert grid.cells == 94
         assert grid.h == pytest.approx(1.0 / 94)
-        pos = grid.positions()
-        assert len(pos) == 96
-        assert pos[0] == 0.0
-        assert pos[-1] == 1.0
-        assert pos[1] == pytest.approx(grid.h / 2)
 
     def test_cell_edges_span_interval(self):
         grid = FdGrid(n=32, length=2.5)

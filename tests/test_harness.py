@@ -66,9 +66,36 @@ class TestReportJson:
 
 class TestSuiteConfig:
     def test_jobs_key_is_gone(self):
-        with pytest.raises(ConfigError):
-            SuiteConfig.from_dict({"jobs": 2})
-        assert SuiteConfig.from_dict({"seed": 3}).seed == 3
+        with pytest.raises(TypeError):
+            SuiteConfig(jobs=2)
+        assert SuiteConfig(seed=3).seed == 3
+
+    @pytest.mark.parametrize("key", ["gren_identity", "green_identity:fd1",
+                                     "green_identity:"])
+    def test_misspelt_tolerance_key_is_rejected(self, key):
+        with pytest.raises(ConfigError, match="unknown tolerance override"):
+            SuiteConfig(tolerances={key: 1e-30})
+
+    def test_tolerance_key_with_a_kind_is_accepted(self):
+        config = SuiteConfig(tolerances={"green_identity:fd1d": 1e-30,
+                                         "decay_exponent_bounded": 1e-3})
+        assert config.tolerance("green_identity", "fd1d") == 1e-30
+        assert config.tolerance("green_identity", "disk") == 1e-8
+
+
+class TestNoCertifiedThreshold:
+    def test_every_suite_still_writes_its_records(self):
+        # ||C1|| > 1/2 down to the end of the find_xi2 scan, so xi = -inf
+        # and the suites' sample points and regions are not finite: the
+        # library's gates raise ValueError, and the guard records it
+        spec = {"model": "fd1d", "n": 32,
+                "potential": {"kind": "constant", "value": [1e7, 0.0]}}
+        assert model_from_spec(spec).certified_threshold() == float("-inf")
+        config = SuiteConfig(models=(spec,), seed=7)
+        for suite, total in zip(_SUITES, (192, 1, 6)):
+            report = suite(config)
+            assert report.summary["total"] == total
+            assert not report.passed
 
 
 class TestModelKinds:

@@ -9,12 +9,10 @@ class TestConstruction:
     def test_zero(self):
         v = Potential1D.zero()
         assert v.is_zero
-        assert v.is_real()
 
     def test_constant_complex(self):
         v = Potential1D.constant(2.0 - 1.0j)
         assert not v.is_zero
-        assert not v.is_real()
         assert v(0.3) == 2.0 - 1.0j
 
     def test_constant_zero_collapses(self):
@@ -23,7 +21,6 @@ class TestConstruction:
     def test_callable(self):
         v = Potential1D.from_callable(lambda x: np.sin(x))
         assert v(np.pi / 2) == pytest.approx(1.0)
-        assert not v.is_real()  # callables are assumed complex
 
     def test_power_singularity_validation(self):
         Potential1D.power_singularity(1.0, 0.5, 0.4, 2.0)
@@ -37,7 +34,6 @@ class TestConstruction:
     def test_table(self):
         v = Potential1D.table(np.array([1.0, 2.0, 3.0]))
         assert not v.is_zero
-        assert v.is_real()
 
     def test_table_rejects_nonfinite(self):
         with pytest.raises(InvalidPotential):

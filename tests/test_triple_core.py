@@ -18,7 +18,6 @@ from btriple import (
     NotPositiveDefinite,
     Potential1D,
     ShootConfig,
-    SpectralPoint,
     bs_kernel_lift,
     build_disk,
     build_fd1d,
@@ -64,9 +63,10 @@ from .oracles import (
 
 class TestSpectralPoint:
     def test_certified_below_threshold(self, fd_v0):
-        assert SpectralPoint.at(fd_v0, -1.0).certified
-        assert not SpectralPoint.at(fd_v0, -0.3).certified
-        assert not SpectralPoint.at(fd_v0, -1.0 + 0.5j).certified
+        assert weyl(fd_v0, -1.0).lam == -1.0
+        for lam in (-0.3, -1.0 + 0.5j):
+            with pytest.raises(NotCertified):
+                weyl(fd_v0, lam)
 
     def test_uncertified_raises_by_default(self, fd_v0):
         with pytest.raises(NotCertified, match="certified half-line"):
@@ -74,11 +74,14 @@ class TestSpectralPoint:
         with pytest.raises(NotCertified):
             gamma(fd_v0, -2.0 + 1.0j, np.array([1.0, 0.0]))
 
-    def test_point_accepted_as_argument(self, fd_v0):
-        pt = SpectralPoint.at(fd_v0, -1.0)
-        a = weyl(fd_v0, pt).m
-        b = weyl(fd_v0, -1.0).m
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"),
+                                     complex(1.0, float("nan"))])
+    @pytest.mark.parametrize("model", ["fd_v0", "shoot_v0", "disk_int_const",
+                                       "disk_ext_v0"])
+    def test_non_finite_is_a_value_error(self, request, model, lam):
+        # not a Neumann-spectrum hit, even where no certification is asked
+        with pytest.raises(ValueError, match="not finite"):
+            weyl(request.getfixturevalue(model), lam, allow_uncertified=True)
 
 
 class TestBoundaryOperator:
@@ -93,6 +96,14 @@ class TestBoundaryOperator:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             BoundaryOperator(matrix=np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+    def test_robin_eigs_rejects_non_finite_input(self, fd_v0):
+        region, grid = (-4.0, -0.5, -0.1, 0.1), (25, 3)
+        with pytest.raises(ValueError, match="not finite"):
+            robin_eigs(fd_v0, np.eye(2), (-4.0, np.nan, -0.1, 0.1), grid)
+        with pytest.raises(ValueError, match="finite"):
+            robin_eigs(fd_v0, np.array([[np.nan, 0.0], [0.0, 1.0]]), region,
+                       grid)
 
 
 class TestGammaFields:
@@ -340,7 +351,7 @@ class TestBirmanSchwinger:
     def test_kernel_lift_matches_dense_eigenvector(self, fd_v0):
         rng = np.random.default_rng(5)
         b = 0.9 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        w, v = eig_dense(dense_robin_matrix(fd_v0, b=b), return_vectors=True)
+        w, v = sla.eig(dense_robin_matrix(fd_v0, b=b))
         j = int(np.argmin(np.abs(w)))
         lifts = bs_kernel_lift(fd_v0, b, w[j])
         assert len(lifts) == 1
