@@ -678,7 +678,7 @@ def _check_sectorial(out, model, lams, rng):
     for lam in lams[:3]:
         params = {"lambda": lam}
         with out.guard("sectorial_c1_bound", params, "sectorial_defect"):
-            fact = tc.sectorial_factorization(model, lam)
+            fact = tc.sectorial_factorization(model, lam, rng)
             out.add("sectorial_c1_bound", params, fact.c1_norm)
             out.add("sectorial_defect", params, fact.defect / fact.resolvent_norm)
     if not model.has_potential:
@@ -687,7 +687,8 @@ def _check_sectorial(out, model, lams, rng):
             with out.guard("c1_zero_potential", params):
                 out.add("c1_zero_potential", params, tc.c1_norm_at(model, lam))
     thr = model.certified_threshold()
-    out.add("threshold_negative", {"threshold": thr}, max(0.0, thr + 1e-6))
+    out.add("threshold_negative", {"threshold": thr},  # -inf: none found
+            max(0.0, thr + 1e-6) if np.isfinite(thr) else np.inf)
     ray = [-10.0 ** k for k in range(1, 6)]
     params = {"lambda_ray": ray}
     with out.guard("relative_bound_decreasing", params,

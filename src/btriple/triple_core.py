@@ -74,6 +74,10 @@ _SPECTRUM_HIT_REL = 1e-14
 # arrays of a family's vectorized kernel
 _BATCH_CHUNK = 256
 
+# probes r and safety factor alpha of the sectorial defect's randomized
+# norm bound (Dixon 1983; Halko, Martinsson & Tropp 2011, sec. 4.3)
+_PROBES, _PROBE_ALPHA = 8, 10.0
+
 
 class TripleModel(abc.ABC):
     """Contract every concrete model implements, and the only view of a
@@ -362,12 +366,13 @@ class HnSpectrum:
 
 @dataclass(frozen=True)
 class SectorialFactorization:
-    """Factorization data of the Neumann resolvent at real lambda < 0."""
+    """Neumann-resolvent factorization data at real lambda < 0, maxima over
+    blocks."""
 
     lam: float
-    c1_norm: float
-    defect: float
-    resolvent_norm: float
+    c1_norm: float         # ||C1||, at most 1/2 below the threshold
+    defect: float          # probe bound on ||R - F||, fails w.p. < 1e-8
+    resolvent_norm: float  # ||R u0||, a lower bound on ||R||
 
 
 # -- gamma field and Weyl function ----------------------------------------
@@ -738,13 +743,16 @@ def _spectra_below(model, lam):
     return spectra
 
 
-def _c1_norm(block, lam):
+def _kk_gram(block, lam):  # G = [(H_N - lam)^-1]_KK
+    return (block.u_k / (block.w - lam)) @ block.u_k.conj().T
+
+
+def _c1_norm(block, lam, gram):
     # C1 = S V S = A V_KK A* with A = S restricted to the columns K, and
-    # A* A = [(H_N - lam)^-1]_KK = R* R, so ||C1|| = ||R V_KK R*||: a
-    # |K|-square problem whatever the order of the block
+    # A* A = G = R* R, so ||C1|| = ||R V_KK R*||: a |K|-square problem
+    # whatever the order of the block
     if block.support.size == 0:
         return 0.0
-    gram = (block.u_k / (block.w - lam)) @ block.u_k.conj().T
     try:
         r = sla.cholesky(gram)
     except sla.LinAlgError as exc:
@@ -754,18 +762,16 @@ def _c1_norm(block, lam):
     return float(sla.svdvals(r @ block.v_kk @ r.conj().T).max())
 
 
-def sectorial_factorization(model, lam):
+def sectorial_factorization(model, lam, rng):
     """Factor (A0 - lam)^-1 = S (I + C1)^-1 S with S = (H_N - lam)^(-1/2)
-    and C1 = S V S, at real lam below the certified threshold.
-
-    S comes from the model's cached hn_spectra, and ||C1|| is computed on
-    the support of V as in c1_norm_at. The resolvent it is compared with
-    is an independent LU solve of H_N + V - lam, so the reported defect is
-    the rounding gap between two separate computations; c1_norm <= 1/2 is
-    the contraction property that makes (I + C1) invertible by Neumann
-    series; resolvent_norm = 1 / sigma_min(H_N + V - lam) is its scale.
-    Block models are processed per block and the norms/defects are the
-    maxima over blocks.
+    and C1 = S V S at real lam below the certified threshold, per block.
+    ||C1|| is computed on K as in c1_norm_at. F = S (I + C1)^-1 S is
+    checked against R, one LU of H_N + V - lam independent of F, on r = 8
+    standard complex Gaussian probes w_i drawn from rng: F w_i comes from
+    the cached eigenbasis of H_N and Woodbury on K, with no order-n inverse
+    or SVD. defect = alpha sqrt(2/pi) max_i ||(R - F) w_i||, alpha = 10,
+    bounds ||R - F|| except with probability below 1e-8; resolvent_norm =
+    ||R u0|| <= ||R||, u0 the lowest eigenvector of H_N (equal for V = 0).
     """
     lam = float(lam)
     if lam >= model.certified_threshold():
@@ -775,17 +781,20 @@ def sectorial_factorization(model, lam):
     c1_norm = defect = resolvent_norm = 0.0
     spectra = _spectra_below(model, lam)
     for block, (hn, v) in zip(spectra, model.hn_v_blocks()):
-        c1_norm = max(c1_norm, _c1_norm(block, lam))
-        s = (block.u * (1.0 / np.sqrt(block.w - lam))) @ block.u.conj().T
-        k = block.support
-        c1 = s[:, k] @ block.v_kk @ s[k, :]
-        eye = np.eye(s.shape[0], dtype=complex)
-        shifted = np.asarray(hn) + np.asarray(v) - lam * eye
-        resolvent = solve_linear(shifted, eye)
-        factored = s @ solve_linear(eye + c1, s)
-        defect = max(defect, float(sla.svdvals(resolvent - factored).max()))
-        resolvent_norm = max(resolvent_norm,
-                             1.0 / smallest_singular_value(shifted))
+        gram = _kk_gram(block, lam)
+        c1_norm = max(c1_norm, _c1_norm(block, lam, gram))
+        u, u_k, e = block.u, block.u_k, 1.0 / (block.w - lam)[:, None]
+        probes = rng.standard_normal((len(u), _PROBES, 2)) @ [1, 1j] / 2**0.5
+        res = solve_linear(np.asarray(hn) + np.asarray(v) - lam * np.eye(len(u)),
+                           np.column_stack([probes, u[:, 0]]))
+        # Woodbury: F w = S^2 w - S^2[:, K] z with S^2 = U diag(e) U*
+        c = u.conj().T @ probes
+        z = solve_linear(np.eye(len(u_k)) + block.v_kk @ gram,
+                         block.v_kk @ (u_k @ (e * c)))
+        err = res[:, :-1] - u @ (e * (c - u_k.conj().T @ z))  # (R - F) w
+        defect = max(defect, _PROBE_ALPHA * np.sqrt(2.0 / np.pi)
+                     * float(np.linalg.norm(err, axis=0).max()))
+        resolvent_norm = max(resolvent_norm, float(np.linalg.norm(res[:, -1])))
     return SectorialFactorization(lam=lam, c1_norm=c1_norm, defect=defect,
                                   resolvent_norm=resolvent_norm)
 
@@ -799,8 +808,8 @@ def c1_norm_at(model, lam):
     when lam is not below the bottom of H_N.
     """
     lam = float(lam)
-    return max((_c1_norm(block, lam) for block in _spectra_below(model, lam)),
-               default=0.0)
+    return max((_c1_norm(block, lam, _kk_gram(block, lam))
+                for block in _spectra_below(model, lam)), default=0.0)
 
 
 def find_xi2(model):

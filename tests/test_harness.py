@@ -11,7 +11,7 @@ import pytest
 
 import btriple.harness as harness
 from btriple import (ConfigError, MatchingSingular, NotPositiveDefinite,
-                     TripleModel, model_from_spec)
+                     Potential1D, TripleModel, build_fd1d, model_from_spec)
 from btriple.harness import (
     CHECK_REGISTRY,
     REPORT_SCHEMA,
@@ -22,6 +22,8 @@ from btriple.harness import (
     run_decay_suite,
     run_identity_suite,
 )
+
+from .conftest import complex_bump
 
 _SUITES = (run_identity_suite, run_decay_suite, run_bs_cross_check)
 _FD1D_32 = SuiteConfig(models=({"model": "fd1d", "n": 32},), seed=7)
@@ -96,6 +98,42 @@ class TestNoCertifiedThreshold:
             report = suite(config)
             assert report.summary["total"] == total
             assert not report.passed
+        # no certified half-line is a failure of its own, not a pass
+        record, = [rec for rec in run_identity_suite(config).records
+                   if rec.check_name == "threshold_negative"]
+        assert not record.passed and record.defect == float("inf")
+
+
+_FD1D_V = {"model": "fd1d", "n": 96,
+           "potential": {"kind": "constant", "value": [3.0, -2.0]}}
+
+
+class TestSectorialRecords:
+    def test_identity_suite_reruns_byte_identical(self):
+        # the probes of sectorial_defect come from the suite's seed
+        config = SuiteConfig(models=(_FD1D_V,), seed=7)
+        first, second = (run_identity_suite(config) for _ in range(2))
+        assert first.to_json(include_timings=False) == \
+            second.to_json(include_timings=False)
+        defects = [rec for rec in first.records
+                   if rec.check_name == "sectorial_defect"]
+        assert len(defects) == 3 and all(rec.passed for rec in defects)
+
+    def test_perturbed_support_potential_fails(self, monkeypatch):
+        # V_KK enters F = S (I + C1)^-1 S and not the LU of H_N + V - lam,
+        # so an error of 1e-6 in one entry fails every sectorial_defect
+        model = build_fd1d(n=96, length=1.0,
+                           potential=Potential1D.from_callable(complex_bump))
+        model.certified_threshold()
+        model.hn_spectra()[0].v_kk[0, 0] += 1e-6
+        monkeypatch.setattr(harness, "model_from_spec", lambda spec: model)
+        records = run_identity_suite(SuiteConfig(models=(_FD1D_V,),
+                                                 seed=7)).records
+        by_name = {}
+        for rec in records:
+            by_name.setdefault(rec.check_name, []).append(rec.passed)
+        assert by_name["sectorial_defect"] == [False] * 3
+        assert by_name["sectorial_c1_bound"] == [True] * 3
 
 
 class TestModelKinds:

@@ -567,22 +567,26 @@ def _circle(count, center=-20.0, radius=15.0):
                                     / count)
 
 
+def _rng(seed=0):
+    return np.random.default_rng(seed)
+
+
 class TestSectorialFactorization:
     def test_zero_potential_has_zero_correction(self, fd_v0):
-        sf = sectorial_factorization(fd_v0, -1.0)
+        sf = sectorial_factorization(fd_v0, -1.0, _rng())
         assert sf.c1_norm <= 1e-10
         assert sf.defect < 1e-9
         assert sf.lam == -1.0
 
     def test_complex_potential_contraction(self, fd_complex):
         lam = fd_complex.certified_threshold() - 1.0
-        sf = sectorial_factorization(fd_complex, lam)
+        sf = sectorial_factorization(fd_complex, lam, _rng())
         assert sf.c1_norm <= 0.5
         assert sf.defect < 1e-9
 
     def test_requires_certified_point(self, fd_v0):
         with pytest.raises(NotCertified):
-            sectorial_factorization(fd_v0, -0.3)
+            sectorial_factorization(fd_v0, -0.3, _rng())
 
     def test_c1_norm_at_inside_spectrum(self, fd_v0):
         with pytest.raises(NotPositiveDefinite):
@@ -595,9 +599,88 @@ class TestSectorialFactorization:
 
     def test_disk_blocks(self, disk_int_const):
         lam = disk_int_const.certified_threshold() - 1.0
-        sf = sectorial_factorization(disk_int_const, lam)
+        sf = sectorial_factorization(disk_int_const, lam, _rng())
         assert sf.c1_norm <= 0.5
         assert sf.defect < 1e-9
+
+
+def _exact_sectorial(model, lam):
+    # the dense definitions: max over blocks of ||R - F|| and of ||R|| =
+    # 1 / sigma_min(H_N + V - lam), with R = (H_N + V - lam)^-1 and
+    # F = S (I + C1)^-1 S, S = (H_N - lam)^(-1/2), C1 = S V S
+    defect = norm = 0.0
+    for hn, v in model.hn_v_blocks():
+        eye = np.eye(hn.shape[0])
+        s = herm_inv_sqrt(hn - lam * eye)
+        shifted = hn + v - lam * eye
+        factored = s @ solve_linear(eye + s @ v @ s, s)
+        resolvent = solve_linear(shifted, eye)
+        defect = max(defect, float(sla.svdvals(resolvent - factored).max()))
+        norm = max(norm, 1.0 / float(sla.svdvals(shifted).min()))
+    return defect, norm
+
+
+class TestSectorialProbes:
+    """The probe estimate of ||R - F|| / ||R|| against the dense SVDs, and
+    the guard that keeps the dense path out of sectorial_factorization."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_fd1d(n=96, length=1.0),
+        lambda: build_fd1d(n=96, potential=Potential1D.power_singularity(
+            1.0 - 0.5j, 0.4, 0.4, 2.0)),
+        lambda: build_shoot1d(ShootConfig(
+            potential=Potential1D.constant(3.0 - 2.0j))),
+        lambda: build_disk(DiskModelConfig(
+            side="interior", k_max=3, support=(0.5, 1.0),
+            radial_potential=Potential1D.constant(3.0 - 2.0j))),
+        lambda: build_disk(DiskModelConfig(
+            side="exterior", k_max=3, support=(1.0, 3.0),
+            radial_potential=Potential1D.constant(1.5 + 1.0j))),
+    ], ids=["fd1d-v0", "fd1d-power", "shoot1d-constant", "disk-interior",
+            "disk-exterior"])
+    def test_probe_ratio_bounds_the_exact_ratio(self, build):
+        model = build()
+        rng = _rng(7)
+        for lam in (1.5 * model.certified_threshold(),
+                    4.0 * model.certified_threshold()):
+            sf = sectorial_factorization(model, lam, rng)
+            defect, norm = _exact_sectorial(model, lam)
+            exact = defect / norm
+            assert exact <= sf.defect / sf.resolvent_norm <= 100.0 * exact
+            # ||R u0|| <= ||R|| up to rounding
+            assert sf.resolvent_norm <= norm * (1.0 + 1e-9)
+            assert norm <= 1.01 * sf.resolvent_norm
+
+    def test_no_order_n_svd_or_solve(self, monkeypatch, disk_ext_const):
+        thr = disk_ext_const.certified_threshold()
+        blocks = disk_ext_const.hn_spectra()
+        assert all(0 < block.support.size < block.w.size // 4
+                   for block in blocks)
+        calls = []
+
+        def recorded(name, fn):
+            def wrapped(a, *args, **kwargs):
+                calls.append((name, np.shape(a), np.shape(args[0])
+                              if args else None))
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        for owner, name in ((triple_core.sla, "svdvals"),
+                            (triple_core, "solve_linear"),
+                            (triple_core, "smallest_singular_value")):
+            monkeypatch.setattr(owner, name,
+                                recorded(name, getattr(owner, name)))
+        sectorial_factorization(disk_ext_const, 2.0 * thr, _rng())
+        r = triple_core._PROBES
+        want = []
+        for block in blocks:
+            n, k = block.w.size, block.support.size
+            # C1's norm on K x K, one LU of H_N + V - lam on the probes and
+            # u0, and the |K|-order Woodbury solve on the probes
+            want += [("svdvals", (k, k), None),
+                     ("solve_linear", (n, n), (n, r + 1)),
+                     ("solve_linear", (k, k), (k, r))]
+        assert calls == want
 
 
 def _dense_c1_norm(model, lam):
@@ -639,7 +722,7 @@ class TestSupportNorms:
             want = _dense_c1_norm(model, lam)
             assert want > 0.0
             assert c1_norm_at(model, lam) == pytest.approx(want, rel=1e-12)
-            assert sectorial_factorization(model, lam).c1_norm == \
+            assert sectorial_factorization(model, lam, _rng()).c1_norm == \
                 pytest.approx(want, rel=1e-12)
             (_, got), = relative_bound_decay(model, [lam])
             assert got == pytest.approx(_dense_relative_bound(model, lam),
@@ -648,7 +731,7 @@ class TestSupportNorms:
     def test_zero_potential_is_exactly_zero(self, fd_v0):
         assert fd_v0.hn_spectra()[0].support.size == 0
         assert c1_norm_at(fd_v0, -2.0) == 0.0
-        assert sectorial_factorization(fd_v0, -2.0).c1_norm == 0.0
+        assert sectorial_factorization(fd_v0, -2.0, _rng()).c1_norm == 0.0
         assert relative_bound_decay(fd_v0, [-2.0]) == [(-2.0, 0.0)]
 
     def test_relative_bound_raises_on_neumann_spectrum(self):
@@ -677,7 +760,7 @@ class TestSupportNorms:
         model = build()
         thr = model.certified_threshold()  # runs find_xi2
         for lam in (1.5 * thr, 3.0 * thr):
-            sectorial_factorization(model, lam)
+            sectorial_factorization(model, lam, _rng())
             c1_norm_at(model, lam)
         relative_bound_decay(model, [-10.0, -100.0])
         assert len(calls) == len(model.hn_v_blocks()) == blocks
