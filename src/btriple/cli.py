@@ -104,6 +104,9 @@ class CliConfig:
             raise ConfigError("region.rect must be [re_min, re_max, im_min, im_max]")
         if self.region[0] == self.region[1] and self.region[2] == self.region[3]:
             raise ConfigError("region.rect must not be a single point")
+        if self.region[0] > self.region[1] or self.region[2] > self.region[3]:
+            raise ConfigError("region.rect must have re_min <= re_max and "
+                              "im_min <= im_max")
         if len(self.grid) != 2 or min(self.grid) < 2:
             raise ConfigError("region.grid must be [n_re, n_im], both >= 2")
 
@@ -307,6 +310,13 @@ _BLAS_NOTE = ("On hosts with few cores, set OPENBLAS_NUM_THREADS=1 in the "
               "dense solves down.")
 
 
+def _seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative: {seed}")
+    return seed
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="btriple",
@@ -328,7 +338,7 @@ def build_parser():
                        help="evaluate at lambda outside the certified half-line")
         p.add_argument("--out", default=".", metavar="DIR",
                        help="output directory")
-        p.add_argument("--seed", type=int, default=7, metavar="N",
+        p.add_argument("--seed", type=_seed, default=7, metavar="N",
                        help="seed for every random draw")
     return parser
 

@@ -283,18 +283,17 @@ def model_from_spec(spec):
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """What to verify: model specs, certified sample points, scan regions,
-    tolerance overrides, and the seed that fixes every random draw."""
+    """What to verify: model specs, scan regions, tolerance overrides, and
+    the non-negative seed that fixes every random draw. The identity suite
+    samples the points of ``_LAMBDA_GRID`` below each model's certified
+    threshold."""
 
     models: tuple = ({"model": "fd1d"},)
-    lambda_grid: tuple = (-0.7, -1.6, -3.5, -8.0)
     complex_scan_regions: tuple = ()
     tolerances: dict = field(default_factory=dict)
     seed: int = 7
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_grid",
-                           tuple(float(v) for v in self.lambda_grid))
         regions = tuple(tuple(float(x) for x in region)
                         for region in self.complex_scan_regions)
         object.__setattr__(self, "complex_scan_regions", regions)
@@ -307,6 +306,8 @@ class SuiteConfig:
             if not value > 0.0:
                 raise ConfigError(f"tolerance override {key!r} must be positive")
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative: {self.seed}")
 
     def tolerance(self, check, kind):
         for key in (f"{check}:{kind}", check):
@@ -471,9 +472,14 @@ def _run_suite(config, per_model):
 # identity suite
 
 
-def _certified_lams(config, model):
+# the identity suite's spectral points, where they lie below the certified
+# threshold; fewer than 3 there and multiples of the threshold stand in
+_LAMBDA_GRID = (-0.7, -1.6, -3.5, -8.0)
+
+
+def _certified_lams(model):
     thr = model.certified_threshold()
-    lams = [lam for lam in config.lambda_grid if lam < thr]
+    lams = [lam for lam in _LAMBDA_GRID if lam < thr]
     if len(lams) < 3:
         lams = [thr * factor for factor in (1.5, 2.5, 4.0, 7.0)]
     return lams
@@ -714,7 +720,7 @@ _IDENTITY_FAMILIES = (
 
 def _identity_checks(out, model, seed):
     # one SeedSequence child per family, whether or not it draws
-    lams = _certified_lams(out.config, model)
+    lams = _certified_lams(model)
     fseeds = seed.spawn(len(_IDENTITY_FAMILIES))
     for family, fseed in zip(_IDENTITY_FAMILIES, fseeds):
         family(out, model, lams, np.random.default_rng(fseed.spawn(1)[0]))

@@ -3,14 +3,16 @@
 The Weyl function here comes straight from integrating -f'' + V f = lam f
 with scipy's DOP853 (Dormand-Prince 8(5,3), complex state), so it is
 independent of any global discretization and remains accurate at the large
-|lam| the decay studies need. A shot runs one DOP853 solver from its start
-to the far end and re-targets it at every grid node in turn, and at the
-jumps of V (the window edges around a power singularity), so each of them
-is a step end; no step cap applies beyond the error control. The chunk
-kernel of ``weyl_batch`` needs only the endpoint values of the two shots,
-so it integrates the shots of a whole chunk of spectral points as one
-stacked system per side, with the same step ends. Carriers hold samples
-on a composite Gauss-Legendre grid plus four analytic trace slots:
+|lam| the decay studies need. Every integration runs one DOP853 solver
+from one end of the interval to the other through that side's stops, built
+once per model: the grid nodes and the jumps of V inside (0, L) (the window
+edges around a power singularity) in the order the solver meets them, then
+the far end. Each stop is a step end; no step cap applies beyond the error
+control. The same routine runs a single point's shot, with a scalar
+right-hand side, and the chunk kernel of ``weyl_batch``, which needs only
+the endpoint values and so integrates the shots of a whole chunk of
+spectral points as one stacked system per side. Carriers hold samples on
+a composite Gauss-Legendre grid plus four analytic trace slots:
 
     [ values at the N panel nodes, f(0), f'(0), f(L), f'(L) ]
 
@@ -31,7 +33,7 @@ those matrices themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,51 +77,28 @@ class ShootConfig:
             object.__setattr__(self, "potential", Potential1D.zero())
 
 
-@dataclass(frozen=True)
-class ShootSolution:
-    """Sampled IVP solution with endpoint values."""
-
-    f_samples: np.ndarray
-    df_samples: np.ndarray
-    f_end: complex
-    df_end: complex
-
-
-# The name is kept because the traced benchmark run patches it by name.
-def dp45_integrate(rhs, x_start, x_end, y0, rtol, atol, sample_points=None):
+# The name is kept because the traced benchmark run patches it by name and
+# wraps its first argument, the right-hand side.
+def dp45_integrate(rhs, x_start, stops, y0, rtol, atol):
     """Adaptive integration of y' = rhs(x, y) for a complex state vector
-    with scipy's DOP853 (Dormand-Prince 8(5,3)). One solver runs the whole
-    integration and is re-targeted at each sample point in turn, so every
-    sample is a step end; each re-targeted leg starts with the step a fresh
-    solver would take there, so the results equal those of one solver per
-    interval bit for bit. Integrates from x_start to x_end in either
-    direction and returns (samples, y_end) where samples[i] is the state at
-    sample_points[i]; points at or behind the start get the initial state."""
+    with scipy's DOP853 (Dormand-Prince 8(5,3)) from x_start through the
+    ``stops`` in the order given, in either direction; the last stop ends
+    the integration. One solver runs the whole integration and is
+    re-targeted at each stop in turn, so every stop is a step end; each
+    re-targeted leg starts with the step a fresh solver would take there,
+    so the results equal those of one solver per interval bit for bit.
+    Returns the state at every stop, one row each."""
     # imported here so that runs without a shoot1d model never load it
     from scipy.integrate import DOP853
 
-    sign = 1.0 if x_end >= x_start else -1.0
-    if sample_points is None:
-        sample_points = np.array([])
-    sample_points = np.asarray(sample_points, dtype=float)
-
-    y = np.asarray(y0, dtype=complex).copy()
-    x = float(x_start)
-    samples = {}
-    ahead = []
-    for p in sample_points:
-        if (p - x_start) * sign > 0 and (x_end - p) * sign >= 0:
-            ahead.append(float(p))
-        else:
-            samples[float(p)] = y.copy()  # at or behind the start
-    stops = sorted(set(ahead) | {float(x_end)}, reverse=sign < 0)
-
+    x, y = float(x_start), np.asarray(y0, dtype=complex)
+    states = np.empty((len(stops), y.size), dtype=complex)
     solver = None
     # one context per integration, not per leg; past double range the
     # solver would step on through inf and NaN and fail on its step size
     try:
         with np.errstate(over="raise"):
-            for stop in stops:
+            for i, stop in enumerate(stops):
                 if solver is None:  # it picks its own initial step
                     solver = DOP853(rhs, x, y, stop, rtol=rtol, atol=atol)
                     # a NaN state or rhs gives a NaN step; step() never ends
@@ -139,34 +118,11 @@ def dp45_integrate(rhs, x_start, x_end, y0, rtol, atol, sample_points=None):
                 # an ulp off the stop at worst; a fresh solver takes it there
                 if solver.t_old + (stop - solver.t_old) != stop:
                     solver.f = solver.fun(stop, solver.y)
-                x, y = stop, solver.y
-                samples[stop] = y
+                x, states[i] = stop, solver.y
     except FloatingPointError as exc:
         raise NoConvergence(f"the state left double range ({exc}) near x = "
                             f"{x if solver is None else solver.t:.6g}") from exc
-
-    out = np.array([samples[float(p)] for p in sample_points],
-                   dtype=complex).reshape(len(sample_points), y.size)
-    return out, y
-
-
-def solve_ivp_schrodinger(config, lam, x_start, f0, df0, direction,
-                          sample_points=None):
-    """Integrate -f'' + V f = lam f from x_start to the interval end in the
-    given direction (+1 toward L, -1 toward 0) with DOP853, every sample
-    point a step end. Returns the samples and the endpoint (f, f')."""
-    lam = complex(lam)
-    vfun = config.potential
-    x_end = config.length if direction > 0 else 0.0
-
-    def rhs(x, y):
-        return np.array([y[1], (vfun(x) - lam) * y[0]], dtype=complex)
-
-    out, y_end = dp45_integrate(rhs, float(x_start), float(x_end),
-                                [f0, df0], config.rtol, config.atol,
-                                sample_points)
-    return ShootSolution(f_samples=out[:, 0], df_samples=out[:, 1],
-                         f_end=complex(y_end[0]), df_end=complex(y_end[1]))
+    return states
 
 
 class Shoot1dModel(TripleModel):
@@ -174,17 +130,25 @@ class Shoot1dModel(TripleModel):
 
     def __init__(self, config, panels=8, order=16, fd_nodes=512):
         self.config = config
-        # the configuration of T~: V replaced by conj(V)
-        self._config_tilde = replace(config,
-                                     potential=config.potential.conjugate())
+        self._potential_conj = config.potential.conjugate()  # V of T~
+        length = float(config.length)
         self.grid = PanelGrid(graded_edges(0.0, config.length, panels), order)
-        # the step ends of every integration: the grid nodes, then the jumps of V
-        self._stops = np.append(self.grid.nodes, config.potential.breakpoints())
+        # each side's step ends in the order its shots meet them: the grid
+        # nodes and the jumps of V strictly inside (0, L) (one at or past an
+        # end would turn the solver back), then the far end; with the rows
+        # of those stops that hold the nodes, in node order
+        inner = sorted(set(self.grid.nodes.tolist()).union(
+            x for x in config.potential.breakpoints() if 0.0 < x < length))
+        rows = np.searchsorted(inner, self.grid.nodes)
+        self._sides = {
+            "left": (0.0, inner + [length], rows),
+            "right": (length, inner[::-1] + [0.0], len(inner) - 1 - rows),
+        }
         self._cumint = self.grid.cumint()
         self._d2 = self.grid.diff() @ self.grid.diff()
         self._vnodes = config.potential(self.grid.nodes)
         self._vnodes_conj = np.conjugate(self._vnodes)
-        self._shot_cache = {}  # (lam, tilde, kind) -> ShootSolution
+        self._shot_cache = {}  # (lam, tilde, side) -> (node states, end state)
         from .model_fd1d import build_fd1d
 
         self._fd = build_fd1d(fd_nodes, config.length, config.potential)
@@ -229,26 +193,34 @@ class Shoot1dModel(TripleModel):
 
     # -- kernel machinery ---------------------------------------------------
 
-    def _shot(self, lam, tilde, kind):
-        """Memoized one-sided kernel solutions keyed by (lam, tilde, kind)."""
-        key = (complex(lam), bool(tilde), kind)
+    def _integrate(self, rhs, y0, side, rtol, atol):
+        """One integration from the ``side`` end ("left" from 0, "right"
+        from L) through that side's stops: the states at the grid nodes,
+        in node order, and the state at the far end."""
+        x_start, stops, rows = self._sides[side]
+        states = dp45_integrate(rhs, x_start, stops, y0, rtol, atol)
+        return states[rows], states[-1].copy()  # no view keeps states alive
+
+    def _shot(self, lam, tilde, side):
+        """The one-sided Neumann kernel solution with f = 1, f' = 0 at the
+        ``side`` end: ((f, f') at the nodes, (f, f') at the far end),
+        memoized by (lam, tilde, side)."""
+        lam = complex(lam)
+        key = (lam, bool(tilde), side)
         hit = self._shot_cache.get(key)
         if hit is not None:
             return hit
-        cfg = self._config_tilde if tilde else self.config
-        if kind == "left10":      # f(0) = 1, f'(0) = 0
-            sol = solve_ivp_schrodinger(cfg, lam, 0.0, 1.0, 0.0, +1, self._stops)
-        else:                     # right10: f(L) = 1, f'(L) = 0
-            sol = solve_ivp_schrodinger(cfg, lam, cfg.length, 1.0, 0.0, -1,
-                                        self._stops)
-        n = self.grid.size
-        if len(self._stops) > n:  # the rows past the nodes are the jumps of V
-            sol = replace(sol, f_samples=sol.f_samples[:n],
-                          df_samples=sol.df_samples[:n])
+        vfun = self._potential_conj if tilde else self.config.potential
+
+        def rhs(x, y):
+            return np.array([y[1], (vfun(x) - lam) * y[0]], dtype=complex)
+
+        nodes, end = self._integrate(rhs, [1.0, 0.0], side, self.config.rtol,
+                                     self.config.atol)
         if len(self._shot_cache) >= 96:
             self._shot_cache.clear()
-        self._shot_cache[key] = sol
-        return sol
+        self._shot_cache[key] = shot = (nodes.T, end)
+        return shot
 
     def _assemble(self, sol_values, f0, df0, fL, dfL):
         return np.concatenate([sol_values, [f0, df0, fL, dfL]])
@@ -257,25 +229,26 @@ class Shoot1dModel(TripleModel):
         g = np.asarray(g, dtype=complex)
         if g.shape != (2,):
             raise ValueError("boundary data must have length 2")
-        phi = self._shot(lam, tilde, "left10")    # phi(0) = 1, phi'(0) = 0
-        psi = self._shot(lam, tilde, "right10")   # psi(L) = 1, psi'(L) = 0
-        # trace0(a phi + b psi) = (-b psi'(0), a phi'(L)), so the Neumann
+        (phi, _), (phi_L, dphi_L) = self._shot(lam, tilde, "left")
+        (psi, _), (psi_0, dpsi_0) = self._shot(lam, tilde, "right")
+        # phi(0) = 1, phi'(0) = 0 and psi(L) = 1, psi'(L) = 0, so
+        # trace0(a phi + b psi) = (-b psi'(0), a phi'(L)) and the Neumann
         # matching is diagonal in this basis. Each trace entry is then one
         # scaled one-sided solution; a left-only basis would instead form
         # the far trace as a difference of exp(sqrt(-lam) L) sized terms
         # and lose it to cancellation for strongly negative lambda.
-        for shot in (phi, psi):
-            if self._matching_singular(lam, shot.f_end, shot.df_end):
+        for f_end, df_end in ((phi_L, dphi_L), (psi_0, dpsi_0)):
+            if self._matching_singular(lam, f_end, df_end):
                 raise MatchingSingular(
                     f"Neumann shooting data singular at lambda = {lam}"
                 )
-        a = g[1] / phi.df_end
-        b = -g[0] / psi.df_end
-        values = a * phi.f_samples + b * psi.f_samples
-        f0 = a + b * psi.f_end
-        df0 = b * psi.df_end
-        fL = a * phi.f_end + b
-        dfL = a * phi.df_end
+        a = g[1] / dphi_L
+        b = -g[0] / dpsi_0
+        values = a * phi + b * psi
+        f0 = a + b * psi_0
+        df0 = b * dpsi_0
+        fL = a * phi_L + b
+        dfL = a * dphi_L
         return self._assemble(values, f0, df0, fL, dfL)
 
     def _weyl_chunk(self, lams, tilde):
@@ -287,26 +260,24 @@ class Shoot1dModel(TripleModel):
 
         with the shots of every point stacked into one DOP853 solve per
         side, so that V is evaluated once per stage for the whole chunk.
-        The grid nodes stay step ends, as in a shot, so that near a Neumann
-        eigenvalue both paths carry errors of the same size and agree on
-        the matching guard. A point gets a NaN row where M is not finite or
-        the matching guard of ``solve_bvp`` fails (the Neumann spectrum).
+        It runs through the stops of a shot, the grid nodes among them, so
+        that near a Neumann eigenvalue both paths carry errors of the same
+        size and agree on the matching guard. A point gets a NaN row where
+        M is not finite or the matching guard of ``solve_bvp`` fails (the
+        Neumann spectrum).
         """
-        cfg = self._config_tilde if tilde else self.config
-        vfun = cfg.potential
+        vfun = self._potential_conj if tilde else self.config.potential
         n = len(lams)
         margin = _STACK_TOL_MARGIN * np.sqrt(2 * n)
-        rtol = max(cfg.rtol / margin, _RTOL_FLOOR)
-        atol = cfg.atol / margin
+        rtol = max(self.config.rtol / margin, _RTOL_FLOOR)
+        atol = self.config.atol / margin
 
         def rhs(x, y):  # y = (f for every lambda, then f')
             return np.concatenate([y[n:], (vfun(x) - lams) * y[:n]])
 
         y0 = np.concatenate([np.ones(n), np.zeros(n)])  # f = 1, f' = 0
-        _, left = dp45_integrate(rhs, 0.0, cfg.length, y0, rtol, atol,
-                                 self._stops)
-        _, right = dp45_integrate(rhs, cfg.length, 0.0, y0, rtol, atol,
-                                  self._stops)
+        _, left = self._integrate(rhs, y0, "left", rtol, atol)
+        _, right = self._integrate(rhs, y0, "right", rtol, atol)
         phi, dphi = left[:n], left[n:]    # at x = L
         psi, dpsi = right[:n], right[n:]  # at x = 0
         m = np.stack([-psi / dpsi, 1.0 / dphi, -1.0 / dpsi, phi / dphi],
@@ -318,10 +289,8 @@ class Shoot1dModel(TripleModel):
         return m
 
     def _neumann_resolvent(self, lam, f, tilde):
-        phi_s = self._shot(lam, tilde, "left10")
-        psi_s = self._shot(lam, tilde, "right10")
-        phi, dphi = phi_s.f_samples, phi_s.df_samples
-        psi, dpsi = psi_s.f_samples, psi_s.df_samples
+        (phi, dphi), _ = self._shot(lam, tilde, "left")
+        (psi, dpsi), _ = self._shot(lam, tilde, "right")
         w = phi[0] * dpsi[0] - dphi[0] * psi[0]  # constant Wronskian
         if self._matching_singular(lam, phi[0] * dpsi[0], w):
             raise MatchingSingular(

@@ -637,8 +637,9 @@ def robin_eigs(model, b, region, grid):
     levels, or meet a node where ``weyl_batch`` gives a NaN row (the
     Neumann spectrum) or I - B M is singular (an eigenvalue). ValueError
     for a grid with fewer than 2 nodes per axis, a region with a NaN or
-    infinite bound or that is a single point, and a B that is not a
-    square finite matrix of the boundary dimension.
+    infinite bound, with a minimum above its maximum or that is a single
+    point, and a B that is not a square finite matrix of the boundary
+    dimension.
     """
     region = tuple(map(float, region))
     n_re, n_im = grid = tuple(map(int, grid))
@@ -648,6 +649,9 @@ def robin_eigs(model, b, region, grid):
         raise ValueError(f"region {list(region)} is not finite")
     if region[0] == region[1] and region[2] == region[3]:
         raise ValueError("region must not be a single point")
+    if region[0] > region[1] or region[2] > region[3]:
+        raise ValueError(f"region {list(region)} is inverted: a minimum "
+                         "exceeds its maximum")
     bm = _bmatrix(b, model.boundary_dim)
     return _merged(_split_roots(model, bm, region, grid, (region, grid),
                                 _CONTOUR_SPLITS))

@@ -85,12 +85,26 @@ class TestExitCodes:
         ("boundary_operator", {"kind": "scalar", "beta": float("inf")}),
         ("region", {"grid": [1, 5]}),
         ("region", {"rect": [1.0, 1.0, 2.0, 2.0]}),
+        ("region", {"rect": [30.0, -20.0, -6.0, 6.0]}),
+        ("region", {"rect": [-20.0, 30.0, 6.0, -6.0]}),
     ])
     def test_malformed_numbers_exit_2(self, tmp_path, section, value):
         # eigs is the command that scans region.grid
         config = {"model": {"family": "fd1d", "n": 32}, section: value}
         for command in ("resolve", "eigs"):
             assert _run(tmp_path, command, config) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, seed", [("verify", "-1"),
+                                               ("resolve", "-3")])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, seed):
+        # numpy refuses a negative seed; the parser turns it away first,
+        # with the configuration exit code, not 1 (a failed verification)
+        config = {"model": {"family": "fd1d", "n": 32},
+                  "lambda": {"points": [-1.5]}}
+        with pytest.raises(SystemExit) as exc:
+            _run(tmp_path, command, config, "--seed", seed)
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "non-negative" in capsys.readouterr().err
 
     def test_neumann_point_of_fd1d_exits_4(self, tmp_path):
         # lambda = 0 is a Neumann eigenvalue: the kernel solve is singular

@@ -72,6 +72,14 @@ class TestSuiteConfig:
             SuiteConfig(jobs=2)
         assert SuiteConfig(seed=3).seed == 3
 
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            SuiteConfig(seed=-1)
+
+    def test_lambda_grid_is_no_field(self):
+        with pytest.raises(TypeError):
+            SuiteConfig(lambda_grid=(-1.0, -2.0, -4.0))
+
     @pytest.mark.parametrize("key", ["gren_identity", "green_identity:fd1",
                                      "green_identity:"])
     def test_misspelt_tolerance_key_is_rejected(self, key):

@@ -1,7 +1,7 @@
-"""Shooting-based continuum interval model: the adaptive integrator, kernel
-solutions, agreement with both closed forms and the fd discretization, the
-stacked Weyl batch and the Robin scan built on it, and the deferred import
-of the integrator."""
+"""Shooting-based continuum interval model: the adaptive integrator, each
+side's stops, kernel solutions, agreement with both closed forms and the fd
+discretization, the stacked Weyl batch and the Robin scan built on it, and
+the deferred import of the integrator."""
 import itertools
 import os
 import subprocess
@@ -23,7 +23,6 @@ from btriple import (
     build_shoot1d,
     dp45_integrate,
     robin_eigs,
-    solve_ivp_schrodinger,
     weyl,
     weyl_symmetry_defect,
 )
@@ -59,24 +58,21 @@ class TestShootConfig:
 class TestIntegrator:
     def test_linear_ode(self):
         # y' = y from 1: endpoint is e
-        _, y = dp45_integrate(lambda x, y: y, 0.0, 1.0, [1.0], 1e-12, 1e-14)
-        assert abs(y[0] - np.e) < 1e-11
+        states = dp45_integrate(lambda x, y: y, 0.0, [1.0], [1.0], 1e-12, 1e-14)
+        assert states.shape == (1, 1)
+        assert abs(states[0, 0] - np.e) < 1e-11
 
     def test_samples_are_interpolated(self):
-        pts = np.array([0.25, 0.5, 0.75])
-        out, _ = dp45_integrate(lambda x, y: y, 0.0, 1.0, [1.0], 1e-12, 1e-14,
-                                sample_points=pts)
-        assert np.abs(out[:, 0] - np.exp(pts)).max() < 1e-11
+        stops = [0.25, 0.5, 0.75, 1.0]
+        states = dp45_integrate(lambda x, y: y, 0.0, stops, [1.0], 1e-12, 1e-14)
+        assert np.abs(states[:, 0] - np.exp(stops)).max() < 1e-11
 
     def test_backward_integration(self):
-        # the stops run 0.75, 0.5, 0.25, 0; the 1.25 point lies behind the
-        # start and gets the initial state
-        pts = np.array([0.25, 0.5, 0.75, 1.25])
-        out, y = dp45_integrate(lambda x, y: y, 1.0, 0.0, [np.e], 1e-12, 1e-14,
-                                sample_points=pts)
-        assert abs(y[0] - 1.0) < 1e-11
-        assert np.abs(out[:3, 0] - np.exp(pts[:3])).max() < 1e-11
-        assert out[3, 0] == np.e
+        stops = [0.75, 0.5, 0.25, 0.0]
+        states = dp45_integrate(lambda x, y: y, 1.0, stops, [np.e], 1e-12,
+                                1e-14)
+        assert abs(states[-1, 0] - 1.0) < 1e-11
+        assert np.abs(states[:, 0] - np.exp(stops)).max() < 1e-11
 
     def test_failed_solver_raises_step_size_underflow(self):
         def rhs(x, y):
@@ -84,38 +80,31 @@ class TestIntegrator:
 
         with np.errstate(invalid="ignore"), \
                 pytest.raises(StepSizeUnderflow, match="x = 0.5"):
-            dp45_integrate(rhs, 0.0, 1.0, [1.0], 1e-10, 1e-12)
+            dp45_integrate(rhs, 0.0, [1.0], [1.0], 1e-10, 1e-12)
 
     def test_nan_first_step_raises_step_size_underflow(self):
         # a NaN first step would keep DOP853's step loop running forever
         with np.errstate(invalid="ignore"), \
                 pytest.raises(StepSizeUnderflow, match="first step"):
-            dp45_integrate(lambda x, y: np.nan * y, 0.0, 1.0, [1.0], 1e-10,
+            dp45_integrate(lambda x, y: np.nan * y, 0.0, [1.0], [1.0], 1e-10,
                            1e-12)
 
 
-def _fresh_solver_per_interval(rhs, x_start, x_end, y0, rtol, atol, points):
+def _fresh_solver_per_interval(rhs, x_start, stops, y0, rtol, atol):
     """dp45_integrate as one fresh DOP853 per interval between stops, each
     started with first_step=min(h, |stop - x|) from the last solver's h."""
     from scipy.integrate import DOP853
 
-    sign = 1.0 if x_end >= x_start else -1.0
-    y, x, samples, ahead = np.asarray(y0, dtype=complex), x_start, {}, []
-    for p in points:
-        if (p - x_start) * sign > 0 and (x_end - p) * sign >= 0:
-            ahead.append(float(p))
-        else:
-            samples[float(p)] = y
-    h = None
-    for stop in sorted(set(ahead) | {x_end}, reverse=sign < 0):
+    y, x, h, rows = np.asarray(y0, dtype=complex), x_start, None, []
+    for stop in stops:
         solver = DOP853(rhs, x, y, stop, rtol=rtol, atol=atol,
                         first_step=None if h is None else min(h, abs(stop - x)))
         while solver.status == "running":
             solver.step()
         assert solver.status == "finished"
         x, y, h = stop, solver.y, solver.h_abs
-        samples[stop] = y
-    return np.array([samples[float(p)] for p in points]).reshape(len(points), -1), y
+        rows.append(y)
+    return np.array(rows)
 
 
 def _stepped_rhs(lams, jump):
@@ -134,80 +123,140 @@ def _stepped_rhs(lams, jump):
 
 
 class TestOneSolverPerIntegration:
-    """dp45_integrate re-targets one solver from stop to stop; every sample
-    and the end state must equal those of one fresh solver per interval bit
-    for bit (this also catches a scipy release that changes what setting
-    t_bound and status on a solver does)."""
+    """dp45_integrate re-targets one solver from stop to stop; the state at
+    every stop must equal that of one fresh solver per interval bit for bit
+    (this also catches a scipy release that changes what setting t_bound
+    and status on a solver does)."""
 
     # forward, the step onto 0.029 ends where t + (0.029 - t) is an ulp
     # short of it; backward, x - |0.017 - x| is an ulp short of 0.017, so a
-    # fresh solver's first step stops short of it. 1.0 and 1.25 lie at and
-    # behind the start of the backward runs.
-    @pytest.mark.parametrize("x_start, x_end, jump", [
-        (0.0, 1.0, 0.029), (1.0, 0.0, 0.017)], ids=["forward", "backward"])
+    # fresh solver's first step stops short of it
+    @pytest.mark.parametrize("x_start, stops, jump", [
+        (0.0, [0.029, 0.2, 0.9, 1.0], 0.029),
+        (1.0, [0.9, 0.2, 0.017, 0.0], 0.017)], ids=["forward", "backward"])
     @pytest.mark.parametrize("lams", [-1.0, [-1.0, 50.0 - 3.0j, -2e3]],
                              ids=["one", "stacked"])
-    def test_samples_and_end_state_are_bit_identical(self, lams, x_start, x_end,
-                                                     jump):
-        points = [jump, 0.2, 0.9, 1.0, 1.25]
+    def test_samples_and_end_state_are_bit_identical(self, lams, x_start,
+                                                     stops, jump):
         rhs, y0 = _stepped_rhs(lams, jump)
-        got = dp45_integrate(rhs, x_start, x_end, y0, 1e-6, 1e-8, points)
-        want = _fresh_solver_per_interval(rhs, x_start, x_end, y0, 1e-6, 1e-8,
-                                          points)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        got = dp45_integrate(rhs, x_start, stops, y0, 1e-6, 1e-8)
+        want = _fresh_solver_per_interval(rhs, x_start, stops, y0, 1e-6, 1e-8)
+        assert np.array_equal(got, want)
 
     def test_shots_on_the_benchmark_grid(self, shoot_bench_v0):
-        nodes = shoot_bench_v0.grid.nodes
-        for lam, x_start, x_end in ((-1e3, 0.0, 1.0), (20.0 - 8.0j, 1.0, 0.0)):
-            rhs, y0 = _stepped_rhs(lam, nodes[7])
-            got = dp45_integrate(rhs, x_start, x_end, y0, 1e-10, 1e-12, nodes)
-            want = _fresh_solver_per_interval(rhs, x_start, x_end, y0, 1e-10,
-                                              1e-12, nodes)
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
+        for lam, side in ((-1e3, "left"), (20.0 - 8.0j, "right")):
+            x_start, stops, _ = shoot_bench_v0._sides[side]
+            rhs, y0 = _stepped_rhs(lam, shoot_bench_v0.grid.nodes[7])
+            got = dp45_integrate(rhs, x_start, stops, y0, 1e-10, 1e-12)
+            want = _fresh_solver_per_interval(rhs, x_start, stops, y0, 1e-10,
+                                              1e-12)
+            assert np.array_equal(got, want)
+
+
+def _scalar_rhs(vfun, lam):
+    # (f, f')' = (f', (V(x) - lam) f), the right-hand side of one shot
+    def rhs(x, y):
+        return np.array([y[1], (vfun(x) - lam) * y[0]], dtype=complex)
+
+    return rhs
+
+
+@pytest.fixture(scope="module")
+def shoot_small_v0():
+    return build_shoot1d(ShootConfig(), panels=4, order=12, fd_nodes=32)
 
 
 class TestShootIvp:
-    def test_cosh_solution(self):
-        cfg = ShootConfig()
-        sol = solve_ivp_schrodinger(cfg, -1.0, 0.0, 1.0, 0.0, +1)
-        assert abs(sol.f_end - COSH1) < 1e-10
-        assert abs(sol.df_end - SINH1) < 1e-10
+    """One-sided shots against closed forms, through the model's one
+    integration path."""
 
-    def test_linear_solution_at_zero_energy(self):
-        cfg = ShootConfig()
-        sol = solve_ivp_schrodinger(cfg, 0.0, 0.0, 0.0, 1.0, +1)
-        assert abs(sol.f_end - 1.0) < 1e-12
-        assert abs(sol.df_end - 1.0) < 1e-12
+    def test_cosh_solution(self, shoot_small_v0):
+        _, (f_end, df_end) = shoot_small_v0._shot(-1.0, False, "left")
+        assert abs(f_end - COSH1) < 1e-10
+        assert abs(df_end - SINH1) < 1e-10
+
+    def test_linear_solution_at_zero_energy(self, shoot_small_v0):
+        # f(0) = 0, f'(0) = 1 at lambda = 0: f = x
+        _, (f_end, df_end) = shoot_small_v0._integrate(
+            _scalar_rhs(Potential1D.zero(), 0.0), [0.0, 1.0], "left", 1e-10,
+            1e-12)
+        assert abs(f_end - 1.0) < 1e-12
+        assert abs(df_end - 1.0) < 1e-12
 
     def test_constant_potential_shifts_energy(self):
         c = 2.5
-        cfg = ShootConfig(potential=Potential1D.constant(c))
-        sol = solve_ivp_schrodinger(cfg, c - 1.0, 0.0, 1.0, 0.0, +1)
-        assert abs(sol.f_end - COSH1) < 1e-10
+        model = build_shoot1d(ShootConfig(potential=Potential1D.constant(c)),
+                              panels=4, order=12, fd_nodes=32)
+        _, (f_end, _) = model._shot(c - 1.0, False, "left")
+        assert abs(f_end - COSH1) < 1e-10
 
-    def test_oscillatory_solution(self):
-        cfg = ShootConfig()
-        sol = solve_ivp_schrodinger(cfg, np.pi**2, 0.0, 1.0, 0.0, +1)
+    def test_oscillatory_solution(self, shoot_small_v0):
+        _, (f_end, df_end) = shoot_small_v0._shot(np.pi**2, False, "left")
         # cos(pi x) arrives at -1 with zero slope
-        assert abs(sol.f_end + 1.0) < 1e-9
-        assert abs(sol.df_end) < 1e-8
+        assert abs(f_end + 1.0) < 1e-9
+        assert abs(df_end) < 1e-8
 
-    def test_samples_follow_closed_form(self):
-        cfg = ShootConfig()
-        pts = np.linspace(0.0, 1.0, 11)
-        sol = solve_ivp_schrodinger(cfg, -1.0, 0.0, 1.0, 0.0, +1, sample_points=pts)
-        assert np.abs(sol.f_samples - np.cosh(pts)).max() < 1e-10
+    def test_samples_follow_closed_form(self, shoot_small_v0):
+        xs = shoot_small_v0.grid.nodes
+        (phi, dphi), _ = shoot_small_v0._shot(-1.0, False, "left")
+        (psi, _), _ = shoot_small_v0._shot(-1.0, False, "right")
+        assert np.abs(phi - np.cosh(xs)).max() < 1e-10
+        assert np.abs(dphi - np.sinh(xs)).max() < 1e-10
+        assert np.abs(psi - np.cosh(1.0 - xs)).max() < 1e-10
 
     def test_wronskian_constancy(self):
-        cfg = ShootConfig(potential=Potential1D.from_callable(complex_bump))
-        lam = -2.0 + 0.7j
-        pts = np.linspace(0.0, 1.0, 33)
-        a = solve_ivp_schrodinger(cfg, lam, 0.0, 1.0, 0.0, +1, sample_points=pts)
-        b = solve_ivp_schrodinger(cfg, lam, 0.0, 0.0, 1.0, +1, sample_points=pts)
-        w = a.f_samples * b.df_samples - a.df_samples * b.f_samples
+        pot = Potential1D.from_callable(complex_bump)
+        model = build_shoot1d(ShootConfig(potential=pot), panels=4, order=12,
+                              fd_nodes=32)
+        rhs = _scalar_rhs(pot, -2.0 + 0.7j)
+        a, a_end = model._integrate(rhs, [1.0, 0.0], "left", 1e-10, 1e-12)
+        b, b_end = model._integrate(rhs, [0.0, 1.0], "left", 1e-10, 1e-12)
+        a, b = np.vstack([a, a_end]), np.vstack([b, b_end])
+        w = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
         assert np.abs(w - 1.0).max() < 1e-8
+
+
+class TestStops:
+    @pytest.mark.parametrize("potential", [
+        Potential1D.zero(), Potential1D.power_singularity(1.0 - 0.5j, 0.4, 0.4,
+                                                          2.0)],
+        ids=["v0", "power"])
+    def test_rows_map_back_to_the_nodes(self, potential):
+        model = build_shoot1d(ShootConfig(potential=potential), panels=4,
+                              order=12, fd_nodes=32)
+        nodes = model.grid.nodes
+        for side, (x_start, x_end, sign) in (("left", (0.0, 1.0, 1.0)),
+                                             ("right", (1.0, 0.0, -1.0))):
+            start, stops, rows = model._sides[side]
+            stops = np.array(stops)
+            assert start == x_start and stops[-1] == x_end
+            assert (np.diff(np.append(start, stops)) * sign > 0).all()
+            assert np.array_equal(stops[rows], nodes)
+            # the jumps of V are stops, and nothing else besides the far end
+            inner = set(stops[:-1]) - set(nodes)
+            assert inner == set(potential.breakpoints())
+
+    def test_jump_behind_the_start_is_no_stop(self, monkeypatch):
+        # x0 = 5e-9 puts the window edge x0 - 1e-8 behind x = 0; as a stop
+        # it would send the solver backward past the interval end
+        pot = Potential1D.power_singularity(1.0 - 0.5j, 5e-9, 0.4, 2.0)
+        model = build_shoot1d(ShootConfig(potential=pot), panels=4, order=12,
+                              fd_nodes=32)
+        calls = []
+        original = model_shoot1d.dp45_integrate
+
+        def one_way(rhs, x_start, stops, y0, *args):
+            # checked before the solve: a solver sent backward never ends
+            legs = np.diff(np.append(x_start, stops))
+            assert (legs > 0).all() or (legs < 0).all()
+            calls.append(x_start)
+            return original(rhs, x_start, stops, y0, *args)
+
+        monkeypatch.setattr(model_shoot1d, "dp45_integrate", one_way)
+        m = weyl(model, -3.0, allow_uncertified=True).m
+        batch = model.weyl_batch([-3.0, 5.0 + 3.0j])
+        assert np.isfinite(m).all() and np.isfinite(batch).all()
+        assert len(calls) >= 4  # the shots of weyl, two stacked sides
 
 
 @pytest.fixture(scope="module")
@@ -426,10 +475,10 @@ class TestWeylBatch:
             self, shoot_bench_v0, monkeypatch):
         original = model_shoot1d.dp45_integrate
 
-        def stacked_fails(rhs, x_start, x_end, y0, *args, **kwargs):
+        def stacked_fails(rhs, x_start, stops, y0, rtol, atol):
             if len(y0) > 2:
                 raise StepSizeUnderflow("stacked solve refused")
-            return original(rhs, x_start, x_end, y0, *args, **kwargs)
+            return original(rhs, x_start, stops, y0, rtol, atol)
 
         monkeypatch.setattr(model_shoot1d, "dp45_integrate", stacked_fails)
         lams = np.array([-1.0, 5.0 + 3.0j, 0.0])

@@ -105,6 +105,20 @@ class TestBoundaryOperator:
             robin_eigs(fd_v0, np.array([[np.nan, 0.0], [0.0, 1.0]]), region,
                        grid)
 
+    @pytest.mark.parametrize("region", [(30.0, -20.0, -6.0, 6.0),
+                                        (-20.0, 30.0, 6.0, -6.0)],
+                             ids=["real", "imaginary"])
+    def test_robin_eigs_rejects_an_inverted_region(self, fd_v0, region):
+        # a minimum above its maximum is an input error, not an empty scan
+        with pytest.raises(ValueError, match="inverted"):
+            robin_eigs(fd_v0, BoundaryOperator.scalar(0.7, 2), region, (24, 9))
+
+    def test_robin_eigs_scans_a_segment_of_the_real_axis(self, fd_v0):
+        # a degenerate side is no inversion
+        roots = robin_eigs(fd_v0, BoundaryOperator.scalar(0.7, 2),
+                           (-20.0, 30.0, 0.0, 0.0), (24, 9))
+        assert all(-20.0 <= z.real <= 30.0 for z in roots)
+
 
 class TestGammaFields:
     def test_interval_closed_form(self, shoot_v0):
