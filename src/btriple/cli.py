@@ -97,9 +97,9 @@ class CliConfig:
         if not isinstance(region, dict) or set(region) - {"rect", "grid"}:
             raise ConfigError("region section accepts only 'rect' and 'grid'")
         self.region = _as_numbers(region.get("rect", _DEFAULT_REGION["rect"]),
-                                  float, "region.rect")
+                                  "region.rect")
         self.grid = _as_numbers(region.get("grid", _DEFAULT_REGION["grid"]),
-                                int, "region.grid")
+                                "region.grid", integer=True)
         if len(self.region) != 4:
             raise ConfigError("region.rect must be [re_min, re_max, im_min, im_max]")
         if self.region[0] == self.region[1] and self.region[2] == self.region[3]:

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
+import numbers
 import platform
 import sys
 import time
@@ -173,27 +175,34 @@ _POTENTIAL_KEYS = {
 }
 
 
+def _as_real(value, where, integer=False):
+    """value as a float, or as an int with ``integer``; anything else,
+    JSON's true and false and, with ``integer``, a fraction included, is a
+    ConfigError."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if integer and not float(value).is_integer():
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _as_complex(value, where):
     """A finite complex from a number or an [re, im] pair; anything else,
     NaN and infinities included, is a ConfigError."""
     pair = isinstance(value, (list, tuple)) and len(value) == 2
-    parts = value if pair else [value]
-    if not all(isinstance(v, (int, float)) for v in parts):
-        raise ConfigError(f"{where}: expected a number or [re, im] pair")
-    z = complex(*parts)
+    z = complex(*[_as_real(v, where) for v in (value if pair else [value])])
     if not cmath.isfinite(z):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return z
 
 
-def _as_numbers(values, convert, where):
-    """Tuple of convert(v) over values; malformed or non-finite input is a
-    ConfigError."""
-    try:
-        out = tuple(convert(v) for v in values)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: expected numbers ({exc})") from exc
-    if not all(cmath.isfinite(v) for v in out):
+def _as_numbers(values, where, integer=False):
+    """Tuple of the finite numbers in a list (ints with ``integer``); any
+    other input is a ConfigError."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{where}: expected a list of numbers, got {values!r}")
+    out = tuple(_as_real(v, where, integer) for v in values)
+    if not all(math.isfinite(v) for v in out):
         raise ConfigError(f"{where}: expected finite numbers, got {values!r}")
     return out
 
@@ -220,7 +229,7 @@ def potential_from_spec(spec):
     missing = _POTENTIAL_KEYS["power"] - set(spec)
     if missing:
         raise ConfigError(f"power potential needs keys {sorted(missing)}")
-    x0, alpha, p = _as_numbers((spec["x0"], spec["alpha"], spec["p"]), float,
+    x0, alpha, p = _as_numbers([spec["x0"], spec["alpha"], spec["p"]],
                                "potential x0, alpha, p")
     return Potential1D.power_singularity(
         _as_complex(spec["c"], "potential.c"), x0, alpha, p)
@@ -247,31 +256,34 @@ def model_from_spec(spec):
     if extra:
         raise ConfigError(f"unknown model keys {sorted(extra)}")
     pot = potential_from_spec(spec.get("potential"))
+
+    def number(key, default=None, integer=False):
+        return _as_real(spec.get(key, default), f"{name}.{key}", integer)
+
     try:
         if name == "fd1d":
-            return build_fd1d(int(spec.get("n", 96)),
-                              float(spec.get("length", 1.0)), pot)
+            return build_fd1d(number("n", 96, True), number("length", 1.0),
+                              pot)
         if name == "shoot1d":
-            cfg = ShootConfig(length=float(spec.get("length", 1.0)),
-                              potential=pot,
-                              rtol=float(spec.get("rtol", 1e-10)),
-                              atol=float(spec.get("atol", 1e-12)))
-            return build_shoot1d(cfg, panels=int(spec.get("panels", 8)),
-                                 order=int(spec.get("order", 16)),
-                                 fd_nodes=int(spec.get("fd_nodes", 512)))
+            cfg = ShootConfig(length=number("length", 1.0), potential=pot,
+                              rtol=number("rtol", 1e-10),
+                              atol=number("atol", 1e-12))
+            return build_shoot1d(cfg, panels=number("panels", 8, True),
+                                 order=number("order", 16, True),
+                                 fd_nodes=number("fd_nodes", 512, True))
         kwargs = {
             "side": spec.get("side", "interior"),
-            "k_max": int(spec.get("k_max", 16)),
+            "k_max": number("k_max", 16, True),
             "radial_potential": pot if not pot.is_zero else None,
         }
         if "support" in spec:
-            lo, hi = spec["support"]
-            kwargs["support"] = (float(lo), float(hi))
+            lo, hi = _as_numbers(spec["support"], "disk.support")
+            kwargs["support"] = (lo, hi)
         for key in ("radial_grid", "quad_panels", "quad_order"):
             if key in spec:
-                kwargs[key] = int(spec[key])
+                kwargs[key] = number(key, integer=True)
         if "r_cut" in spec:
-            kwargs["r_cut"] = float(spec["r_cut"])
+            kwargs["r_cut"] = number("r_cut")
         return build_disk(DiskModelConfig(**kwargs))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid {name} parameters: {exc}") from exc
@@ -294,7 +306,12 @@ class SuiteConfig:
     seed: int = 7
 
     def __post_init__(self):
-        regions = tuple(tuple(float(x) for x in region)
+        for region in self.complex_scan_regions:
+            if not isinstance(region, (list, tuple, np.ndarray)) \
+                    or len(region) != 4:
+                raise ConfigError("a scan region is four numbers: "
+                                  "re_min, re_max, im_min, im_max")
+        regions = tuple(tuple(_as_real(x, "scan region") for x in region)
                         for region in self.complex_scan_regions)
         object.__setattr__(self, "complex_scan_regions", regions)
         unknown = set(self.tolerances) - _OVERRIDE_KEYS
@@ -303,9 +320,9 @@ class SuiteConfig:
                 f"unknown tolerance override keys {sorted(map(str, unknown))}: "
                 "a key is a check name, or check:kind with a model kind")
         for key, value in self.tolerances.items():
-            if not value > 0.0:
+            if not _as_real(value, f"tolerance override {key!r}") > 0.0:
                 raise ConfigError(f"tolerance override {key!r} must be positive")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _as_real(self.seed, "seed", True))
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative: {self.seed}")
 

@@ -289,38 +289,35 @@ class Fd1dModel(TripleModel):
                                   "solve_bvp_tilde" if tilde else "solve_bvp")
 
     def _weyl_chunk(self, lams, tilde):
-        """Weyl matrices of a chunk of points from one Thomas sweep that
-        carries both boundary right-hand sides (the columns of M are the
-        boundary values of the solutions with Neumann data e_0 and e_1).
-        The sweep does not pivot, so every solution passes the residual
-        guard of ``_solve_banded`` (1e-8 of the same scale); a point that
-        fails it or overflows, as on the Neumann spectrum, gets a NaN row.
+        """Weyl matrices of a chunk of points from one gtsv solve, the one
+        behind ``solve_bvp``, of the points' systems laid end to end with
+        both boundary right-hand sides (the columns of M are the boundary
+        values of the solutions with Neumann data e_0 and e_1). The band
+        couples no two systems, so gtsv eliminates each as it does alone and
+        M has the per-point bits. A point that fails the residual guard of
+        ``_solve_banded``, as on the Neumann spectrum, gets a NaN row. A zero
+        pivot or a solution that is not finite raises MatchingSingular, and
+        ``weyl_batch`` goes point by point: the back substitution would
+        carry one system's NaNs into every system before it.
         """
-        # arrays are (row, [rhs,] point) so each row step is contiguous
-        upper, diag0, lower = self._bvp_bands(0.0, tilde)
-        a = lower[:-1, None]  # a[i - 1] = A[i, i - 1]
-        c = upper[1:, None]   # c[i] = A[i, i + 1]
-        n = self.grid.n
-        diag = np.repeat(diag0[:, None], len(lams), axis=1)
-        diag[1:-1] -= lams  # kernel rows carry -lambda, trace rows do not
-        cp = np.empty((n - 1, len(lams)), dtype=complex)
-        x = np.zeros((n, 2, len(lams)), dtype=complex)
-        x[0, 0] = 1.0
-        x[-1, 1] = 1.0
-        pivot = diag[0]
-        x[0] /= pivot
-        for i in range(1, n):
-            cp[i - 1] = c[i - 1] / pivot
-            pivot = diag[i] - a[i - 1] * cp[i - 1]
-            x[i] -= a[i - 1, :, None] * x[i - 1]
-            x[i] /= pivot
-        for i in range(n - 2, -1, -1):
-            x[i] -= cp[i] * x[i + 1]
-        # the residual guard of _solve_banded, per point and right-hand side
-        rhs = np.zeros((n, 2, 1))
+        base = self._bvp_bands(0.0, tilde)
+        n, k = self.grid.n, len(lams)
+        bands = np.repeat(base[:, None], k, axis=1)
+        bands[1, :, 1:-1] -= lams[:, None]  # trace rows carry no -lambda
+        rhs = np.zeros((n, 2), dtype=complex)
         rhs[0, 0] = rhs[-1, 1] = 1.0
-        good = _residual_ok(upper[:, None, None], diag[:, None],
-                            lower[:, None, None], x, rhs).all(axis=0)
+        try:
+            x = sla.solve_banded((1, 1), bands.reshape(3, k * n),
+                                 np.tile(rhs, (k, 1)), check_finite=False)
+        except sla.LinAlgError as exc:
+            raise MatchingSingular(f"weyl chunk: {exc}") from exc
+        if not np.all(np.isfinite(x)):
+            raise MatchingSingular("weyl chunk: a solution is not finite")
+        # the guard runs on contiguous (row, rhs, point) arrays
+        x = x.reshape(k, n, 2).transpose(1, 2, 0).copy()
+        good = _residual_ok(base[0, :, None, None], bands[1].T[:, None],
+                            base[2, :, None, None], x,
+                            rhs[:, :, None]).all(axis=0)
         m = np.stack([x[0], x[-1]]).transpose(2, 0, 1)
         m[~good] = np.nan
         return m

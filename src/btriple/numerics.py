@@ -1,14 +1,9 @@
 """Dense complex linear algebra and scalar analysis kernels.
 
 Thin wrappers around numpy/scipy that normalize error behavior: singular
-solves raise SingularMatrix instead of returning garbage, eigenvalue output
-is deterministically ordered, and the Newton iteration keeps polishing past
-its residual target so that multiple roots are still located to near machine
-accuracy. The Newton iteration runs every start of an array in lockstep, one
-call of the objective per step for all of them. No package code calls it
-(robin_eigs is a contour solve); it stays exported for its tests and
-because the traced benchmark run patches its name in triple_core.
-Everything here is a pure function of its arguments.
+solves raise SingularMatrix instead of returning garbage, and eigenvalue
+output is deterministically ordered. Everything here is a pure function of
+its arguments.
 """
 
 from __future__ import annotations
@@ -119,74 +114,3 @@ def fit_log_slope(points):
     sigma2 = np.sum((ly - (intercept + slope * lx)) ** 2) / (len(lx) - 2)
     spread = np.sum((lx - lx.mean()) ** 2)
     return float(slope), float(intercept), float(np.sqrt(sigma2 / spread))
-
-
-def complex_newton(f, z0, tol, fprime=None, max_iter=50):
-    """Newton iteration for a holomorphic f, run from every start in ``z0``
-    in lockstep.
-
-    Each step makes one call to ``f``: on the (3,) + z0.shape stack
-    (z, z + h, z - h), h = 1e-6 * max(1, |z|), for a central-difference
-    derivative, or on z alone when ``fprime`` gives the derivative. Runs
-    that have ended are passed as NaN; ``f`` must return a non-finite value
-    there and need not evaluate them. ``tol`` is a scalar or an array of
-    z0's shape.
-
-    Once a run meets its residual target |f(z)| <= tol it keeps stepping
-    until the step is at most 1e-11 * max(1, |z|). That polish phase costs
-    a handful of extra evaluations and is what makes multiple roots (where
-    |f| <= tol is reached far from the root) come out accurate: Newton
-    still contracts linearly there, halving the error per step. A run
-    fails when f(z) or its step is not finite, when the derivative
-    vanishes before the target is met (after it, the run returns z), or
-    when the target is not met within ``max_iter`` steps.
-
-    A failed run, or a NaN start, gives NaN. For a scalar ``z0`` the root
-    comes back as a complex, and a failure raises NoConvergence.
-    """
-    z = np.array(z0, dtype=complex)
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), z.shape)
-    active = np.array(np.isfinite(z))
-    hit_tol = np.zeros(z.shape, dtype=bool)
-    why = np.full(z.shape, "start is not finite", dtype=object)
-
-    def stop(mask, failure=None):
-        """End the active runs in mask; a failure sets them to NaN."""
-        mask = mask & active
-        active[mask] = False
-        if failure is not None:
-            z[mask] = np.nan
-            why[mask] = failure
-
-    def evaluate(zs):
-        """f(zs) and f'(zs), with one call of f."""
-        if fprime is not None:
-            return (np.asarray(f(zs), dtype=complex),
-                    np.asarray(fprime(zs), dtype=complex))
-        h = 1e-6 * np.maximum(1.0, np.abs(zs))
-        fs = np.asarray(f(np.stack([zs, zs + h, zs - h])), dtype=complex)
-        return fs[0], (fs[1] - fs[2]) / (2.0 * h)
-
-    with np.errstate(all="ignore"):
-        for _ in range(max_iter):
-            if not active.any():
-                break
-            fz, df = evaluate(np.where(active, z, np.nan))
-            stop(~np.isfinite(fz), "f(z) is not finite")
-            hit_tol |= active & (np.abs(fz) <= tol)
-            flat = (df == 0) | ~np.isfinite(df)
-            stop(flat & hit_tol)
-            stop(flat, "derivative vanished before reaching tolerance")
-            step = fz / df
-            stop(~np.isfinite(step), "step is not finite")
-            np.subtract(z, step, out=z, where=active)
-            stop(hit_tol & (np.abs(step) <= 1e-11 * np.maximum(1.0, np.abs(z))))
-        if active.any():
-            fz, _ = evaluate(np.where(active & hit_tol, z, np.nan))
-            stop(hit_tol & (np.abs(fz) <= tol))
-            stop(active, f"no root within {max_iter} iterations")
-    if z.ndim == 0:
-        if np.isnan(z):
-            raise NoConvergence(f"{why[()]} (start {complex(z0)})")
-        return complex(z)
-    return z

@@ -39,7 +39,9 @@ from .numerics import (
     solve_linear,
 )
 # not called here; the traced benchmark run patches the names in this module
-from .numerics import complex_newton, herm_inv_sqrt  # noqa: F401
+# (the Newton solver itself is gone)
+from .numerics import herm_inv_sqrt  # noqa: F401
+complex_newton = None
 
 # sigma_min floor below which I - B M(lambda) counts as singular
 _BS_SINGULAR_TOL = 1e-10
@@ -114,10 +116,10 @@ class TripleModel(abc.ABC):
     evaluate M, i.e. one on the Neumann spectrum, gets an all-NaN row
     instead of an exception, so one bad node never aborts a batch. It hands
     chunks of at most ``_BATCH_CHUNK`` points to the family's vectorized
-    ``_weyl_chunk``, which gives those NaN rows itself (fd1d: one Thomas
-    sweep; shoot1d: one stacked DOP853 solve per side; the V = 0 disk: its
-    closed Bessel form), and evaluates point by point a chunk whose kernel
-    raises a BTripleError, and every chunk of a model without a kernel.
+    ``_weyl_chunk``, which gives those NaN rows itself (fd1d: one gtsv solve;
+    shoot1d: one stacked DOP853 solve per side; the V = 0 disk: its closed
+    Bessel form), and evaluates point by point a chunk whose kernel raises a
+    BTripleError, and every chunk of a model without a kernel.
     ``robin_eigs`` evaluates M only through this call.
     """
 

@@ -87,6 +87,14 @@ class TestExitCodes:
         ("region", {"rect": [1.0, 1.0, 2.0, 2.0]}),
         ("region", {"rect": [30.0, -20.0, -6.0, 6.0]}),
         ("region", {"rect": [-20.0, 30.0, 6.0, -6.0]}),
+        # json true is no number, and an integer key takes no fraction
+        ("lambda", {"points": [True]}),
+        ("potential", {"kind": "constant", "value": True}),
+        ("boundary_operator", {"kind": "scalar", "beta": True}),
+        ("model", {"family": "fd1d", "n": 96.9}),
+        ("model", {"family": "disk", "k_max": True}),
+        ("region", {"grid": [24.7, 9]}),
+        ("region", {"rect": [-20.0, 30.0, -6.0, True]}),
     ])
     def test_malformed_numbers_exit_2(self, tmp_path, section, value):
         # eigs is the command that scans region.grid

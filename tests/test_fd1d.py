@@ -10,6 +10,7 @@ from btriple import (
     ConstraintSingular,
     FdGrid,
     InvalidPotential,
+    MatchingSingular,
     Potential1D,
     build_fd1d,
     dense_robin_matrix,
@@ -243,3 +244,42 @@ class TestWeylBatch:
         whole = fd_v0.weyl_batch(lams)
         assert np.array_equal(whole[:256], fd_v0.weyl_batch(lams[:256]))
         assert np.array_equal(whole[256:], fd_v0.weyl_batch(lams[256:]))
+
+    @pytest.mark.parametrize("power", [False, True])
+    def test_same_bits_as_weyl(self, power):
+        # the chunk runs solve_bvp's gtsv on its systems laid end to end;
+        # 320 points cross a chunk border, most of them complex and right
+        # of the threshold, some real and left of it
+        model = build_fd1d(n=96, potential=self.POWER if power else None)
+        rng = np.random.default_rng(23)
+        lams = np.concatenate([
+            rng.uniform(-200.0, 400.0, 300) + 1j * rng.uniform(-50.0, 50.0, 300),
+            np.linspace(-200.0, -2.0, 20)])
+        batch = model.weyl_batch(lams)
+        batch_tilde = model.weyl_batch(lams.conj(), tilde=True)
+        for lam, m, m_tilde in zip(lams, batch, batch_tilde):
+            sample = weyl(model, lam, allow_uncertified=True)
+            assert np.array_equal(m, sample.m)
+            assert np.array_equal(m_tilde, sample.m_tilde_at_conj)
+
+    def test_zero_pivot_spoils_only_its_row(self, fd_v0):
+        # lambda = 0 on V = 0 is an exact zero pivot of gtsv, so the chunk
+        # raises and weyl_batch evaluates it point by point
+        with pytest.raises(MatchingSingular):
+            fd_v0._weyl_chunk(np.array([-1.0, 0.0]), False)
+        lams = -20.0 + 15.0 * np.exp(2j * np.pi * (np.arange(200) + 0.5) / 200)
+        lams[77] = 0.0
+        batch = fd_v0.weyl_batch(lams)
+        assert np.isnan(batch[77]).all()
+        for k in np.flatnonzero(lams != 0.0):
+            assert np.array_equal(batch[k], _weyl_matrix(fd_v0, lams[k], False))
+
+    def test_nan_point_spoils_only_its_row(self, fd_v0):
+        # in one band, a NaN system's NaNs would reach every system before it
+        lams = np.array([-1.0, 2.0 + 1.0j, np.nan, -3.0, np.inf])
+        with pytest.raises(MatchingSingular):
+            fd_v0._weyl_chunk(lams, False)
+        batch = fd_v0.weyl_batch(lams)
+        assert np.isnan(batch[[2, 4]]).all()
+        for k in (0, 1, 3):
+            assert np.array_equal(batch[k], _weyl_matrix(fd_v0, lams[k], False))

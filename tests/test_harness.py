@@ -86,6 +86,27 @@ class TestSuiteConfig:
         with pytest.raises(ConfigError, match="unknown tolerance override"):
             SuiteConfig(tolerances={key: 1e-30})
 
+    @pytest.mark.parametrize("seed", [7.9, True, "7"])
+    def test_seed_must_be_an_integer(self, seed):
+        # int() would run seed 7 and seed 1
+        with pytest.raises(ConfigError, match="seed"):
+            SuiteConfig(seed=seed)
+        assert SuiteConfig(seed=7.0).seed == 7
+
+    @pytest.mark.parametrize("region", [(1.0, 2.0, 3.0),
+                                        (-20.0, 30.0, -6.0, 6.0, 1.0),
+                                        (-20.0, 30.0, -6.0, True), 5.0])
+    def test_scan_region_must_be_four_numbers(self, region):
+        # a short region once escaped the records as a bare ValueError
+        with pytest.raises(ConfigError, match="region"):
+            run_bs_cross_check(SuiteConfig(
+                models=({"model": "fd1d", "n": 32},),
+                complex_scan_regions=(region,)))
+
+    def test_boolean_tolerance_is_rejected(self):
+        with pytest.raises(ConfigError, match="green_identity"):
+            SuiteConfig(tolerances={"green_identity": True})
+
     def test_tolerance_key_with_a_kind_is_accepted(self):
         config = SuiteConfig(tolerances={"green_identity:fd1d": 1e-30,
                                          "decay_exponent_bounded": 1e-3})
@@ -158,6 +179,29 @@ class TestModelKinds:
     ])
     def test_kind_strings(self, spec, kind):
         assert model_from_spec(spec).kind == kind
+
+    @pytest.mark.parametrize("spec", [
+        {"model": "fd1d", "n": 96.9},
+        {"model": "fd1d", "n": True},
+        {"model": "fd1d", "n": "96"},
+        {"model": "fd1d", "length": True},
+        {"model": "shoot1d", "panels": 2.5},
+        {"model": "disk", "k_max": True},
+        {"model": "disk", "quad_order": 8.5},
+        {"model": "disk", "support": [True, 0.8]},
+        {"model": "fd1d", "potential": {"kind": "constant", "value": True}},
+        {"model": "fd1d", "potential": {"kind": "constant",
+                                        "value": [1.0, False]}},
+        {"model": "fd1d", "potential": {"kind": "power", "c": 1.0,
+                                        "x0": True, "alpha": 0.4, "p": 2.0}},
+    ])
+    def test_booleans_and_non_integral_integers_are_rejected(self, spec):
+        # int() and float() would build n = 96, k_max = 1 or V = 1
+        with pytest.raises(ConfigError):
+            model_from_spec(spec)
+
+    def test_integral_float_is_an_integer(self):
+        assert model_from_spec({"model": "fd1d", "n": 32.0}).grid.n == 32
 
     def test_tolerance_override_by_kind(self):
         config = SuiteConfig(models=({"model": "fd1d", "n": 32},),

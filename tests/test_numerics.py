@@ -1,14 +1,12 @@
-"""Dense linear algebra helpers, log-log fitting, and the Newton solver."""
+"""Dense linear algebra helpers and log-log fitting."""
 import numpy as np
 import pytest
 from scipy.stats import linregress
 
 from btriple import (
     DegenerateInput,
-    NoConvergence,
     NotPositiveDefinite,
     SingularMatrix,
-    complex_newton,
     eig_dense,
     fit_log_slope,
     herm_inv_sqrt,
@@ -204,46 +202,3 @@ class TestFitLogSlope:
     def test_coincident_abscissae(self):
         with pytest.raises(DegenerateInput):
             fit_log_slope([(2.0, 1.0), (2.0, 0.5), (2.0, 0.25)])
-
-
-class TestComplexNewton:
-    def test_real_root(self):
-        z = complex_newton(lambda z: z * z - 1.0, 0.9, 1e-13)
-        assert abs(z - 1.0) < 1e-12
-
-    def test_imaginary_root(self):
-        z = complex_newton(lambda z: z * z + 1.0, 0.9j, 1e-13)
-        assert abs(z - 1.0j) < 1e-12
-
-    def test_with_explicit_derivative(self):
-        z = complex_newton(lambda z: z**3 - 8.0, 2.2, 1e-13,
-                           fprime=lambda z: 3.0 * z * z)
-        assert abs(z - 2.0) < 1e-12
-
-    def test_no_convergence(self):
-        # gradient points away from any root of exp, which has none
-        with pytest.raises(NoConvergence):
-            complex_newton(lambda z: np.exp(z) + 0.0, 1.0, 1e-13, max_iter=8)
-
-    def test_lockstep_batch_matches_scalar_runs(self):
-        # one batch: a converging start, a NaN start, and a start on exp,
-        # which has no root; column j of every stack belongs to start j
-        def f(z):
-            stacks.append(z.copy())
-            return np.where(np.arange(3) == 2, np.exp(z), z * z - 1.0)
-
-        stacks = []
-        z0 = np.array([0.9, np.nan, 1.0])
-        got = complex_newton(f, z0, np.array([1e-13, 1e-13, 1e-13]), max_iter=8)
-        assert abs(got[0] - 1.0) < 1e-12
-        assert np.isnan(got[1]) and np.isnan(got[2])
-        assert all(s.shape == (3, 3) for s in stacks)
-        assert all(np.isnan(s[:, 1]).all() for s in stacks)
-        # a finished run is passed as NaN from the step after it ends on
-        assert np.isnan(stacks[-1][:, 0]).all()
-        scalar = complex_newton(lambda z: z * z - 1.0, 0.9, 1e-13, max_iter=8)
-        assert abs(got[0] - scalar) <= 1e-14
-        with pytest.raises(NoConvergence):
-            complex_newton(lambda z: z * z - 1.0, np.nan, 1e-13, max_iter=8)
-        with pytest.raises(NoConvergence):
-            complex_newton(lambda z: np.exp(z), 1.0, 1e-13, max_iter=8)
