@@ -258,7 +258,8 @@ def model_from_spec(spec):
     pot = potential_from_spec(spec.get("potential"))
 
     def number(key, default=None, integer=False):
-        return _as_real(spec.get(key, default), f"{name}.{key}", integer)
+        return _as_numbers([spec.get(key, default)], f"{name}.{key}",
+                           integer)[0]
 
     try:
         if name == "fd1d":

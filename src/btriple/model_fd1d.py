@@ -73,39 +73,6 @@ from .triple_core import TripleModel, _bmatrix
 from .triple_core import find_xi2  # noqa: F401
 
 
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker splitter for float64
-
-
-def _two_prod(a, b):
-    """Error-free product transform: (p, e) with p + e == a * b exactly."""
-    p = a * b
-    ca = _SPLIT * a
-    ah = ca - (ca - a)
-    al = a - ah
-    cb = _SPLIT * b
-    bh = cb - (cb - b)
-    bl = b - bh
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, e
-
-
-def _pair_pieces(coef, a, b, re_out, im_out):
-    """Exact piece expansion of sum_k coef_k * a_k * conj(b_k).
-
-    coef entries must be powers of two (here only +-1 and +-2), so scaling
-    the error-free product pieces stays exact. Appends float64 arrays whose
-    total fsum equals the exact real/imaginary parts of the sum.
-    """
-    ar, ai = np.real(a).astype(float), np.imag(a).astype(float)
-    br, bi = np.real(b).astype(float), np.imag(b).astype(float)
-    for x, y, out, sgn in ((ar, br, re_out, 1.0), (ai, bi, re_out, 1.0),
-                           (ai, br, im_out, 1.0), (ar, bi, im_out, -1.0)):
-        p, e = _two_prod(x, y)
-        c = coef * sgn
-        out.append(np.atleast_1d(c * p))
-        out.append(np.atleast_1d(c * e))
-
-
 def _residual_ok(upper, diag, lower, x, rhs):
     """Whether each solution x of A x = rhs (A's bands as solve_banded takes
     them; all may carry trailing batch axes that broadcast) is finite with
@@ -191,53 +158,22 @@ class Fd1dModel(TripleModel):
         return self.grid.h * np.vdot(np.asarray(g)[1:m + 1], np.asarray(f)[1:m + 1])
 
     def green_pairing_defect(self, f, g):
-        """(Tf, g) - (f, T~g) - (t1 f, t0 g) + (t0 f, t1 g), evaluated in
-        the telescoped flux form of the module docstring.
-
-        Every term of the bracket is coef * f_slot * conj(g_slot) with coef
-        in {+-1, +-2} once the 1/h and 1/h^2 scalings are factored out, so
-        expanding each product with an error-free transform and running the
-        pieces through fsum returns the bracket to a rounding of its true
-        (algebraically zero) value. Evaluating the pairing at the operator
-        scale instead would bury the identity under eps/h^2 summation noise;
-        a consistency test ties this form to apply_T/inner at that coarser
-        tolerance. The potential terms cancel cell by cell and enter as
-        plain products, bounded by 2 eps ||V|| ||f|| ||g||.
+        """(Tf, g) - (f, T~g) - (t1 f, t0 g) + (t0 f, t1 g) as the module
+        docstring telescopes it: the flux terms cancel exactly, so what is
+        left is h * sum_j (V_j f_j conj(g_j) - f_j conj(conj(V_j) g_j)),
+        the rounding of the cell-by-cell V products, bounded by
+        2 eps ||V|| ||f|| ||g|| (0 for V = 0). Evaluating the whole pairing
+        at the operator scale instead would bury the identity under eps/h^2
+        summation noise; a consistency test ties this form to
+        apply_T/inner at that coarser tolerance.
         """
-        f = np.asarray(f, dtype=complex)
-        g = np.asarray(g, dtype=complex)
         m = self.grid.cells
-        h = self.grid.h
-        fc, gc = f[1:m + 1], g[1:m + 1]
-        c_up = np.ones(m)
-        c_up[-1] = 2.0
-        c_dn = np.ones(m)
-        c_dn[0] = 2.0
-        two = np.array([2.0])
-        re_p, im_p = [], []
-        families = (
-            # -(Tf, g) flux part: -sum_j [c+ N+(f) - c- N-(f)] conj(g_j)
-            (-c_up, f[2:m + 2], gc), (c_up, fc, gc),
-            (c_dn, fc, gc), (-c_dn, f[0:m], gc),
-            # +(f, T~g) flux part, conjugation distributed over N(g)
-            (c_up, fc, g[2:m + 2]), (-c_up, fc, gc),
-            (-c_dn, fc, gc), (c_dn, fc, g[0:m]),
-            # +2 f_0 conj(N_1/2(g)) - 2 f_{n-1} conj(N_{m+1/2}(g))
-            (two, f[0], g[1]), (-two, f[0], g[0]),
-            (-two, f[-1], g[-1]), (two, f[-1], g[m]),
-            # -2 N_1/2(f) conj(g_0) + 2 N_{m+1/2}(f) conj(g_{n-1})
-            (-two, f[1], g[0]), (two, f[0], g[0]),
-            (two, f[-1], g[-1]), (-two, f[m], g[-1]),
-        )
-        for coef, a, b in families:
-            _pair_pieces(coef, a, b, re_p, im_p)
-        flux = complex(math.fsum(np.concatenate(re_p).tolist()),
-                       math.fsum(np.concatenate(im_p).tolist()))
+        fc = np.asarray(f, dtype=complex)[1:m + 1]
+        gc = np.asarray(g, dtype=complex)[1:m + 1]
         dv = (self._v * fc) * np.conjugate(gc) \
             - fc * np.conjugate(self._v_conj * gc)
-        vpart = complex(math.fsum(dv.real.tolist()),
-                        math.fsum(dv.imag.tolist()))
-        return abs(flux / h + vpart * h)
+        return abs(self.grid.h * complex(math.fsum(dv.real.tolist()),
+                                         math.fsum(dv.imag.tolist())))
 
     # -- solves ------------------------------------------------------------
 

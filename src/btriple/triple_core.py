@@ -103,10 +103,11 @@ class TripleModel(abc.ABC):
     with V cut down to its support, and ``certified_threshold``. Hooks,
     None by default (``mode_weyl_values`` by default returns None):
     ``mode_weyl_values(lam, tilde)``, the diagonal of a diagonal Weyl
-    matrix; ``green_pairing_defect(f, g)``, a cancellation-free Green
-    bracket for ``green_defect``; ``dense_robin(b, tilde=False)``, the
-    dense matrix of A_B (A~_B with ``tilde``) on carrier slots 1..m, m its
-    order; ``reference_robin_eigs(beta)``, closed-form Robin eigenvalues at
+    matrix; ``green_pairing_defect(f, g)``, the Green bracket for
+    ``green_defect`` with its exactly cancelling terms left out;
+    ``dense_robin(b, tilde=False)``, the dense matrix of A_B (A~_B with
+    ``tilde``) on carrier slots 1..m, m its order;
+    ``reference_robin_eigs(beta)``, closed-form Robin eigenvalues at
     B = beta I; ``_weyl_chunk(lams, tilde)``, the vectorized kernel of
     ``weyl_batch``. The harness gates its oracle checks on these hooks.
 
@@ -469,10 +470,11 @@ def gamma_resolvent_identity_defect(model, lam, nu, g, allow_uncertified=False):
 def green_defect(model, f, g):
     """| (Tf, g) - (f, T~g) - (t1 f, t0 g) + (t0 f, t1 g) |.
 
-    A model whose ``green_pairing_defect`` hook is set evaluates the same
-    bracket in a cancellation-free arrangement; the fd1d model does, since
-    its identity is exact by construction and the generic route's rounding
-    (eps at the 1/h^2 operator scale) would otherwise dominate the defect.
+    A model whose ``green_pairing_defect`` hook is set returns the same
+    bracket with the terms that cancel exactly by construction left out;
+    the fd1d model does, where only the rounding of its potential terms
+    remains and the generic route's rounding (eps at the 1/h^2 operator
+    scale) would otherwise dominate the defect.
     """
     if model.green_pairing_defect is not None:
         return float(model.green_pairing_defect(f, g))
@@ -819,29 +821,23 @@ def c1_norm_at(model, lam):
 
 
 def find_xi2(model):
-    """Empirical contraction threshold: largest point of the geometric scan
-    -0.5 * 2^k, k = 0..20, with ||C1|| <= 1/2 there and at the next two scan
-    points below it. ThresholdNotFound past the end of the scan.
+    """Empirical contraction threshold: the first point of the geometric
+    scan -0.5 * 2^k, k = 0..20, with ||C1|| <= 1/2 there.
+    ThresholdNotFound past the end of the scan.
 
-    ||S V S|| decays like ||V|| / |lambda| as lambda -> -inf, so the first
-    passing point with confirmed decay is the scan's best estimate of the
-    threshold; points above it are left uncertified.
+    ||C1(lambda)|| is monotone on the real ray below the bottom of H_N: for
+    lambda1 < lambda2 there, S(lambda1) = S(lambda2) T with T =
+    ((H_N - lambda2)(H_N - lambda1)^-1)^(1/2), which commutes with S and
+    has ||T|| <= 1, so C1(lambda1) = T C1(lambda2) T. Every scan point below
+    the first passing one therefore passes too.
     """
-    start, doublings, confirmations = -0.5, 20, 2
-    cache = {}
-
-    def norm_at(k):
-        if k not in cache:
-            try:
-                cache[k] = c1_norm_at(model, start * 2.0**k)
-            except NotPositiveDefinite:
-                cache[k] = np.inf
-        return cache[k]
-
+    start, doublings = -0.5, 20
     for k in range(doublings + 1):
-        if norm_at(k) <= 0.5:
-            if all(norm_at(k + i) <= 0.5 for i in range(1, confirmations + 1)):
+        try:
+            if c1_norm_at(model, start * 2.0**k) <= 0.5:
                 return start * 2.0**k
+        except NotPositiveDefinite:
+            continue  # not below the bottom of H_N yet
     raise ThresholdNotFound(
         f"||C1|| > 1/2 on the whole scan down to {start * 2.0**doublings:.3e}"
     )
@@ -851,11 +847,16 @@ def weyl_decay_study(model, lam_list, allow_uncertified=False):
     """Sample ||M(lambda)|| along real lam_list -> -inf and fit the log-log
     decay line. Returns (points, fit): points are the (|lambda|,
     ||M(lambda)||) pairs, fit is fit_log_slope's (slope, intercept,
-    stderr) over them. Only M is evaluated, not M~."""
+    stderr) over them. Only M is evaluated, not M~, in one ``weyl_batch``
+    call; NoConvergence names the first point where it has no value."""
+    lams = [_as_lambda(model, lam, allow_uncertified, "weyl_decay_study")
+            for lam in lam_list]
     points = []
-    for lam in lam_list:
-        lam = _as_lambda(model, lam, allow_uncertified, "weyl_decay_study")
-        m = _weyl_matrix(model, lam, tilde=False)
+    for lam, m in zip(lams, model.weyl_batch(lams)):
+        if not np.isfinite(m).all():
+            raise NoConvergence(
+                f"weyl_decay_study: weyl_batch has no value at lambda = "
+                f"{lam:.6g}")
         points.append((abs(lam), float(sla.svdvals(m).max())))
     return points, fit_log_slope(points)
 

@@ -95,6 +95,10 @@ class TestExitCodes:
         ("model", {"family": "disk", "k_max": True}),
         ("region", {"grid": [24.7, 9]}),
         ("region", {"rect": [-20.0, 30.0, -6.0, True]}),
+        # a NaN length gave h = nan, and weyl exited 4 (spectral singularity)
+        ("model", {"family": "fd1d", "length": float("nan")}),
+        ("model", {"family": "fd1d", "length": float("inf")}),
+        ("model", {"family": "shoot1d", "length": float("nan")}),
     ])
     def test_malformed_numbers_exit_2(self, tmp_path, section, value):
         # eigs is the command that scans region.grid

@@ -109,19 +109,33 @@ class TestGreenPairing:
             assert fd_complex_fine.green_pairing_defect(f, g) < 1e-12 * scale
 
     def test_consistent_with_generic_bracket(self, fd_complex):
-        # the fsum route must agree with the naive inner-product bracket at
-        # the operator scale eps / h^2
         rng = np.random.default_rng(9)
-        m = fd_complex
-        for _ in range(20):
-            f = m.random_domain_vector(rng)
-            g = m.random_domain_vector(rng)
-            naive = (m.inner(m.apply_T(f), g) - m.inner(f, m.apply_Ttilde(g))
-                     - m.binner(m.trace1(f), m.trace0(g))
-                     + m.binner(m.trace0(f), m.trace1(g)))
-            exact = m.green_pairing_defect(f, g)
-            scale = np.linalg.norm(f) * np.linalg.norm(g) / m.grid.h
-            assert abs(abs(naive) - exact) < 1e-12 * scale
+        _assert_matches_generic_bracket(
+            fd_complex, [(fd_complex.random_domain_vector(rng),
+                          fd_complex.random_domain_vector(rng))
+                         for _ in range(20)])
+
+    @pytest.mark.parametrize("name", ["fd_v0", "fd_complex"])
+    def test_consistent_with_generic_bracket_on_gamma_fields(self, request,
+                                                             name):
+        # the green_on_kernels pairs: gamma(lam) e_i against gamma~(mu) e_j
+        m = request.getfixturevalue(name)
+        lam, mu = -6.0, -15.0 + 4.0j
+        _assert_matches_generic_bracket(
+            m, [(m.solve_bvp(lam, e), m.solve_bvp_tilde(mu, d))
+                for e in m.boundary_basis() for d in m.boundary_basis()])
+
+
+def _assert_matches_generic_bracket(m, pairs):
+    # the hook must agree with the bracket through apply_T, the traces and
+    # inner at the operator scale eps / h^2
+    for f, g in pairs:
+        naive = (m.inner(m.apply_T(f), g) - m.inner(f, m.apply_Ttilde(g))
+                 - m.binner(m.trace1(f), m.trace0(g))
+                 + m.binner(m.trace0(f), m.trace1(g)))
+        exact = m.green_pairing_defect(f, g)
+        scale = np.linalg.norm(f) * np.linalg.norm(g) / m.grid.h
+        assert abs(abs(naive) - exact) < 1e-12 * scale
 
 
 class TestWeylClosedForm:

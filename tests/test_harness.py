@@ -200,6 +200,19 @@ class TestModelKinds:
         with pytest.raises(ConfigError):
             model_from_spec(spec)
 
+    @pytest.mark.parametrize("spec", [
+        {"model": "fd1d", "length": float("nan")},
+        {"model": "fd1d", "length": float("inf")},
+        {"model": "shoot1d", "length": float("nan")},
+        {"model": "disk", "r_cut": float("nan")},
+        {"model": "disk", "side": "exterior", "r_cut": float("inf")},
+    ])
+    def test_non_finite_numbers_are_rejected(self, spec):
+        # json.load reads NaN and Infinity; each of these once built a
+        # model, a NaN length one with h = nan
+        with pytest.raises(ConfigError, match="finite"):
+            model_from_spec(spec)
+
     def test_integral_float_is_an_integer(self):
         assert model_from_spec({"model": "fd1d", "n": 32.0}).grid.n == 32
 

@@ -792,6 +792,25 @@ class TestThresholdScan:
     def test_zero_potential_first_point(self, fd_v0):
         assert find_xi2(fd_v0) == -0.5
 
+    def test_constant_potential_oracle(self, monkeypatch):
+        # constant V = c on the interval: ||C1(lam)|| = |c| / (-lam) with
+        # the bottom of H_N at 0, so the scan passes first at -0.5 * 2^8;
+        # ||C1|| is monotone, so that point needs no confirmation below it
+        c = 30.0 - 20.0j
+        model = build_fd1d(n=32, potential=Potential1D.constant(c))
+        calls = []
+
+        def counting(m, lam):
+            calls.append(lam)
+            return c1_norm_at(m, lam)
+
+        monkeypatch.setattr(triple_core, "c1_norm_at", counting)
+        assert find_xi2(model) == -128.0
+        assert calls == [-0.5 * 2.0**k for k in range(9)]
+        assert c1_norm_at(model, -128.0) == pytest.approx(abs(c) / 128.0,
+                                                          rel=1e-12)
+        assert c1_norm_at(model, -64.0) > 0.5
+
     def test_doubling_potential_weakly_lowers_threshold(self):
         m1 = build_fd1d(n=96, potential=Potential1D.constant(1.0 + 1.0j))
         m2 = build_fd1d(n=96, potential=Potential1D.constant(2.0 + 2.0j))
@@ -805,6 +824,11 @@ class TestDecayStudies:
         lams = [-10.0 * 4.0**k for k in range(6)]
         _, (slope, _, _) = weyl_decay_study(shoot_v0, lams)
         assert abs(slope + 0.5) < 0.05
+
+    def test_point_without_a_value_is_named(self, fd_v0):
+        # lambda = 0 is a Neumann eigenvalue: weyl_batch gives a NaN row
+        with pytest.raises(NoConvergence, match="lambda = 0"):
+            weyl_decay_study(fd_v0, [-4.0, 0.0, -16.0], allow_uncertified=True)
 
     def test_weyl_decay_exponent_disk(self, disk_ext_v0):
         lams = [-10.0 * 4.0**k for k in range(6)]
