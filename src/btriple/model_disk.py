@@ -262,8 +262,9 @@ class DiskModel(TripleModel):
         self._vr = self._window_values(self._r)
         self._vr_conj = np.conjugate(self._vr)
         self._cache = {}
-        self._blocks = None
+        self._spare_bands = []
         self._build_collocation()
+        self._blocks = [self._mode_block(k) for k in range(kk + 1)]
 
     # -- potential windowing -----------------------------------------------
 
@@ -321,8 +322,10 @@ class DiskModel(TripleModel):
         vr = self._vr_conj if tilde else self._vr
         r = self._r
         ksq = (self.mode_numbers.astype(float) ** 2)[:, None]
-        out = (-(u @ self._d2.T) - (u @ self._d1.T) / r
-               + (ksq / r ** 2) * u + vr * u)
+        # u @ d.T's bits, without casting the real d to complex
+        parts = np.ascontiguousarray(u.T).view(float)
+        d2u, d1u = ((d @ parts).view(complex).T for d in (self._d2, self._d1))
+        out = -d2u - d1u / r + (ksq / r ** 2) * u + vr * u
         return self._assemble(out, np.zeros(2 * self._nm, dtype=complex))
 
     def trace0(self, f):
@@ -411,13 +414,16 @@ class DiskModel(TripleModel):
             self._band_templates.append(ab)
 
     def _mode_data(self, lam, tilde):
-        key = (complex(lam), bool(tilde))
-        data = self._cache.get(key)
+        point = (complex(lam), bool(tilde))
+        data = self._cache.get(point)
         if data is None:
             if len(self._cache) >= 4:
+                # the next LUs reuse the evicted LUs' band storage
+                self._spare_bands = [old[key][0] for old in self._cache.values()
+                                     for key in old if key[0] == "lu"]
                 self._cache.clear()
             data = {}
-            self._cache[key] = data
+            self._cache[point] = data
         return data
 
     def _colloc_lu(self, lam, tilde, k):
@@ -428,7 +434,9 @@ class DiskModel(TripleModel):
         lam = complex(lam)
         vr = self._vr_conj if tilde else self._vr
         # the constrained rows keep their template entries on the diagonal
-        ab = self._band_templates[min(k, 1)].astype(complex, order="F")
+        ab = (self._spare_bands.pop() if self._spare_bands else
+              np.empty_like(self._band_templates[0], dtype=complex))
+        np.copyto(ab, self._band_templates[min(k, 1)])
         diag = float(k * k) / self._r ** 2 + vr - lam
         mask = self._colloc_mask
         ab[self._kl + self._ku, mask] += diag[mask]
@@ -627,10 +635,8 @@ class DiskModel(TripleModel):
 
     def _mode_block(self, k):
         m = self.config.radial_grid
-        if self.config.side == "interior":
-            lo_edge, hi_edge = 0.0, 1.0
-        else:
-            lo_edge, hi_edge = 1.0, self.config.r_cut
+        lo_edge, hi_edge = ((0.0, 1.0) if self.config.side == "interior"
+                            else (1.0, self.config.r_cut))
         h = (hi_edge - lo_edge) / m
         centers = lo_edge + (np.arange(m) + 0.5) * h
         faces = lo_edge + np.arange(m + 1) * h
@@ -644,16 +650,13 @@ class DiskModel(TripleModel):
             # the far end is a Dirichlet truncation
             diag[-1] += 2.0 * faces[m] / (h ** 2 * centers[m - 1])
         coupling = flux / np.sqrt(centers[:-1] * centers[1:])
-        hn = (np.diag(diag + float(k * k) / centers ** 2)
-              - np.diag(coupling, 1) - np.diag(coupling, -1))
-        v = np.diag(self._window_values(centers))
-        return hn, v
+        bands = np.zeros((3, m))
+        bands[0, 1:] = bands[2, :-1] = -coupling
+        bands[1] = diag + float(k * k) / centers ** 2
+        return bands, self._window_values(centers)
 
     def hn_v_blocks(self):
-        if self._blocks is None:
-            self._blocks = [self._mode_block(k)
-                            for k in range(self.config.k_max + 1)]
-        return [(hn.copy(), v.copy()) for hn, v in self._blocks]
+        return self._blocks
 
     def random_domain_vector(self, rng):
         kk = self.config.k_max

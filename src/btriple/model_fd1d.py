@@ -287,7 +287,7 @@ class Fd1dModel(TripleModel):
         return np.diag(self._v)
 
     def hn_v_blocks(self):
-        return [(self.hn_matrix(), self.v_matrix())]
+        return [(self._hn_bands(), self._v)]
 
     def dense_robin(self, b, tilde=False):
         return dense_robin_matrix(self, b, tilde=tilde)

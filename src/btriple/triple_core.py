@@ -31,6 +31,7 @@ from .errors import (
     NotAnEigenvalue,
     NotCertified,
     NotPositiveDefinite,
+    SingularMatrix,
     ThresholdNotFound,
 )
 from .numerics import (
@@ -99,7 +100,7 @@ class TripleModel(abc.ABC):
     them: ``apply_T``/``apply_Ttilde``, ``solve_bvp``/``_tilde`` and
     ``neumann_resolvent``/``_tilde``. ``binner`` defaults to the plain dot
     product. Derived from them, computed once per model and the same for
-    every family: ``hn_spectra``, one eigendecomposition of each H_N block
+    every family: ``hn_spectra``, one eigh of each tridiagonal H_N block
     with V cut down to its support, and ``certified_threshold``. Hooks,
     None by default (``mode_weyl_values`` by default returns None):
     ``mode_weyl_values(lam, tilde)``, the diagonal of a diagonal Weyl
@@ -204,8 +205,8 @@ class TripleModel(abc.ABC):
 
     @abc.abstractmethod
     def hn_v_blocks(self):
-        """(H_N, V) reduced matrices of the free Neumann realization and of
-        multiplication by V, in independent Hermitian-frame blocks."""
+        """(bands, v) per Hermitian-frame block: the real symmetric
+        tridiagonal H_N as solve_banded's (3, m) bands, V's diagonal v."""
 
     @abc.abstractmethod
     def random_domain_vector(self, rng):
@@ -215,19 +216,18 @@ class TripleModel(abc.ABC):
 
     def hn_spectra(self):
         """One HnSpectrum per block of hn_v_blocks, computed once per
-        model: the eigh of the symmetrized H_N, and V on its support K.
+        model: the eigh of the tridiagonal H_N, and V on its support K.
         Every lambda-dependent quantity of the sectorial layer is built
         from these, so no lambda pays for an eigendecomposition."""
         if getattr(self, "_hn_spectra", None) is None:
             spectra = []
-            for hn, v in self.hn_v_blocks():
-                hn = np.asarray(hn)
-                v = np.asarray(v, dtype=complex)
-                w, u = sla.eigh(0.5 * (hn + hn.conj().T))
-                nonzero = v != 0
-                k = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+            for bands, v in self.hn_v_blocks():
+                # dense eigh's kernel and bits (not "auto", which is dstevd)
+                w, u = sla.eigh_tridiagonal(bands[1], bands[2, :-1],
+                                            lapack_driver="stemr")
+                k = np.flatnonzero(v)
                 spectra.append(HnSpectrum(w=w, u=u, support=k, u_k=u[k],
-                                          v_kk=v[np.ix_(k, k)]))
+                                          v_kk=np.diag(v[k])))
             self._hn_spectra = tuple(spectra)
         return self._hn_spectra
 
@@ -774,7 +774,7 @@ def sectorial_factorization(model, lam, rng):
     """Factor (A0 - lam)^-1 = S (I + C1)^-1 S with S = (H_N - lam)^(-1/2)
     and C1 = S V S at real lam below the certified threshold, per block.
     ||C1|| is computed on K as in c1_norm_at. F = S (I + C1)^-1 S is
-    checked against R, one LU of H_N + V - lam independent of F, on r = 8
+    checked against R, one gtsv of H_N + V - lam independent of F, on r = 8
     standard complex Gaussian probes w_i drawn from rng: F w_i comes from
     the cached eigenbasis of H_N and Woodbury on K, with no order-n inverse
     or SVD. defect = alpha sqrt(2/pi) max_i ||(R - F) w_i||, alpha = 10,
@@ -788,13 +788,20 @@ def sectorial_factorization(model, lam, rng):
         )
     c1_norm = defect = resolvent_norm = 0.0
     spectra = _spectra_below(model, lam)
-    for block, (hn, v) in zip(spectra, model.hn_v_blocks()):
+    for block, (bands, v) in zip(spectra, model.hn_v_blocks()):
         gram = _kk_gram(block, lam)
         c1_norm = max(c1_norm, _c1_norm(block, lam, gram))
         u, u_k, e = block.u, block.u_k, 1.0 / (block.w - lam)[:, None]
         probes = rng.standard_normal((len(u), _PROBES, 2)) @ [1, 1j] / 2**0.5
-        res = solve_linear(np.asarray(hn) + np.asarray(v) - lam * np.eye(len(u)),
-                           np.column_stack([probes, u[:, 0]]))
+        shifted = bands.astype(complex)
+        shifted[1] += v - lam
+        try:  # a zero pivot or an overflow: H_N + V - lam is singular
+            res = sla.solve_banded((1, 1), shifted, np.column_stack(
+                [probes, u[:, 0]]), overwrite_ab=True, check_finite=False)
+            if not np.isfinite(res).all():
+                raise sla.LinAlgError("a solution is not finite")
+        except sla.LinAlgError as exc:
+            raise SingularMatrix(f"H_N + V - lambda: {exc}") from exc
         # Woodbury: F w = S^2 w - S^2[:, K] z with S^2 = U diag(e) U*
         c = u.conj().T @ probes
         z = solve_linear(np.eye(len(u_k)) + block.v_kk @ gram,

@@ -5,7 +5,8 @@ mpmath special functions, closed-form solutions of the half-line and interval
 problems, characteristic polynomials via Faddeev-LeVerrier, and direct 2x2
 interface matching for the disk modes.  None of it imports btriple, except
 pointwise_weyl: the per-point reference that weyl_batch's chunk kernels are
-compared with.
+compared with.  dense_blocks densifies a model's H_N and V blocks for the
+dense definitions of the sectorial layer.
 """
 from __future__ import annotations
 
@@ -325,6 +326,18 @@ def bisect_real(fn, a, b, iters=200):
         else:
             a, fa = c, fc
     return 0.5 * (a + b)
+
+
+# ---------------------------------------------------------------------------
+# dense H_N and V blocks
+# ---------------------------------------------------------------------------
+
+def dense_blocks(model):
+    """model.hn_v_blocks() as dense matrices: each H_N from its three
+    solve_banded bands, each V from its diagonal."""
+    return [(np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
+             + np.diag(bands[2, :-1], -1), np.diag(v))
+            for bands, v in model.hn_v_blocks()]
 
 
 # ---------------------------------------------------------------------------

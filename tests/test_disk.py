@@ -34,6 +34,7 @@ from .oracles import (
     J1P_ZERO1_SQ,
     K0_AT_1,
     K1_AT_1,
+    dense_blocks,
     disk_exterior_weyl_constant,
     disk_interior_weyl_constant,
     disk_weyl_v0,
@@ -339,6 +340,28 @@ class TestBandedCollocation:
                 err = np.abs(got - want).max()
                 assert err < 1e-10 * np.abs(want).max(), f"k = {k}"
 
+    def test_recycled_band_storage_keeps_the_bits(self):
+        # six points, two more than the four the LU cache holds: the LUs of
+        # the last two are factored in the band storage of evicted ones
+        config = DiskModelConfig(
+            side="exterior", k_max=2, support=(1.0, 3.0),
+            radial_potential=Potential1D.constant(1.5 + 1.0j))
+        lams = [-3.0, 5 + 3j, -50.0, -500.0, 20 - 5j, -5e3]
+        model = build_disk(config)
+
+        def cached_lus():
+            return [entry[0] for data in model._cache.values()
+                    for key, entry in data.items() if key[0] == "lu"]
+
+        first = model.weyl_batch(lams[:4])
+        evicted = cached_lus()
+        got = np.concatenate([first, model.weyl_batch(lams[4:])])
+        assert all(any(np.shares_memory(lu, old) for old in evicted)
+                   for lu in cached_lus())
+        for lam, m in zip(lams, got):
+            want = build_disk(config).weyl_batch([lam])[0]
+            assert m.tobytes() == want.tobytes(), lam
+
     def test_band_is_one_panel_wide(self, disk_int_v0, disk_ext_const):
         # the benchmark specs, and a support mark halfway between two of the
         # uniform interior edges, which adds a seventeenth panel
@@ -405,7 +428,7 @@ def _mode_block_by_faces(model, k):
 class TestModeBlocks:
     def test_match_the_face_loop_bit_for_bit(self, disk_int_v0, disk_ext_const):
         for model in (disk_int_v0, disk_ext_const):
-            for k, (hn, _) in enumerate(model.hn_v_blocks()):
+            for k, (hn, _) in enumerate(dense_blocks(model)):
                 want = _mode_block_by_faces(model, k)
                 assert hn.tobytes() == want.tobytes(), (model.kind, k)
 

@@ -149,7 +149,7 @@ class TestSectorialRecords:
         assert len(defects) == 3 and all(rec.passed for rec in defects)
 
     def test_perturbed_support_potential_fails(self, monkeypatch):
-        # V_KK enters F = S (I + C1)^-1 S and not the LU of H_N + V - lam,
+        # V_KK enters F = S (I + C1)^-1 S and not the solve of H_N + V - lam,
         # so an error of 1e-6 in one entry fails every sectorial_defect
         model = build_fd1d(n=96, length=1.0,
                            potential=Potential1D.from_callable(complex_bump))

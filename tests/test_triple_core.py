@@ -55,6 +55,7 @@ from .oracles import (
     ROBIN_KS,
     ROBIN_LAM_NEG,
     ROBIN_LAMS_POS,
+    dense_blocks,
     pointwise_weyl,
     robin_eigenfunction_neg,
     robin_eigenfunction_pos,
@@ -593,6 +594,40 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
+class TestHnBlocks:
+    """The hn_v_blocks contract, and hn_spectra against dense eigh."""
+
+    @pytest.mark.parametrize("name", [
+        "fd_v0", "fd_complex", "shoot_v0", "shoot_complex", "disk_int_v0",
+        "disk_ext_v0", "disk_int_const", "disk_ext_const"])
+    def test_bands_and_diagonal(self, request, name):
+        model = request.getfixturevalue(name)
+        for bands, v in model.hn_v_blocks():
+            m = bands.shape[1]
+            assert bands.shape == (3, m) and bands.dtype == float
+            assert np.array_equal(bands[0, 1:], bands[2, :-1])
+            assert v.shape == (m,) and v.dtype == complex
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_fd1d(n=96),
+        lambda: build_shoot1d(ShootConfig(), panels=4, order=12, fd_nodes=128),
+        lambda: build_disk(DiskModelConfig(side="interior", k_max=4)),
+        lambda: build_disk(DiskModelConfig(
+            side="exterior", k_max=3, support=(1.0, 3.0),
+            radial_potential=Potential1D.constant(1.5 + 1.0j))),
+    ], ids=["fd1d", "shoot1d-p4-o12-fd128", "disk-interior", "disk-exterior"])
+    def test_spectra_are_dense_eigh_bit_for_bit(self, build):
+        # dense eigh (LAPACK dsyevr) finds H_N already tridiagonal and runs
+        # dstemr on it, the driver hn_spectra names; eigh_tridiagonal's
+        # "auto" driver is dstevd, which puts the bottom of fd1d's H_N at
+        # -2.9e-12 rather than at 0.0 and fails the probe-ratio test there
+        model = build()
+        for block, (hn, _) in zip(model.hn_spectra(), dense_blocks(model)):
+            w, u = sla.eigh(hn)
+            assert block.w.tobytes() == w.tobytes()
+            assert block.u.tobytes() == u.tobytes()
+
+
 class TestSectorialFactorization:
     def test_zero_potential_has_zero_correction(self, fd_v0):
         sf = sectorial_factorization(fd_v0, -1.0, _rng())
@@ -631,7 +666,7 @@ def _exact_sectorial(model, lam):
     # 1 / sigma_min(H_N + V - lam), with R = (H_N + V - lam)^-1 and
     # F = S (I + C1)^-1 S, S = (H_N - lam)^(-1/2), C1 = S V S
     defect = norm = 0.0
-    for hn, v in model.hn_v_blocks():
+    for hn, v in dense_blocks(model):
         eye = np.eye(hn.shape[0])
         s = herm_inv_sqrt(hn - lam * eye)
         shifted = hn + v - lam * eye
@@ -681,13 +716,15 @@ class TestSectorialProbes:
         calls = []
 
         def recorded(name, fn):
-            def wrapped(a, *args, **kwargs):
-                calls.append((name, np.shape(a), np.shape(args[0])
-                              if args else None))
-                return fn(a, *args, **kwargs)
+            def wrapped(*args, **kwargs):
+                # the shape of each array argument, a band pair (l, u) as is
+                calls.append((name, *(a if isinstance(a, tuple)
+                                      else np.shape(a) for a in args)))
+                return fn(*args, **kwargs)
             return wrapped
 
         for owner, name in ((triple_core.sla, "svdvals"),
+                            (triple_core.sla, "solve_banded"),
                             (triple_core, "solve_linear"),
                             (triple_core, "smallest_singular_value")):
             monkeypatch.setattr(owner, name,
@@ -697,10 +734,11 @@ class TestSectorialProbes:
         want = []
         for block in blocks:
             n, k = block.w.size, block.support.size
-            # C1's norm on K x K, one LU of H_N + V - lam on the probes and
-            # u0, and the |K|-order Woodbury solve on the probes
-            want += [("svdvals", (k, k), None),
-                     ("solve_linear", (n, n), (n, r + 1)),
+            # C1's norm on K x K, one tridiagonal solve of H_N + V - lam on
+            # the probes and u0, and the |K|-order Woodbury solve on the
+            # probes
+            want += [("svdvals", (k, k)),
+                     ("solve_banded", (1, 1), (3, n), (n, r + 1)),
                      ("solve_linear", (k, k), (k, r))]
         assert calls == want
 
@@ -708,7 +746,7 @@ class TestSectorialProbes:
 def _dense_c1_norm(model, lam):
     # the definition: max over blocks of ||S V S||, S = (H_N - lam)^(-1/2)
     norm = 0.0
-    for hn, v in model.hn_v_blocks():
+    for hn, v in dense_blocks(model):
         s = herm_inv_sqrt(hn - lam * np.eye(hn.shape[0]))
         norm = max(norm, float(sla.svdvals(s @ v @ s).max()))
     return norm
@@ -716,7 +754,7 @@ def _dense_c1_norm(model, lam):
 
 def _dense_relative_bound(model, lam):
     norm = 0.0
-    for hn, v in model.hn_v_blocks():
+    for hn, v in dense_blocks(model):
         eye = np.eye(hn.shape[0])
         norm = max(norm, float(sla.svdvals(
             v @ solve_linear(hn - lam * eye, eye)).max()))
@@ -771,21 +809,25 @@ class TestSupportNorms:
             radial_potential=Potential1D.constant(1.5 + 1.0j))), 4),
     ])
     def test_one_eigh_per_block(self, monkeypatch, build, blocks):
-        eigh = sla.eigh
         calls = []
 
-        def counting_eigh(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
+        def recorded(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append((name, kwargs.get("lapack_driver")))
+                return fn(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(triple_core.sla, "eigh", counting_eigh)
+        for name in ("eigh", "eigh_tridiagonal"):
+            monkeypatch.setattr(triple_core.sla, name,
+                                recorded(name, getattr(triple_core.sla, name)))
         model = build()
         thr = model.certified_threshold()  # runs find_xi2
         for lam in (1.5 * thr, 3.0 * thr):
             sectorial_factorization(model, lam, _rng())
             c1_norm_at(model, lam)
         relative_bound_decay(model, [-10.0, -100.0])
-        assert len(calls) == len(model.hn_v_blocks()) == blocks
+        assert len(model.hn_v_blocks()) == blocks
+        assert calls == [("eigh_tridiagonal", "stemr")] * blocks
 
 
 class TestThresholdScan:
