@@ -22,7 +22,6 @@ from .errors import (
     NotCertified,
     NotPositiveDefinite,
     SingularMatrix,
-    StepSizeUnderflow,
     ThresholdNotFound,
     TruncationWarning,
 )
@@ -59,12 +58,7 @@ from .triple_core import (
     weyl_symmetry_defect,
 )
 from .model_fd1d import Fd1dModel, FdGrid, build_fd1d, dense_robin_matrix
-from .model_shoot1d import (
-    Shoot1dModel,
-    ShootConfig,
-    build_shoot1d,
-    dp45_integrate,
-)
+from .model_shoot1d import Shoot1dModel, ShootConfig, build_shoot1d
 from .model_disk import (
     DiskModel,
     DiskModelConfig,
@@ -100,7 +94,6 @@ __all__ = [
     "NotCertified",
     "NotPositiveDefinite",
     "SingularMatrix",
-    "StepSizeUnderflow",
     "ThresholdNotFound",
     "TruncationWarning",
     "eig_dense",
@@ -139,7 +132,6 @@ __all__ = [
     "Shoot1dModel",
     "ShootConfig",
     "build_shoot1d",
-    "dp45_integrate",
     "DiskModel",
     "DiskModelConfig",
     "build_disk",

@@ -12,7 +12,7 @@ class SingularMatrix(BTripleError):
 
 class NoConvergence(BTripleError):
     """An iteration ran out of budget short of its residual target, a
-    special function gave no finite value, or an ODE left double range."""
+    special function gave no finite value, or a solution left double range."""
 
 
 class NotPositiveDefinite(BTripleError):
@@ -51,11 +51,6 @@ class InvalidPotential(BTripleError):
 class ConstraintSingular(BTripleError):
     """A boundary-condition elimination produced a singular block, so the
     requested realization does not define a solvable reduced system."""
-
-
-class StepSizeUnderflow(BTripleError):
-    """The adaptive integrator's step fell below the representable floor,
-    typically near a strong potential singularity."""
 
 
 class MatchingSingular(BTripleError):

@@ -237,8 +237,8 @@ def potential_from_spec(spec):
 
 _MODEL_KEYS = {
     "fd1d": {"n", "length", "potential"},
-    "shoot1d": {"length", "potential", "rtol", "atol", "panels", "order",
-                "fd_nodes"},
+    "shoot1d": {"length", "potential", "substeps", "panels", "order",
+                "fd_nodes", "rtol", "atol"},  # ShootConfig refuses the last two
     "disk": {"side", "k_max", "potential", "support", "radial_grid", "r_cut",
              "quad_panels", "quad_order"},
 }
@@ -267,8 +267,8 @@ def model_from_spec(spec):
                               pot)
         if name == "shoot1d":
             cfg = ShootConfig(length=number("length", 1.0), potential=pot,
-                              rtol=number("rtol", 1e-10),
-                              atol=number("atol", 1e-12))
+                              substeps=number("substeps", 16, True),
+                              rtol=spec.get("rtol"), atol=spec.get("atol"))
             return build_shoot1d(cfg, panels=number("panels", 8, True),
                                  order=number("order", 16, True),
                                  fd_nodes=number("fd_nodes", 512, True))

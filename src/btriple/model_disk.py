@@ -78,12 +78,12 @@ bound studies; they are statements about the matrices themselves.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs
-from scipy.optimize import brentq
 from scipy.special import ive, jv, jvp, kve
 
 from .errors import (InvalidPotential, MatchingSingular, NoConvergence,
@@ -263,6 +263,7 @@ class DiskModel(TripleModel):
         self._vr_conj = np.conjugate(self._vr)
         self._cache = {}
         self._spare_bands = []
+        self._lock = threading.RLock()  # from cache lookup through solve
         self._build_collocation()
         self._blocks = [self._mode_block(k) for k in range(kk + 1)]
 
@@ -414,7 +415,7 @@ class DiskModel(TripleModel):
             self._band_templates.append(ab)
 
     def _mode_data(self, lam, tilde):
-        point = (complex(lam), bool(tilde))
+        point = (complex(lam), bool(tilde))  # callers hold self._lock
         data = self._cache.get(point)
         if data is None:
             if len(self._cache) >= 4:
@@ -449,13 +450,14 @@ class DiskModel(TripleModel):
         return lu, piv
 
     def _colloc_solve(self, lam, tilde, k, f_vals, neumann):
-        lu, piv = self._colloc_lu(lam, tilde, k)
         rhs = np.zeros(self._nr, dtype=complex)
         if f_vals is not None:
             rhs[self._colloc_mask] = np.asarray(
                 f_vals, dtype=complex)[self._colloc_mask]
         rhs[self._neumann_idx] = neumann
-        u, _ = zgbtrs(lu, self._kl, self._ku, rhs, piv)
+        with self._lock:
+            lu, piv = self._colloc_lu(lam, tilde, k)
+            u, _ = zgbtrs(lu, self._kl, self._ku, rhs, piv)
         if not np.all(np.isfinite(u)):
             raise MatchingSingular(
                 f"mode {k} is Neumann-singular at lambda = {lam}")
@@ -514,16 +516,17 @@ class DiskModel(TripleModel):
         """Kernel-side mode solution of the collocation solve with unit
         Neumann derivative f'(1) = 1: (samples, f(1)). MatchingSingular
         where f(1) is too large for that datum (a Neumann eigenvalue)."""
-        data = self._mode_data(lam, tilde)
-        entry = data.get(("kernel", k))
-        if entry is None:
-            vals = self._colloc_solve(lam, tilde, k, None, 1.0)
-            f1 = complex(self._row_u1 @ vals)
-            if _neumann_singular(f1, 1.0):
-                raise MatchingSingular(
-                    f"mode {k} is Neumann-singular at lambda = {lam}")
-            entry = data[("kernel", k)] = (vals, f1)
-        return entry
+        with self._lock:
+            data = self._mode_data(lam, tilde)
+            entry = data.get(("kernel", k))
+            if entry is None:
+                vals = self._colloc_solve(lam, tilde, k, None, 1.0)
+                f1 = complex(self._row_u1 @ vals)
+                if _neumann_singular(f1, 1.0):
+                    raise MatchingSingular(
+                        f"mode {k} is Neumann-singular at lambda = {lam}")
+                entry = data[("kernel", k)] = (vals, f1)
+            return entry
 
     def mode_weyl_values(self, lam, tilde=False):
         """Diagonal of the Weyl matrix in the mode basis. For V = 0 this is
@@ -722,6 +725,7 @@ def disk_robin_reference(k, beta):
         i = hits[0]
         if vals[i] == 0.0:
             return float(t[i]) ** 2
+        from scipy.optimize import brentq  # only here: it slows the import
         return brentq(g, t[i], t[i + 1], xtol=1e-14) ** 2
     raise NoRootInBracket(
         f"no Robin crossing for mode {k}, beta = {beta:g}, t <= {t_max}")

@@ -91,22 +91,15 @@ class Potential1D:
         fn = self.params["fn"]
         return Potential1D("callable", fn=lambda x, _f=fn: np.conjugate(_f(x)))
 
-    def breakpoints(self):
-        """Points where the pointwise value jumps: the two edges of the
-        window around a power singularity. An integrator that makes them
-        step ends never steps across a jump."""
-        if self.kind != "power":
-            return ()
-        x0 = self.params["x0"]
-        return (x0 - _POINT_WINDOW, x0 + _POINT_WINDOW)
+    def singular_points(self):
+        """Where V is singular: (x0,) for a power singularity, else ()."""
+        return (self.params["x0"],) if self.kind == "power" else ()
 
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x):
         """Pointwise value; near a power singularity the window average over
         |x - x0| < 1e-8 is substituted so the result stays finite."""
-        if self.kind == "constant" and isinstance(x, float):
-            return self.params["c"]  # one stage of a shot: no array set-up
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
@@ -127,19 +120,14 @@ class Potential1D:
         return out[0] if scalar else out
 
     def cell_averages(self, edges):
-        """Average of V over each cell [edges[i], edges[i+1]].
-
-        Constant: exact. Callable: fixed Gauss rule per cell (machine
-        precision for smooth data). Power: exact antiderivative
-        |x-x0|^(1-alpha)/(1-alpha), split at the singularity, which is the
-        converged limit of graded adaptive quadrature. Table: passthrough
-        when the cell count matches.
-        """
+        """Average of V over each cell [edges[i], edges[i+1]]: exact for
+        constants, m0 of ``moments`` over the width otherwise (exact for
+        the singular kind, the converged limit of graded adaptive
+        quadrature), and a table's values when its cell count matches."""
         edges = np.asarray(edges, dtype=float)
         if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0.0):
             raise ValueError("edges must be strictly increasing with >= 2 entries")
-        widths = np.diff(edges)
-        ncells = len(widths)
+        ncells = len(edges) - 1
         if self.kind == "constant":
             return np.full(ncells, self.params["c"])
         if self.kind == "table":
@@ -149,22 +137,33 @@ class Potential1D:
                     f"table has {len(values)} cells, grid has {ncells}"
                 )
             return values.copy()
+        return self.moments(edges)[0] / np.diff(edges)
+
+    def moments(self, edges):
+        """Moments m0 = int V and m1 = int (x - mid) V over each cell
+        [edges[i], edges[i+1]], mid its midpoint: exact for constants (m1 =
+        0) and for the singular kind (antiderivatives of |x-x0|^(-alpha)
+        and (x-x0)|x-x0|^(-alpha)), the cell_averages Gauss rule for
+        callables (machine precision for smooth data). Tables have no
+        positions and raise InvalidPotential."""
+        edges = np.asarray(edges, dtype=float)
+        widths, mid = np.diff(edges), 0.5 * (edges[:-1] + edges[1:])
+        if self.kind == "constant":
+            return self.params["c"] * widths, np.zeros(len(widths), complex)
         if self.kind == "callable":
             gx, gw = npleg.leggauss(_CELL_GL_ORDER)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * widths
-            pts = mid[:, None] + half[:, None] * gx[None, :]
-            vals = np.asarray(self.params["fn"](pts.ravel()), dtype=complex)
-            vals = vals.reshape(ncells, _CELL_GL_ORDER)
-            return (vals @ gw) * 0.5
-        # power: antiderivative of |x-x0|^(-alpha) is sign(x-x0)*|x-x0|^(1-alpha)/(1-alpha)
+            off = 0.5 * widths[:, None] * gx  # node offsets from mid
+            vals = np.asarray(self.params["fn"]((mid[:, None] + off).ravel()),
+                              dtype=complex).reshape(off.shape)
+            wv = vals * (0.5 * widths[:, None] * gw)
+            return wv.sum(axis=1), (wv * off).sum(axis=1)
+        if self.kind == "table":
+            raise InvalidPotential("table potentials have no positions")
         c, x0, alpha = self.params["c"], self.params["x0"], self.params["alpha"]
-
-        def anti(x):
-            d = x - x0
-            return np.sign(d) * np.abs(d) ** (1.0 - alpha) / (1.0 - alpha)
-
-        return c * (anti(edges[1:]) - anti(edges[:-1])) / widths
+        d = edges - x0
+        m0 = c * np.diff(np.sign(d) * np.abs(d) ** (1.0 - alpha) / (1.0 - alpha))
+        m1 = c * np.diff(np.abs(d) ** (2.0 - alpha) / (2.0 - alpha))
+        return m0, m1 + (x0 - mid) * m0
 
     def sup_proxy(self, a, b):
         """Finite stand-in for the sup norm on [a, b]: exact for constants,

@@ -119,10 +119,15 @@ class TripleModel(abc.ABC):
     instead of an exception, so one bad node never aborts a batch. It hands
     chunks of at most ``_BATCH_CHUNK`` points to the family's vectorized
     ``_weyl_chunk``, which gives those NaN rows itself (fd1d: one gtsv solve;
-    shoot1d: one stacked DOP853 solve per side; the V = 0 disk: its closed
+    shoot1d: one Magnus propagation per side; the V = 0 disk: its closed
     Bessel form), and evaluates point by point a chunk whose kernel raises a
     BTripleError, and every chunk of a model without a kernel.
     ``robin_eigs`` evaluates M only through this call.
+
+    Threads may share a model: every call above, and the functions of this
+    module on it, give the bits of a serial run. The per-point caches are
+    dicts (shoot1d) or held under a lock (the disk's LU storage), and the
+    lazy ``hn_spectra`` and ``certified_threshold`` at worst run twice.
     """
 
     green_pairing_defect = None

@@ -3,10 +3,11 @@
 Everything here is deliberately built from a different route than the package:
 mpmath special functions, closed-form solutions of the half-line and interval
 problems, characteristic polynomials via Faddeev-LeVerrier, and direct 2x2
-interface matching for the disk modes.  None of it imports btriple, except
-pointwise_weyl: the per-point reference that weyl_batch's chunk kernels are
-compared with.  dense_blocks densifies a model's H_N and V blocks for the
-dense definitions of the sectorial layer.
+interface matching for the disk modes, and a tight scipy ODE solve for the
+interval.  None of it imports btriple, except pointwise_weyl: the per-point
+reference that weyl_batch's chunk kernels are compared with.  dense_blocks
+densifies a model's H_N and V blocks for the dense definitions of the
+sectorial layer.
 """
 from __future__ import annotations
 
@@ -62,13 +63,34 @@ def iv_series_partial(k, z, terms=30):
 # ---------------------------------------------------------------------------
 
 def interval_weyl_v0(lam, length=1.0):
-    """Neumann-to-Dirichlet matrix of -f'' on (0, length) at spectral point lam."""
+    """Neumann-to-Dirichlet matrix of -f'' on (0, length) at spectral point
+    lam: coth(s L) / s on the diagonal and csch(s L) / s off it, s =
+    sqrt(-lam) with Re s >= 0, written in d = 1 - exp(-2 s L) so that no
+    term overflows at any lam."""
     s = cmath.sqrt(-complex(lam))
-    sl = s * length
-    ch = cmath.cosh(sl)
-    sh = cmath.sinh(sl)
-    return np.array([[ch / (s * sh), 1.0 / (s * sh)],
-                     [1.0 / (s * sh), ch / (s * sh)]], dtype=complex)
+    d = -complex(np.expm1(-2.0 * s * length))
+    coth = (2.0 - d) / d
+    csch = 2.0 * cmath.exp(-s * length) / d
+    return np.array([[coth, csch], [csch, coth]], dtype=complex) / s
+
+
+def ode_weyl(potential, lam, length=1.0):
+    """Neumann-to-Dirichlet matrix of -f'' + V f on (0, length) from the two
+    one-sided Neumann shots phi (from 0) and psi (from length) of scipy's
+    DOP853 at rtol 1e-12 on the pointwise V (any callable of x):
+    [[-psi(0) / psi'(0), 1 / phi'(L)], [-1 / psi'(0), phi(L) / phi'(L)]].
+    scipy.integrate is imported here, so a process that never calls this
+    never loads it."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(x, y):
+        return np.array([y[1], (complex(potential(x)) - lam) * y[0]])
+
+    ends = [solve_ivp(rhs, span, np.array([1.0, 0.0], dtype=complex),
+                      method="DOP853", rtol=1e-12, atol=1e-14).y[:, -1]
+            for span in ((0.0, length), (length, 0.0))]
+    (phi, dphi), (psi, dpsi) = ends
+    return np.array([[-psi / dpsi, 1.0 / dphi], [-1.0 / dpsi, phi / dphi]])
 
 
 def fd_weyl_v0(lam, n, length=1.0):

@@ -14,7 +14,8 @@ import btriple
 from btriple import cli
 from btriple.harness import CheckRecord, VerificationReport
 
-from .oracles import ROBIN_LAM_NEG, ROBIN_LAMS_POS, disk_weyl_v0
+from .oracles import (ROBIN_LAM_NEG, ROBIN_LAMS_POS, disk_weyl_v0,
+                      interval_weyl_v0)
 
 
 def _reject_constant(name):
@@ -266,15 +267,21 @@ class TestDiskWeylReach:
         assert _run(tmp_path, "weyl", config, "--allow-uncertified") == \
             cli.EXIT_SOLVER
 
-    def test_shoot1d_past_double_range_exits_3(self, tmp_path, capsys):
-        # the shot's cosh(sqrt(5e5) x) overflows before x = 1: a solver
-        # failure that names its cause, not a step-size underflow
+    def test_shoot1d_far_out_on_the_negative_axis(self, tmp_path):
+        # the shots' cosh(sqrt(5e5) x) and beyond leave double range before
+        # x = 1; the scaled steps keep M, and it matches the closed form
+        lams = [-5e5, -1e6, -1e7]
         config = {"model": {"family": "shoot1d", "panels": 4, "order": 12,
                             "fd_nodes": 128},
-                  "lambda": {"points": [-5e5]}}
+                  "lambda": {"points": lams}}
         assert _run(tmp_path, "weyl", config, "--allow-uncertified") == \
-            cli.EXIT_SOLVER
-        assert "double range" in capsys.readouterr().err
+            cli.EXIT_OK
+        rows = _csv_rows(tmp_path / "weyl.csv")
+        assert [complex(r[0], r[1]) for r in rows] == lams
+        for lam, row in zip(lams, rows):
+            m = (row[2:-1:2] + 1j * row[3:-1:2]).reshape(2, 2)
+            want = interval_weyl_v0(lam)
+            assert np.abs(m - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestHelp:

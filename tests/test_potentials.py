@@ -85,8 +85,7 @@ def _pointwise_kinds():
 
 
 class TestScalarEvaluation:
-    """A constant potential on a float argument (a stage of a shot) skips
-    the array set-up; every pointwise kind must give the bits of the
+    """Every pointwise kind gives a float argument the bits of the
     one-element array."""
 
     # x0 itself, points inside the 1e-8 window, its edges and just outside
@@ -108,11 +107,53 @@ class TestScalarEvaluation:
         with pytest.raises(InvalidPotential):
             Potential1D.table(np.ones(4))(0.5)
 
-    def test_breakpoints_are_the_window_edges(self):
+    def test_singular_points_are_x0(self):
         kinds = _pointwise_kinds()
-        assert kinds["power"].breakpoints() == (_X0 - 1e-8, _X0 + 1e-8)
+        assert kinds["power"].singular_points() == (_X0,)
         for kind in ("zero", "constant", "callable"):
-            assert kinds[kind].breakpoints() == ()
+            assert kinds[kind].singular_points() == ()
+
+
+class TestMoments:
+    """m0 = int V and m1 = int (x - mid) V per cell, against fine Gauss
+    quadrature of the pointwise V away from a singularity and against the
+    closed form on a cell that holds it."""
+
+    EDGES = np.array([0.0, 0.1, 0.25, 0.39, 0.41, 0.7, 1.0])
+
+    @staticmethod
+    def _quad(fn, a, b, order=60):
+        x, w = np.polynomial.legendre.leggauss(order)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        vals = fn(mid + half * x) * half * w
+        return vals.sum(), (vals * half * x).sum()
+
+    @pytest.mark.parametrize("kind", ["zero", "constant", "callable"])
+    def test_smooth_kinds_match_quadrature(self, kind):
+        v = _pointwise_kinds()[kind]
+        m0, m1 = v.moments(self.EDGES)
+        for i, (a, b) in enumerate(zip(self.EDGES[:-1], self.EDGES[1:])):
+            q0, q1 = self._quad(v, a, b)
+            assert abs(m0[i] - q0) < 1e-15 and abs(m1[i] - q1) < 1e-15
+
+    def test_power_is_exact_on_either_side_and_across_x0(self):
+        c, x0, alpha = 1.0 - 0.5j, 0.4, 0.4
+        v = Potential1D.power_singularity(c, x0, alpha, 2.0)
+        m0, m1 = v.moments(self.EDGES)
+        for i in (0, 1, 4, 5):  # cells away from x0: Gauss quadrature
+            q0, q1 = self._quad(v, self.EDGES[i], self.EDGES[i + 1])
+            assert abs(m0[i] - q0) < 1e-12 * abs(q0)
+            assert abs(m1[i] - q1) < 1e-12 * abs(q0)
+        # (0.39, 0.41) holds x0 at its midpoint: m1 = 0, and m0 is twice
+        # int_0^0.01 c r^(-alpha) dr
+        assert abs(m0[3] - 2 * c * 0.01 ** (1 - alpha) / (1 - alpha)) < 1e-15
+        assert abs(m1[3]) < 1e-17
+        assert np.array_equal(v.moments(self.EDGES)[0] / np.diff(self.EDGES),
+                              v.cell_averages(self.EDGES))
+
+    def test_table_has_no_moments(self):
+        with pytest.raises(InvalidPotential):
+            Potential1D.table(np.ones(6)).moments(self.EDGES)
 
 
 class TestCellAverages:

@@ -1,7 +1,8 @@
-"""Shooting-based continuum interval model: the adaptive integrator, each
-side's stops, kernel solutions, agreement with both closed forms and the fd
-discretization, the stacked Weyl batch and the Robin scan built on it, and
-the deferred import of the integrator."""
+"""Shooting-based continuum interval model: the fixed-mesh Magnus
+propagator, each side's mesh, kernel solutions, agreement with both closed
+forms, a tight ODE oracle and the fd discretization, the Weyl batch and the
+Robin scan built on it, and the deferred imports of scipy's integrators and
+root finders."""
 import itertools
 import os
 import subprocess
@@ -14,18 +15,19 @@ import btriple
 import btriple.model_shoot1d as model_shoot1d
 from btriple import (
     BoundaryOperator,
+    ConfigError,
     MatchingSingular,
     NoConvergence,
     Potential1D,
     ShootConfig,
-    StepSizeUnderflow,
     build_fd1d,
     build_shoot1d,
-    dp45_integrate,
+    model_from_spec,
     robin_eigs,
     weyl,
     weyl_symmetry_defect,
 )
+from btriple.model_shoot1d import magnus_propagate
 
 from btriple.harness import SuiteConfig, run_identity_suite
 
@@ -36,6 +38,7 @@ from .oracles import (
     ROBIN_LAMS_POS,
     SINH1,
     interval_weyl_v0,
+    ode_weyl,
     pointwise_weyl,
 )
 
@@ -45,120 +48,132 @@ class TestShootConfig:
         cfg = ShootConfig()
         assert cfg.length == 1.0
         assert cfg.potential.is_zero
+        assert cfg.substeps == 16
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ShootConfig(length=0.0)
-        with pytest.raises(ValueError):
-            ShootConfig(rtol=1e-2)
-        with pytest.raises(ValueError):
-            ShootConfig(atol=1e-14)
+        for substeps in (0, 3):  # the step-doubling estimate merges pairs
+            with pytest.raises(ValueError, match="substeps"):
+                ShootConfig(substeps=substeps)
+
+    @pytest.mark.parametrize("key", ["rtol", "atol"])
+    def test_old_tolerance_keys_name_substeps(self, key):
+        with pytest.raises(ConfigError, match="substeps"):
+            ShootConfig(**{key: 1e-10})
+        with pytest.raises(ConfigError, match="substeps"):
+            model_from_spec({"model": "shoot1d", key: 1e-10})
+
+
+def _uniform_steps(count, backward=False):
+    # (c, h, m0, c^2 + h m0) of ``count`` gaps of one step each on (0, 1)
+    # with V = 0, in the layout of model_shoot1d._steps
+    h = np.full((count, 1), (-1.0 if backward else 1.0) / count)
+    zero = np.zeros_like(h, dtype=complex)
+    return zero, h, zero, zero
 
 
 class TestIntegrator:
+    """magnus_propagate on f'' = (V - lam) f with the states it returns
+    after every gap, each scaled by its complex log-scale."""
+
     def test_linear_ode(self):
-        # y' = y from 1: endpoint is e
-        states = dp45_integrate(lambda x, y: y, 0.0, [1.0], [1.0], 1e-12, 1e-14)
-        assert states.shape == (1, 1)
-        assert abs(states[0, 0] - np.e) < 1e-11
+        # f'' = f from (1, 0): the end state is (cosh 1, sinh 1)
+        states, logs = magnus_propagate(_uniform_steps(1), np.array([-1.0]))
+        end = states[-1, 0] * np.exp(logs[-1, 0])
+        assert np.abs(end - [COSH1, SINH1]).max() < 1e-15
 
     def test_samples_are_interpolated(self):
-        stops = [0.25, 0.5, 0.75, 1.0]
-        states = dp45_integrate(lambda x, y: y, 0.0, stops, [1.0], 1e-12, 1e-14)
-        assert np.abs(states[:, 0] - np.exp(stops)).max() < 1e-11
+        xs = np.arange(1, 9) / 8.0
+        states, logs = magnus_propagate(_uniform_steps(8), np.array([-1.0]))
+        got = states[:, 0] * np.exp(logs)
+        assert np.abs(got[:, 0] - np.cosh(xs)).max() < 1e-15
+        assert np.abs(got[:, 1] - np.sinh(xs)).max() < 1e-15
 
     def test_backward_integration(self):
-        stops = [0.75, 0.5, 0.25, 0.0]
-        states = dp45_integrate(lambda x, y: y, 1.0, stops, [np.e], 1e-12,
-                                1e-14)
-        assert abs(states[-1, 0] - 1.0) < 1e-11
-        assert np.abs(states[:, 0] - np.exp(stops)).max() < 1e-11
+        # from x = 1 toward 0, f' = -df/d(-x): f = cosh(1 - x)
+        xs = 1.0 - np.arange(1, 9) / 8.0
+        states, logs = magnus_propagate(_uniform_steps(8, backward=True),
+                                        np.array([-1.0]))
+        got = states[:, 0] * np.exp(logs)
+        assert np.abs(got[:, 0] - np.cosh(1.0 - xs)).max() < 1e-15
+        assert np.abs(got[:, 1] + np.sinh(1.0 - xs)).max() < 1e-15
 
-    def test_failed_solver_raises_step_size_underflow(self):
-        def rhs(x, y):
-            return y * np.nan if x > 0.5 else y
+    def test_scaled_states_stay_in_range_past_double_range(self):
+        # cosh(sqrt(1e7)) is about e^3162: the scaled states stay O(1) and
+        # the log-scale carries the growth, with its phase
+        lams = np.array([-1e7, -1e7 + 1e3j])
+        states, logs = magnus_propagate(_uniform_steps(8), lams)
+        assert np.isfinite(states).all() and np.abs(states).max() < 1e4
+        # cosh(s) e^-s = (1 + e^-2s) / 2, with log-scale s
+        assert np.abs(logs[-1] - np.sqrt(-lams)).max() < 1e-9
+        assert np.abs(states[-1, :, 0] - 0.5).max() < 1e-15
 
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(StepSizeUnderflow, match="x = 0.5"):
-            dp45_integrate(rhs, 0.0, [1.0], [1.0], 1e-10, 1e-12)
+    def test_fourth_order_on_a_smooth_potential(self):
+        # uniform steps with the exact moments of V = 3 x^2 (m1 about each
+        # midpoint): halving the steps divides the error by about 2^4
+        def steps(count):
+            x = np.linspace(0.0, 1.0, count + 1)
+            w, mid = np.diff(x)[:, None], 0.5 * (x[:-1] + x[1:])[:, None]
+            m0 = (x[1:] ** 3 - x[:-1] ** 3)[:, None] + 0j
+            m1 = 0.75 * (x[1:] ** 4 - x[:-1] ** 4)[:, None] - mid * m0
+            return -m1, w, m0, m1 * m1 + w * m0
 
-    def test_nan_first_step_raises_step_size_underflow(self):
-        # a NaN first step would keep DOP853's step loop running forever
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(StepSizeUnderflow, match="first step"):
-            dp45_integrate(lambda x, y: np.nan * y, 0.0, [1.0], [1.0], 1e-10,
-                           1e-12)
+        lam = np.array([-3.0 + 1.0j])
 
+        def end(count):
+            states, logs = magnus_propagate(steps(count), lam)
+            return states[-1, 0] * np.exp(logs[-1, 0])
 
-def _fresh_solver_per_interval(rhs, x_start, stops, y0, rtol, atol):
-    """dp45_integrate as one fresh DOP853 per interval between stops, each
-    started with first_step=min(h, |stop - x|) from the last solver's h."""
-    from scipy.integrate import DOP853
-
-    y, x, h, rows = np.asarray(y0, dtype=complex), x_start, None, []
-    for stop in stops:
-        solver = DOP853(rhs, x, y, stop, rtol=rtol, atol=atol,
-                        first_step=None if h is None else min(h, abs(stop - x)))
-        while solver.status == "running":
-            solver.step()
-        assert solver.status == "finished"
-        x, y, h = stop, solver.y, solver.h_abs
-        rows.append(y)
-    return np.array(rows)
-
-
-def _stepped_rhs(lams, jump):
-    # (f, f')' = (f', (V(x) - lam) f) for every lam at once, with a V that
-    # jumps at the stop ``jump``, as a power potential does at its
-    # breakpoints: a derivative taken an ulp off that stop would show
-    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    n = len(lams)
-
-    def rhs(x, y):
-        v = 0.0 if x < jump else 40.0 - 20.0j
-        return np.concatenate([y[n:], (v - lams) * y[:n]])
-
-    y0 = np.concatenate([np.ones(n), np.zeros(n)])
-    return rhs, y0
+        ref = end(1024)
+        errs = [np.abs(end(n) - ref).max() for n in (16, 32, 64)]
+        assert 12.0 < errs[0] / errs[1] < 20.0
+        assert 12.0 < errs[1] / errs[2] < 20.0
 
 
 class TestOneSolverPerIntegration:
-    """dp45_integrate re-targets one solver from stop to stop; the state at
-    every stop must equal that of one fresh solver per interval bit for bit
-    (this also catches a scipy release that changes what setting t_bound
-    and status on a solver does)."""
+    """One propagation serves a single point's shot and a chunk of points:
+    the states of every point of a chunk equal those of that point alone,
+    bit for bit."""
 
-    # forward, the step onto 0.029 ends where t + (0.029 - t) is an ulp
-    # short of it; backward, x - |0.017 - x| is an ulp short of 0.017, so a
-    # fresh solver's first step stops short of it
-    @pytest.mark.parametrize("x_start, stops, jump", [
-        (0.0, [0.029, 0.2, 0.9, 1.0], 0.029),
-        (1.0, [0.9, 0.2, 0.017, 0.0], 0.017)], ids=["forward", "backward"])
-    @pytest.mark.parametrize("lams", [-1.0, [-1.0, 50.0 - 3.0j, -2e3]],
+    @pytest.mark.parametrize("side", ["left", "right"],
+                             ids=["forward", "backward"])
+    @pytest.mark.parametrize("lams", [[-1.0], [-1.0, 50.0 - 3.0j, -2e3]],
                              ids=["one", "stacked"])
-    def test_samples_and_end_state_are_bit_identical(self, lams, x_start,
-                                                     stops, jump):
-        rhs, y0 = _stepped_rhs(lams, jump)
-        got = dp45_integrate(rhs, x_start, stops, y0, 1e-6, 1e-8)
-        want = _fresh_solver_per_interval(rhs, x_start, stops, y0, 1e-6, 1e-8)
-        assert np.array_equal(got, want)
+    def test_samples_and_end_state_are_bit_identical(self, lams, side):
+        pot = Potential1D.from_callable(complex_bump)
+        model = build_shoot1d(ShootConfig(potential=pot), panels=4, order=12,
+                              fd_nodes=32)
+        steps = model._mesh[side, False]
+        states, logs = magnus_propagate(steps, np.array(lams, dtype=complex))
+        for k, lam in enumerate(lams):
+            one, one_logs = magnus_propagate(steps, np.array([lam], complex))
+            assert np.array_equal(states[:, k], one[:, 0])
+            assert np.array_equal(logs[:, k], one_logs[:, 0])
 
     def test_shots_on_the_benchmark_grid(self, shoot_bench_v0):
-        for lam, side in ((-1e3, "left"), (20.0 - 8.0j, "right")):
-            x_start, stops, _ = shoot_bench_v0._sides[side]
-            rhs, y0 = _stepped_rhs(lam, shoot_bench_v0.grid.nodes[7])
-            got = dp45_integrate(rhs, x_start, stops, y0, 1e-10, 1e-12)
-            want = _fresh_solver_per_interval(rhs, x_start, stops, y0, 1e-10,
-                                              1e-12)
-            assert np.array_equal(got, want)
+        # the memoized shots of solve_bvp against a chunk's
+        lams = np.array([-1e3, 20.0 - 8.0j, -5e5])
+        chunk = [shoot_bench_v0._shots(lams, False, side)
+                 for side in ("left", "right")]
+        for k, lam in enumerate(lams):
+            pair = shoot_bench_v0._kernel_pair(lam, False)
+            for shot, (nodes, (f, df), start, _) in zip(pair, chunk):
+                assert np.array_equal(shot[0], nodes[:, k].T)
+                assert shot[1] == (f[k], df[k]) and shot[2] == start[k]
 
 
-def _scalar_rhs(vfun, lam):
-    # (f, f')' = (f', (V(x) - lam) f), the right-hand side of one shot
-    def rhs(x, y):
-        return np.array([y[1], (vfun(x) - lam) * y[0]], dtype=complex)
+def _shot(model, lam, side):
+    # _shots at the one point lam, with the node states as (f, f') rows
+    nodes, (f, df), start, bad = model._shots(np.array([lam], dtype=complex),
+                                              False, side)
+    return nodes[:, 0].T, np.array([f[0], df[0]]), start[0], bad[0]
 
-    return rhs
+
+def _true_end(shot):
+    # (f, f') at the far end in the units where f = 1 at the start
+    _, end, start, _ = shot
+    return end / start
 
 
 @pytest.fixture(scope="module")
@@ -168,52 +183,51 @@ def shoot_small_v0():
 
 class TestShootIvp:
     """One-sided shots against closed forms, through the model's one
-    integration path."""
+    shot routine."""
 
     def test_cosh_solution(self, shoot_small_v0):
-        _, (f_end, df_end) = shoot_small_v0._shot(-1.0, False, "left")
-        assert abs(f_end - COSH1) < 1e-10
-        assert abs(df_end - SINH1) < 1e-10
+        f_end, df_end = _true_end(_shot(shoot_small_v0, -1.0, "left"))
+        assert abs(f_end - COSH1) < 1e-14
+        assert abs(df_end - SINH1) < 1e-14
 
     def test_linear_solution_at_zero_energy(self, shoot_small_v0):
-        # f(0) = 0, f'(0) = 1 at lambda = 0: f = x
-        _, (f_end, df_end) = shoot_small_v0._integrate(
-            _scalar_rhs(Potential1D.zero(), 0.0), [0.0, 1.0], "left", 1e-10,
-            1e-12)
-        assert abs(f_end - 1.0) < 1e-12
-        assert abs(df_end - 1.0) < 1e-12
+        # lambda = 0, V = 0: the Neumann shot is the linear solution f = 1,
+        # and every step is the identity, so f' stays exactly 0
+        for side in ("left", "right"):
+            (f, df), end, start, _ = _shot(shoot_small_v0, 0.0, side)
+            assert (f == 1.0).all() and (df == 0.0).all()
+            assert np.array_equal(end, [1.0, 0.0]) and start == 1.0
 
     def test_constant_potential_shifts_energy(self):
         c = 2.5
         model = build_shoot1d(ShootConfig(potential=Potential1D.constant(c)),
                               panels=4, order=12, fd_nodes=32)
-        _, (f_end, _) = model._shot(c - 1.0, False, "left")
-        assert abs(f_end - COSH1) < 1e-10
+        f_end, _ = _true_end(_shot(model, c - 1.0, "left"))
+        assert abs(f_end - COSH1) < 1e-14
 
     def test_oscillatory_solution(self, shoot_small_v0):
-        _, (f_end, df_end) = shoot_small_v0._shot(np.pi**2, False, "left")
+        f_end, df_end = _true_end(_shot(shoot_small_v0, np.pi**2, "left"))
         # cos(pi x) arrives at -1 with zero slope
-        assert abs(f_end + 1.0) < 1e-9
-        assert abs(df_end) < 1e-8
+        assert abs(f_end + 1.0) < 1e-14
+        assert abs(df_end) < 1e-13
 
     def test_samples_follow_closed_form(self, shoot_small_v0):
         xs = shoot_small_v0.grid.nodes
-        (phi, dphi), _ = shoot_small_v0._shot(-1.0, False, "left")
-        (psi, _), _ = shoot_small_v0._shot(-1.0, False, "right")
-        assert np.abs(phi - np.cosh(xs)).max() < 1e-10
-        assert np.abs(dphi - np.sinh(xs)).max() < 1e-10
-        assert np.abs(psi - np.cosh(1.0 - xs)).max() < 1e-10
+        (phi, dphi), _, phi_0, _ = _shot(shoot_small_v0, -1.0, "left")
+        (psi, _), _, psi_L, _ = _shot(shoot_small_v0, -1.0, "right")
+        assert np.abs(phi / phi_0 - np.cosh(xs)).max() < 1e-14
+        assert np.abs(dphi / phi_0 - np.sinh(xs)).max() < 1e-14
+        assert np.abs(psi / psi_L - np.cosh(1.0 - xs)).max() < 1e-14
 
     def test_wronskian_constancy(self):
         pot = Potential1D.from_callable(complex_bump)
         model = build_shoot1d(ShootConfig(potential=pot), panels=4, order=12,
                               fd_nodes=32)
-        rhs = _scalar_rhs(pot, -2.0 + 0.7j)
-        a, a_end = model._integrate(rhs, [1.0, 0.0], "left", 1e-10, 1e-12)
-        b, b_end = model._integrate(rhs, [0.0, 1.0], "left", 1e-10, 1e-12)
-        a, b = np.vstack([a, a_end]), np.vstack([b, b_end])
-        w = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-        assert np.abs(w - 1.0).max() < 1e-8
+        lam = -2.0 + 0.7j
+        (phi, dphi), _, phi_0, _ = _shot(model, lam, "left")
+        (psi, dpsi), _, psi_L, _ = _shot(model, lam, "right")
+        w = (phi * dpsi - dphi * psi) / (phi_0 * psi_L)
+        assert np.abs(w / w.mean() - 1.0).max() < 1e-11
 
 
 class TestStops:
@@ -227,36 +241,34 @@ class TestStops:
         nodes = model.grid.nodes
         for side, (x_start, x_end, sign) in (("left", (0.0, 1.0, 1.0)),
                                              ("right", (1.0, 0.0, -1.0))):
-            start, stops, rows = model._sides[side]
-            stops = np.array(stops)
-            assert start == x_start and stops[-1] == x_end
-            assert (np.diff(np.append(start, stops)) * sign > 0).all()
-            assert np.array_equal(stops[rows], nodes)
-            # the jumps of V are stops, and nothing else besides the far end
-            inner = set(stops[:-1]) - set(nodes)
-            assert inner == set(potential.breakpoints())
+            h = model._mesh[side, False][1]
+            assert (h * sign >= 0.0).all()  # zero-length padding at most
+            ends = x_start + np.cumsum(h.sum(axis=1))
+            assert abs(ends[-1] - x_end) < 1e-14
+            rows = model._rows[side]
+            assert np.abs(ends[rows] - nodes).max() < 1e-14
+            # the singular points of V end gaps, and nothing else besides
+            # the far end
+            others = np.delete(ends, rows)[:-1]
+            assert np.allclose(others, potential.singular_points(), atol=1e-14)
 
-    def test_jump_behind_the_start_is_no_stop(self, monkeypatch):
-        # x0 = 5e-9 puts the window edge x0 - 1e-8 behind x = 0; as a stop
-        # it would send the solver backward past the interval end
+    def test_jump_behind_the_start_is_no_stop(self):
+        # x0 = 5e-9 puts the edge x0 - 1e-8 of V's pointwise window behind
+        # x = 0; the mesh has x0 itself as an edge, with its layers, and every
+        # step goes one way
         pot = Potential1D.power_singularity(1.0 - 0.5j, 5e-9, 0.4, 2.0)
         model = build_shoot1d(ShootConfig(potential=pot), panels=4, order=12,
                               fd_nodes=32)
-        calls = []
-        original = model_shoot1d.dp45_integrate
-
-        def one_way(rhs, x_start, stops, y0, *args):
-            # checked before the solve: a solver sent backward never ends
-            legs = np.diff(np.append(x_start, stops))
-            assert (legs > 0).all() or (legs < 0).all()
-            calls.append(x_start)
-            return original(rhs, x_start, stops, y0, *args)
-
-        monkeypatch.setattr(model_shoot1d, "dp45_integrate", one_way)
+        for side, sign in (("left", 1.0), ("right", -1.0)):
+            assert (model._mesh[side, False][1] * sign >= 0.0).all()
         m = weyl(model, -3.0, allow_uncertified=True).m
         batch = model.weyl_batch([-3.0, 5.0 + 3.0j])
         assert np.isfinite(m).all() and np.isfinite(batch).all()
-        assert len(calls) >= 4  # the shots of weyl, two stacked sides
+        # the pointwise V of an ODE oracle averages V over a window that
+        # leaves the interval here, so the reference is four times the steps
+        fine = build_shoot1d(ShootConfig(potential=pot, substeps=64),
+                             panels=4, order=12, fd_nodes=32)
+        assert np.abs(batch - fine.weyl_batch([-3.0, 5.0 + 3.0j])).max() < 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -385,9 +397,9 @@ class TestWeylBatch:
 
     def test_finiteness_matches_the_pointwise_path(self, shoot_bench_v0,
                                                    shoot_v0):
-        # the ODE error of phi'(L) at k^2 pi^2 reaches 1e-9 of scale (k = 5,
-        # benchmark grid), so the guard scales with rtol; 1e-6 away from the
-        # eigenvalue the relative |phi'(L)| is about 5e-7, far above it
+        # the rounding of phi'(L) at k^2 pi^2 stays within a few eps times
+        # the steps and k (V = 0: one exact step per gap); 1e-6 away from
+        # the eigenvalue the relative |phi'(L)| is about 5e-7, far above it
         for model, k in itertools.product((shoot_bench_v0, shoot_v0), range(6)):
             lam = (k * np.pi) ** 2
             with pytest.raises(MatchingSingular):
@@ -398,9 +410,9 @@ class TestWeylBatch:
                 assert np.isfinite(m).all()
 
     def test_guard_scales_with_the_mode_number(self, shoot_bench_v0, shoot_v0):
-        # the ODE error of phi'(L) at k^2 pi^2 grows about linearly in k, to
-        # 2.6e-8 of scale at k = 20, past a guard of 100 rtol = 1e-8; the
-        # guard 1e-8 k still sits below the 4.7e-7 that 1e-6 off gives
+        # the rounding of phi'(L) at k^2 pi^2 grows with k, to 2.4 eps
+        # steps k of scale by k = 20 (benchmark grid); the guard 100 eps
+        # steps k still sits far below the 4.7e-7 that 1e-6 off gives
         ks = np.arange(6, 21)
         eigs = (ks * np.pi) ** 2
         for model in (shoot_bench_v0, shoot_v0):
@@ -414,17 +426,30 @@ class TestWeylBatch:
             assert np.isfinite(got[len(ks):]).all()
 
     def test_guard_does_not_scale_off_the_positive_axis(self):
-        # the shot does not oscillate there; scaled by sqrt|lambda| the
-        # guard would pass 1 at rtol = 1e-4 and flag every point
-        model = build_shoot1d(ShootConfig(rtol=1e-4, atol=1e-6), panels=4,
-                              order=12, fd_nodes=64)
+        # the shot does not oscillate there; at two sub-steps per gap the
+        # step-doubling estimate is large, and scaled by sqrt|lambda| the
+        # guard would flag every point
+        pot = Potential1D.from_callable(complex_bump)
+        coarse, fine = (build_shoot1d(ShootConfig(potential=pot,
+                                                  substeps=substeps),
+                                      panels=4, order=12, fd_nodes=64)
+                        for substeps in (2, 32))
         for lam in (-3e5, -3e5 + 1e5j):
-            got = weyl(model, lam, allow_uncertified=True).m
-            assert np.abs(got - interval_weyl_v0(lam)).max() < 1e-6
+            got = weyl(coarse, lam, allow_uncertified=True).m
+            want = fine.weyl_batch([lam])[0]
+            assert np.abs(got - want).max() < 1e-6 * np.abs(want).max()
+
+    def test_guard_stays_below_one_on_the_positive_axis(self):
+        # an rtol-scaled guard passed 1 at loose tolerances there and read
+        # every point as a Neumann eigenvalue; the propagator's own error
+        # keeps it small (lambda near (110 pi)^2, k = 110)
+        model = build_shoot1d(ShootConfig(potential=Potential1D.from_callable(
+            complex_bump), substeps=2), panels=4, order=12, fd_nodes=64)
+        for lam in (120007.0, 120000.0 + 50.0j):
+            assert np.isfinite(weyl(model, lam, allow_uncertified=True).m).all()
 
     def test_nan_point_gets_a_nan_row(self, shoot_bench_v0):
-        # DOP853's first step from a NaN right-hand side is NaN, and its
-        # step loop would never end; the stacked solve falls back point-wise
+        # a NaN point's steps are NaN; its row alone is
         got = shoot_bench_v0.weyl_batch([np.nan, -1.0])
         assert np.isnan(got[0]).all()
         assert np.abs(got[1] - interval_weyl_v0(-1.0)).max() < 1e-12
@@ -440,27 +465,32 @@ class TestWeylBatch:
         pot = Potential1D.power_singularity(1.0 - 0.5j, 0.4, 0.4, 2.0)
         model = build_shoot1d(ShootConfig(potential=pot),
                               panels=4, order=12, fd_nodes=128)
-        tight = build_shoot1d(ShootConfig(potential=pot, rtol=1e-12),
-                              panels=4, order=12, fd_nodes=128)
         lams = np.concatenate([_circle(8), [-5.0, -500.0]])
         got = model.weyl_batch(lams)
-        want = pointwise_weyl(tight, lams)
+        want = np.array([ode_weyl(pot, lam) for lam in lams])
         assert np.abs(got - want).max() <= 1e-9
 
-    def test_shots_step_onto_the_jumps_of_a_power_potential(self):
-        # V jumps at the edges of its window x0 -+ 1e-8; a per-point shot
-        # that steps across them errs by up to 1.6e-7 on these points
+    def test_shots_step_onto_the_singular_point_of_a_power_potential(self):
+        # x0 is a mesh edge with 8 geometric layers on either side; with
+        # uniform sub-steps alone the error on these points was 2.5e-8
         pot = Potential1D.power_singularity(1.0 - 0.5j, 0.4, 0.4, 2.0)
         model = build_shoot1d(ShootConfig(potential=pot),
                               panels=4, order=12, fd_nodes=128)
-        tight = build_shoot1d(ShootConfig(potential=pot, rtol=1e-12),
-                              panels=4, order=12, fd_nodes=128)
         lams = np.concatenate([_circle(8), _circle(32)[[12, 26]], [-5.0, -500.0]])
         got = pointwise_weyl(model, lams)
-        want = tight.weyl_batch(lams)
+        want = np.array([ode_weyl(pot, lam) for lam in lams])
         rel = (np.abs(got - want).max(axis=(1, 2))
                / np.abs(want).max(axis=(1, 2)))
         assert rel.max() <= 3e-9
+
+    def test_complex_bump_matches_the_ode_oracle(self, shoot_complex):
+        pot = Potential1D.from_callable(complex_bump)
+        bench = build_shoot1d(ShootConfig(potential=pot), panels=4, order=12,
+                              fd_nodes=128)
+        lams = np.array([-1.0, -500.0, 5.0 + 3.0j, 20.0 - 8.0j, -50.0 + 50.0j])
+        want = np.array([ode_weyl(pot, lam) for lam in lams])
+        for model in (shoot_complex, bench):
+            assert np.abs(model.weyl_batch(lams) - want).max() <= 1e-10
 
     def test_chunks_are_solved_independently(self, shoot_bench_v0):
         lams = _circle(300, center=-20.0, radius=15.0)
@@ -473,14 +503,14 @@ class TestWeylBatch:
 
     def test_failed_stacked_solve_falls_back_to_pointwise(
             self, shoot_bench_v0, monkeypatch):
-        original = model_shoot1d.dp45_integrate
+        original = model_shoot1d.magnus_propagate
 
-        def stacked_fails(rhs, x_start, stops, y0, rtol, atol):
-            if len(y0) > 2:
-                raise StepSizeUnderflow("stacked solve refused")
-            return original(rhs, x_start, stops, y0, rtol, atol)
+        def stacked_fails(steps, lams):
+            if len(lams) > 1:
+                raise NoConvergence("stacked solve refused")
+            return original(steps, lams)
 
-        monkeypatch.setattr(model_shoot1d, "dp45_integrate", stacked_fails)
+        monkeypatch.setattr(model_shoot1d, "magnus_propagate", stacked_fails)
         lams = np.array([-1.0, 5.0 + 3.0j, 0.0])
         got = shoot_bench_v0.weyl_batch(lams)
         want = pointwise_weyl(shoot_bench_v0, lams)
@@ -490,23 +520,54 @@ class TestWeylBatch:
 
 class TestFarNegativeAxis:
     """Past lambda = -4.9e5 the shots' cosh(sqrt(-lambda) x) leaves double
-    range before x = L: the integration stops there, and says so."""
+    range before x = L; the scaled steps carry it as a log-scale, so M
+    matches the closed form out to -1e7."""
 
-    @pytest.mark.parametrize("lam", [-5e5, -1e6])
-    def test_overflow_fails_to_converge(self, shoot_bench_v0, lam):
-        # with no RuntimeWarning first: tier-1 makes each one an error
-        with pytest.raises(NoConvergence, match="double range"):
-            weyl(shoot_bench_v0, lam, allow_uncertified=True)
+    @pytest.mark.parametrize("lam", [-5e5, -1e6, -1e7])
+    def test_weyl_matches_the_scaled_closed_form(self, shoot_bench_v0, lam):
+        got = weyl(shoot_bench_v0, lam, allow_uncertified=True).m
+        want = interval_weyl_v0(lam)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_overflow_gets_a_nan_row(self, shoot_bench_v0):
-        got = shoot_bench_v0.weyl_batch([-5e5, -1.0])
-        assert np.isnan(got[0]).all()
-        assert np.abs(got[1] - interval_weyl_v0(-1.0)).max() < 1e-12
+    def test_batch_matches_the_scaled_closed_form(self, shoot_bench_v0,
+                                                  shoot_bench_c):
+        lams = [-5e5, -1e6, -1e7, -1.0]
+        for model, c in ((shoot_bench_v0, 0.0), (shoot_bench_c, _BENCH_C)):
+            got = model.weyl_batch(lams)
+            want = np.array([interval_weyl_v0(z - c) for z in lams])
+            err = np.abs(got - want).max(axis=(1, 2))
+            assert (err <= 1e-12 * np.abs(want).max(axis=(1, 2))).all()
 
     def test_last_point_in_range_matches_closed_form(self, shoot_bench_v0):
         got = weyl(shoot_bench_v0, -4.5e5, allow_uncertified=True).m
         want = interval_weyl_v0(-4.5e5)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_far_point_costs_its_chunk_nothing(self, shoot_bench_v0,
+                                               monkeypatch):
+        # one chunk kernel call for a 255-node circle with -5e5 appended: no
+        # point-wise fallback and no NaN row
+        calls = []
+        original = shoot_bench_v0._weyl_chunk
+
+        def counted(lams, tilde):
+            calls.append(len(lams))
+            return original(lams, tilde)
+
+        monkeypatch.setattr(shoot_bench_v0, "_weyl_chunk", counted)
+        lams = np.append(_circle(255, center=-20.0, radius=15.0), -5e5)
+        got = shoot_bench_v0.weyl_batch(lams)
+        assert calls == [256]
+        assert np.isfinite(got).all()
+        assert np.abs(got[-1] - interval_weyl_v0(-5e5)).max() <= 1e-15
+
+    def test_resolvent_past_double_range_fails_to_converge(self,
+                                                            shoot_bench_v0):
+        # W = phi psi' - phi' psi in the shots' units holds exp(-sqrt(-lambda)
+        # L), which underflows past -4.9e5
+        f = shoot_bench_v0.random_domain_vector(np.random.default_rng(0))
+        with pytest.raises(NoConvergence, match="double range"):
+            shoot_bench_v0.neumann_resolvent(-1e6, f)
 
 
 class TestRobinScan:
@@ -529,11 +590,12 @@ class TestRobinScan:
 
 
 class TestIdentitySuite:
-    def test_complex_potential_passes_at_rtol_1e_9(self):
-        # the gamma_kernel_ode records must hold their 1e-7 bar at rtol 1e-9 too
+    def test_complex_potential_passes_at_two_substeps(self):
+        # a constant V takes one exact step per mesh gap, so the
+        # gamma_kernel_ode records hold their 1e-7 bar at any substeps
         spec = {"model": "shoot1d", "panels": 4, "order": 12, "fd_nodes": 128,
                 "potential": {"kind": "constant", "value": [3.0, -2.0]},
-                "rtol": 1e-9}
+                "substeps": 2}
         records = run_identity_suite(SuiteConfig(models=(spec,))).records
         assert len(records) == 63
         assert [r.check_name for r in records if not r.passed] == []
@@ -541,12 +603,15 @@ class TestIdentitySuite:
 
 class TestLazyIntegratorImport:
     def test_package_import_leaves_scipy_integrate_unloaded(self):
-        # only a shoot1d shot needs DOP853; fd1d and disk runs never load it
+        # no package code needs scipy's integrators, and only the disk's
+        # Robin reference needs its root finder: a package import loads
+        # neither
         src = os.path.dirname(os.path.dirname(os.path.abspath(btriple.__file__)))
         code = ("import sys, btriple; "
-                "print('scipy.integrate' in sys.modules)")
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize')"
+                " if m in sys.modules))")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
