@@ -28,7 +28,6 @@ from .errors import (
 from .numerics import (
     eig_dense,
     fit_log_slope,
-    herm_inv_sqrt,
     smallest_singular_value,
     solve_linear,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "TruncationWarning",
     "eig_dense",
     "fit_log_slope",
-    "herm_inv_sqrt",
     "smallest_singular_value",
     "solve_linear",
     "PanelGrid",

@@ -9,6 +9,8 @@ quadrature, and radial integrals.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
@@ -59,16 +61,19 @@ def _diff_matrix(x):
     return d
 
 
-def _cumint_reference(x):
-    # C[i, j] = integral of the j-th Lagrange basis polynomial on GL nodes
-    # x over [-1, x_i], via the Legendre coefficient transform.
-    n = len(x)
+@functools.lru_cache(maxsize=None)
+def _cumint_reference(n):
+    # C[i, j] = integral of the j-th Lagrange basis polynomial on the n GL
+    # nodes x over [-1, x_i], via the Legendre coefficient transform; built
+    # by the first cumint() of an order and shared, read-only, by the rest
+    x = npleg.leggauss(n)[0]
     vand = npleg.legvander(x, n - 1)
     coeffs = np.linalg.inv(vand)  # column j: Legendre coeffs of basis j
     c = np.zeros((n, n))
     for j in range(n):
         ci = npleg.legint(coeffs[:, j])
         c[:, j] = npleg.legval(x, ci) - npleg.legval(-1.0, ci)
+    c.setflags(write=False)
     return c
 
 
@@ -87,8 +92,6 @@ class PanelGrid:
         self.order = int(order)
         self.panels = len(edges) - 1
         ref_x, ref_w = npleg.leggauss(self.order)
-        self._ref_x = ref_x
-        self._ref_cumint = _cumint_reference(ref_x)
         nodes = []
         weights = []
         for p in range(self.panels):
@@ -125,7 +128,7 @@ class PanelGrid:
                 s = self.panel_slice(p)
                 half = 0.5 * (self.edges[p + 1] - self.edges[p])
                 q[s, :] = offset_row
-                q[s, s] += half * self._ref_cumint
+                q[s, s] += half * _cumint_reference(self.order)
                 offset_row = offset_row.copy()
                 offset_row[s] += self.weights[s]
             self._cumint = q

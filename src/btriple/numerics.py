@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DegenerateInput, NoConvergence, NotPositiveDefinite, SingularMatrix
+from .errors import DegenerateInput, NoConvergence, SingularMatrix
 
 # Relative pivot floor below which an LU factor is treated as singular.
 _PIVOT_REL = 1e-14
@@ -72,25 +72,6 @@ def smallest_singular_value(a):
     if min(a.shape) == 0:
         raise ValueError("empty matrix has no singular values")
     return float(sla.svdvals(a).min())
-
-
-def herm_inv_sqrt(a):
-    """Inverse square root of a Hermitian positive definite matrix.
-
-    The input is symmetrized before the eigendecomposition so that tiny
-    non-Hermitian rounding noise cannot leak into complex eigenvalues.
-    Raises NotPositiveDefinite when the smallest eigenvalue is <= 0.
-    """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected square matrix, got shape {a.shape}")
-    h = 0.5 * (a + a.conj().T)
-    w, u = sla.eigh(h)
-    if w.min() <= 0.0:
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite (min eigenvalue {w.min():.3e})"
-        )
-    return (u * (1.0 / np.sqrt(w))) @ u.conj().T
 
 
 def fit_log_slope(points):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dgtcon, dgttrf, dgttrs, dpttrf, dpttrs
 
 from .errors import (
     BirmanSchwingerSingular,
@@ -40,9 +41,8 @@ from .numerics import (
     solve_linear,
 )
 # not called here; the traced benchmark run patches the names in this module
-# (the Newton solver itself is gone)
-from .numerics import herm_inv_sqrt  # noqa: F401
-complex_newton = None
+# (the Newton solver and the dense inverse square root themselves are gone)
+complex_newton = herm_inv_sqrt = None
 
 # sigma_min floor below which I - B M(lambda) counts as singular
 _BS_SINGULAR_TOL = 1e-10
@@ -69,8 +69,8 @@ _MOMENTS = 6
 # the integrand's mass, whichever is larger) count as zero
 _HANKEL_RTOL = 1e-10
 
-# H_N - lambda counts as singular once its smallest eigenvalue distance is
-# this fraction of its largest (condition number past 1e14)
+# H_N - lambda counts as singular once LAPACK gtcon's estimate of its
+# reciprocal 1-norm condition number is at most this (condition past 1e14)
 _SPECTRUM_HIT_REL = 1e-14
 
 # spectral points per _weyl_chunk call of weyl_batch; bounds the working
@@ -100,8 +100,8 @@ class TripleModel(abc.ABC):
     them: ``apply_T``/``apply_Ttilde``, ``solve_bvp``/``_tilde`` and
     ``neumann_resolvent``/``_tilde``. ``binner`` defaults to the plain dot
     product. Derived from them, computed once per model and the same for
-    every family: ``hn_spectra``, one eigh of each tridiagonal H_N block
-    with V cut down to its support, and ``certified_threshold``. Hooks,
+    every family: ``hn_blocks``, each block of ``hn_v_blocks`` with V's
+    support and H_N's lowest eigenpair, and ``certified_threshold``. Hooks,
     None by default (``mode_weyl_values`` by default returns None):
     ``mode_weyl_values(lam, tilde)``, the diagonal of a diagonal Weyl
     matrix; ``green_pairing_defect(f, g)``, the Green bracket for
@@ -127,7 +127,8 @@ class TripleModel(abc.ABC):
     Threads may share a model: every call above, and the functions of this
     module on it, give the bits of a serial run. The per-point caches are
     dicts (shoot1d) or held under a lock (the disk's LU storage), and the
-    lazy ``hn_spectra`` and ``certified_threshold`` at worst run twice.
+    lazy ``hn_blocks`` and ``certified_threshold`` at worst run twice, to
+    the same bits.
     """
 
     green_pairing_defect = None
@@ -219,28 +220,29 @@ class TripleModel(abc.ABC):
 
     # -- derived structure -------------------------------------------------
 
-    def hn_spectra(self):
-        """One HnSpectrum per block of hn_v_blocks, computed once per
-        model: the eigh of the tridiagonal H_N, and V on its support K.
-        Every lambda-dependent quantity of the sectorial layer is built
-        from these, so no lambda pays for an eigendecomposition."""
-        if getattr(self, "_hn_spectra", None) is None:
-            spectra = []
+    def hn_blocks(self):
+        """One HnBlock per block of hn_v_blocks, computed once per model:
+        V's support K and H_N's lowest eigenpair, from LAPACK stebz and
+        stein (not an eigendecomposition of H_N). Each lambda of the
+        sectorial layer then pays one tridiagonal factorization per
+        block."""
+        if getattr(self, "_hn_blocks", None) is None:
+            blocks = []
             for bands, v in self.hn_v_blocks():
-                # dense eigh's kernel and bits (not "auto", which is dstevd)
                 w, u = sla.eigh_tridiagonal(bands[1], bands[2, :-1],
-                                            lapack_driver="stemr")
+                                            select="i", select_range=(0, 0),
+                                            lapack_driver="stebz")
                 k = np.flatnonzero(v)
-                spectra.append(HnSpectrum(w=w, u=u, support=k, u_k=u[k],
-                                          v_kk=np.diag(v[k])))
-            self._hn_spectra = tuple(spectra)
-        return self._hn_spectra
+                blocks.append(HnBlock(bands=bands, v=v, support=k, v_k=v[k],
+                                      bottom=float(w[0]), u0=u[:, 0]))
+            self._hn_blocks = tuple(blocks)
+        return self._hn_blocks
 
     def certified_threshold(self):
         """Real xi < 0 with (-inf, xi) in the resolvent set of A0 and A0~,
         computed once per model: -0.5 when V = 0, else the least of
         find_xi2, the bottom of H_N less sup |V| (over the blocks of
-        hn_spectra), and -1e-6. -inf stands in for find_xi2 when its scan
+        hn_blocks), and -1e-6. -inf stands in for find_xi2 when its scan
         finds no threshold."""
         if getattr(self, "_threshold", None) is None:
             if not self.has_potential:
@@ -250,7 +252,7 @@ class TripleModel(abc.ABC):
                     xi2 = find_xi2(self)
                 except ThresholdNotFound:
                     xi2 = -np.inf
-                bottom = min(float(block.w[0]) for block in self.hn_spectra())
+                bottom = min(block.bottom for block in self.hn_blocks())
                 self._threshold = min(xi2, bottom - self.v_sup_proxy(), -1e-6)
         return self._threshold
 
@@ -360,16 +362,18 @@ class WeylSample:
 
 
 @dataclass(frozen=True)
-class HnSpectrum:
-    """One block of H_N as its eigendecomposition H_N = U diag(w) U*, with
-    V cut down to its support K, the indices of V's nonzero rows and
-    columns (V vanishes outside K x K)."""
+class HnBlock:
+    """One block of hn_v_blocks as the sectorial layer reads it: the real
+    symmetric tridiagonal H_N, V's diagonal, V's support K (the indices of
+    its nonzero entries; V vanishes outside K x K), and the lowest
+    eigenpair of H_N."""
 
-    w: np.ndarray        # eigenvalues, ascending
-    u: np.ndarray        # orthonormal eigenvectors as columns
+    bands: np.ndarray    # H_N as solve_banded's (3, m) bands
+    v: np.ndarray        # V's diagonal
     support: np.ndarray  # K
-    u_k: np.ndarray      # U[K], the rows of U on K
-    v_kk: np.ndarray     # V[K, K]
+    v_k: np.ndarray      # v[K], the diagonal of V_KK
+    bottom: float        # the lowest eigenvalue of H_N
+    u0: np.ndarray       # its unit eigenvector
 
 
 @dataclass(frozen=True)
@@ -743,36 +747,37 @@ def _ellipse_roots(model, bm, region, grid, key):
 # -- sectorial factorization and asymptotic studies -------------------------
 
 
-def _spectra_below(model, lam):
-    """model.hn_spectra(), once lam is known to lie below every block's
-    spectrum; NotPositiveDefinite otherwise (S = (H_N - lam)^(-1/2) does
-    not exist)."""
-    spectra = model.hn_spectra()
-    for block in spectra:
-        if block.w[0] - lam <= 0.0:
-            raise NotPositiveDefinite(
-                f"H_N - lambda is not positive definite at lambda = {lam} "
-                f"(min eigenvalue {block.w[0] - lam:.3e})")
-    return spectra
-
-
-def _kk_gram(block, lam):  # G = [(H_N - lam)^-1]_KK
-    return (block.u_k / (block.w - lam)) @ block.u_k.conj().T
+def _resolvent_columns(block, lam, probes):
+    """S^2 = (H_N - lam)^-1 on the complex (m, r) probes and on the unit
+    columns of K, as an (m, r) and an (m, |K|) array: one LAPACK pttrf of
+    H_N - lam and one pttrs of every column, a complex one as its real and
+    imaginary parts. pttrf fails, NotPositiveDefinite, unless lam lies
+    below the bottom of H_N, where S = (H_N - lam)^(-1/2) exists."""
+    d, e, info = dpttrf(block.bands[1] - lam, block.bands[2, :-1])
+    if info:
+        raise NotPositiveDefinite(
+            f"H_N - lambda is not positive definite at lambda = {lam} "
+            f"(LDL* pivot {info} is not positive)")
+    k, j = block.support, 2 * probes.shape[1]
+    rhs = np.zeros((block.v.size, j + k.size), order="F")
+    rhs[:, :j] = probes.view(float)
+    rhs[k, j + np.arange(k.size)] = 1.0
+    x, _ = dpttrs(d, e, rhs, overwrite_b=True)
+    return np.ascontiguousarray(x[:, :j]).view(complex), x[:, j:]
 
 
 def _c1_norm(block, lam, gram):
     # C1 = S V S = A V_KK A* with A = S restricted to the columns K, and
-    # A* A = G = R* R, so ||C1|| = ||R V_KK R*||: a |K|-square problem
-    # whatever the order of the block
+    # A* A = G = [(H_N - lam)^-1]_KK = R* R, so ||C1|| = ||R V_KK R*||: a
+    # |K|-square problem whatever the order of the block
     if block.support.size == 0:
         return 0.0
     try:
         r = sla.cholesky(gram)
     except sla.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            f"[(H_N - lambda)^-1]_KK is not positive definite at lambda = "
-            f"{lam}: {exc}") from exc
-    return float(sla.svdvals(r @ block.v_kk @ r.conj().T).max())
+        raise NotPositiveDefinite(f"[(H_N - lambda)^-1]_KK at lambda = "
+                                  f"{lam}: {exc}") from exc
+    return float(sla.svdvals((r * block.v_k) @ r.T).max())
 
 
 def sectorial_factorization(model, lam, rng):
@@ -780,11 +785,12 @@ def sectorial_factorization(model, lam, rng):
     and C1 = S V S at real lam below the certified threshold, per block.
     ||C1|| is computed on K as in c1_norm_at. F = S (I + C1)^-1 S is
     checked against R, one gtsv of H_N + V - lam independent of F, on r = 8
-    standard complex Gaussian probes w_i drawn from rng: F w_i comes from
-    the cached eigenbasis of H_N and Woodbury on K, with no order-n inverse
-    or SVD. defect = alpha sqrt(2/pi) max_i ||(R - F) w_i||, alpha = 10,
-    bounds ||R - F|| except with probability below 1e-8; resolvent_norm =
-    ||R u0|| <= ||R||, u0 the lowest eigenvector of H_N (equal for V = 0).
+    standard complex Gaussian probes w_i drawn from rng. F w_i is Woodbury
+    on K, S^2 w_i - S^2[:, K] (I + V_KK G)^-1 V_KK (S^2 w_i)_K, from the
+    pttrf that gives G: no order-n inverse or SVD. defect = alpha sqrt(2/pi)
+    max_i ||(R - F) w_i||, alpha = 10, bounds ||R - F|| except with
+    probability below 1e-8; resolvent_norm = ||R u0|| <= ||R||, u0 the
+    lowest eigenvector of H_N (equal for V = 0).
     """
     lam = float(lam)
     if lam >= model.certified_threshold():
@@ -792,26 +798,24 @@ def sectorial_factorization(model, lam, rng):
             f"sectorial factorization requires lambda < {model.certified_threshold():.6g}"
         )
     c1_norm = defect = resolvent_norm = 0.0
-    spectra = _spectra_below(model, lam)
-    for block, (bands, v) in zip(spectra, model.hn_v_blocks()):
-        gram = _kk_gram(block, lam)
+    for block in model.hn_blocks():
+        k = block.support
+        probes = rng.standard_normal((block.v.size, _PROBES, 2)) @ [1, 1j] / 2**0.5
+        s2_w, s2_k = _resolvent_columns(block, lam, probes)
+        gram = s2_k[k]
         c1_norm = max(c1_norm, _c1_norm(block, lam, gram))
-        u, u_k, e = block.u, block.u_k, 1.0 / (block.w - lam)[:, None]
-        probes = rng.standard_normal((len(u), _PROBES, 2)) @ [1, 1j] / 2**0.5
-        shifted = bands.astype(complex)
-        shifted[1] += v - lam
+        shifted = block.bands.astype(complex)
+        shifted[1] += block.v - lam
         try:  # a zero pivot or an overflow: H_N + V - lam is singular
             res = sla.solve_banded((1, 1), shifted, np.column_stack(
-                [probes, u[:, 0]]), overwrite_ab=True, check_finite=False)
+                [probes, block.u0]), overwrite_ab=True, check_finite=False)
             if not np.isfinite(res).all():
                 raise sla.LinAlgError("a solution is not finite")
         except sla.LinAlgError as exc:
             raise SingularMatrix(f"H_N + V - lambda: {exc}") from exc
-        # Woodbury: F w = S^2 w - S^2[:, K] z with S^2 = U diag(e) U*
-        c = u.conj().T @ probes
-        z = solve_linear(np.eye(len(u_k)) + block.v_kk @ gram,
-                         block.v_kk @ (u_k @ (e * c)))
-        err = res[:, :-1] - u @ (e * (c - u_k.conj().T @ z))  # (R - F) w
+        v_k = block.v_k[:, None]
+        z = solve_linear(np.eye(k.size) + v_k * gram, v_k * s2_w[k])
+        err = res[:, :-1] - (s2_w - s2_k @ z)  # (R - F) w
         defect = max(defect, _PROBE_ALPHA * np.sqrt(2.0 / np.pi)
                      * float(np.linalg.norm(err, axis=0).max()))
         resolvent_norm = max(resolvent_norm, float(np.linalg.norm(res[:, -1])))
@@ -822,14 +826,18 @@ def sectorial_factorization(model, lam, rng):
 def c1_norm_at(model, lam):
     """max block norm of C1(lambda) = S V S without the resolvent defect.
 
-    Each block's norm is ||R V_KK R*|| with R* R = [(H_N - lam)^-1]_KK
-    = U_K diag(1/(w - lam)) U_K* (one Cholesky of order |K|), taken from
-    the model's cached hn_spectra; 0 where V vanishes. NotPositiveDefinite
-    when lam is not below the bottom of H_N.
+    Each block's norm is ||R V_KK R*|| with R* R = G = [(H_N - lam)^-1]_KK
+    (one Cholesky of order |K|), G from one pttrf of H_N - lam and its
+    solves on the unit columns of K; 0 where V vanishes.
+    NotPositiveDefinite when lam is not below the bottom of H_N.
     """
     lam = float(lam)
-    return max((_c1_norm(block, lam, _kk_gram(block, lam))
-                for block in _spectra_below(model, lam)), default=0.0)
+    norm = 0.0
+    for block in model.hn_blocks():
+        _, s2_k = _resolvent_columns(block, lam, np.empty((block.v.size, 0),
+                                                          complex))
+        norm = max(norm, _c1_norm(block, lam, s2_k[block.support]))
+    return norm
 
 
 def find_xi2(model):
@@ -877,21 +885,30 @@ def relative_bound_decay(model, lam_list):
     """||V (H_N - lam)^-1|| along lam_list; tends to 0 as lam -> -inf, the
     operator expression of V being relatively bounded with bound zero.
 
-    Each block's norm is ||V_KK U_K diag(1/(w - lam))||, from the model's
-    cached hn_spectra. NotCertified when lam hits the Neumann spectrum
-    (H_N - lam singular to working precision), whether or not V vanishes.
+    Each block's norm is ||V_KK [(H_N - lam)^-1]_{K,:}||, from one LAPACK
+    gttrf of H_N - lam and its solves on the unit columns of K, so lam may
+    lie between eigenvalues of H_N. NotCertified when lam hits the Neumann
+    spectrum, gtcon's reciprocal condition of H_N - lam at or below
+    _SPECTRUM_HIT_REL, whether or not V vanishes.
     """
     out = []
     for lam in lam_list:
         lam = float(lam)
         norm = 0.0
-        for block in model.hn_spectra():
-            shift = block.w - lam
-            dist = np.abs(shift)
-            if dist.min() <= _SPECTRUM_HIT_REL * dist.max():
+        for block in model.hn_blocks():
+            d, e = block.bands[1] - lam, block.bands[2, :-1]
+            factors = dgttrf(e, d, e)[:5]
+            edges = np.abs(np.concatenate(([0.0], e, [0.0])))
+            anorm = float((np.abs(d) + edges[:-1] + edges[1:]).max())
+            if dgtcon(*factors, anorm)[0] <= _SPECTRUM_HIT_REL:
                 raise NotCertified(f"lambda = {lam} hits the Neumann spectrum")
             if block.support.size:
-                norm = max(norm, float(sla.svdvals(
-                    (block.v_kk @ block.u_k) / shift).max()))
+                # (H_N - lam)^-1 is symmetric: its rows K are x's columns.
+                # Rows below eps^2 of x's largest entry move the norm far
+                # below rounding; dropped, they feed the SVD no underflow
+                x, _ = dgttrs(*factors, np.eye(d.size)[:, block.support])
+                rows = np.abs(x).max(axis=1)
+                x = x[rows > np.finfo(float).eps ** 2 * rows.max()]
+                norm = max(norm, float(sla.svdvals(x * block.v_k).max()))
         out.append((lam, norm))
     return out

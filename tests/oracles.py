@@ -5,9 +5,10 @@ mpmath special functions, closed-form solutions of the half-line and interval
 problems, characteristic polynomials via Faddeev-LeVerrier, and direct 2x2
 interface matching for the disk modes, and a tight scipy ODE solve for the
 interval.  None of it imports btriple, except pointwise_weyl: the per-point
-reference that weyl_batch's chunk kernels are compared with.  dense_blocks
-densifies a model's H_N and V blocks for the dense definitions of the
-sectorial layer.
+reference that weyl_batch's chunk kernels are compared with, and
+herm_inv_sqrt for the package's error class.  dense_blocks densifies a
+model's H_N and V blocks for the dense definitions of the sectorial layer,
+and herm_inv_sqrt, one dense eigh, gives their S = (H_N - lambda)^(-1/2).
 """
 from __future__ import annotations
 
@@ -360,6 +361,29 @@ def dense_blocks(model):
     return [(np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
              + np.diag(bands[2, :-1], -1), np.diag(v))
             for bands, v in model.hn_v_blocks()]
+
+
+def herm_inv_sqrt(a):
+    """Inverse square root of a Hermitian positive definite matrix.
+
+    The input is symmetrized before the eigendecomposition so that tiny
+    non-Hermitian rounding noise cannot leak into complex eigenvalues.
+    Raises the package's NotPositiveDefinite when the smallest eigenvalue
+    is <= 0.
+    """
+    import scipy.linalg as sla
+    from btriple import NotPositiveDefinite
+
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected square matrix, got shape {a.shape}")
+    h = 0.5 * (a + a.conj().T)
+    w, u = sla.eigh(h)
+    if w.min() <= 0.0:
+        raise NotPositiveDefinite(
+            f"matrix is not positive definite (min eigenvalue {w.min():.3e})"
+        )
+    return (u * (1.0 / np.sqrt(w))) @ u.conj().T
 
 
 # ---------------------------------------------------------------------------

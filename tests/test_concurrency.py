@@ -1,6 +1,7 @@
 """Two threads sharing one model get the bits a serial run gets, on every
 family with and without V: weyl, weyl_batch, neumann_resolvent and
-krein_resolvent, each thread on its own spectral points."""
+krein_resolvent, each thread on its own spectral points, and the sectorial
+layer on a fresh model, whose threshold and H_N blocks both threads fill."""
 import sys
 import threading
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from btriple import (DiskModelConfig, Potential1D, ShootConfig, build_disk,
-                     build_fd1d, build_shoot1d, krein_resolvent, weyl)
+                     build_fd1d, build_shoot1d, c1_norm_at, krein_resolvent,
+                     relative_bound_decay, sectorial_factorization, weyl)
 
 from .conftest import complex_bump
 
@@ -107,3 +109,26 @@ def test_exterior_benchmark_disk_gives_no_wrong_weyl():
                 for k in range(2) for run in results[k]
                 for got, want in zip(run, serial[k]))
     assert wrong == 0
+
+
+def _sectorial_work(model, k):
+    # thread k's own points below the threshold, and its own probe seed
+    thr = model.certified_threshold()
+    rng = np.random.default_rng(k)
+    out = [thr]
+    for lam in (thr * (1.5 + k), thr * (4.0 + k)):
+        sf = sectorial_factorization(model, lam, rng)
+        out += [c1_norm_at(model, lam), sf.c1_norm, sf.defect,
+                sf.resolvent_norm]
+    out += [norm for _, norm in relative_bound_decay(model, [-10.0 - k,
+                                                              -1e3])]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_MODELS))
+def test_shared_fresh_model_sectorial_layer(name):
+    serial = [_sectorial_work(_MODELS[name](), k) for k in range(2)]
+    results, errors = _in_two_threads(_MODELS[name](), _sectorial_work, 3)
+    assert errors == []
+    for k in range(2):
+        assert all(run == serial[k] for run in results[k])

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from btriple import PanelGrid, graded_edges
+from btriple import (DiskModelConfig, PanelGrid, Potential1D, ShootConfig,
+                     build_disk, build_shoot1d, graded_edges)
+from btriple import grids
 
 
 class TestGradedEdges:
@@ -74,6 +76,31 @@ class TestPanelGrid:
         c = grid.cumint() @ np.exp(grid.nodes)
         # antiderivative of exp vanishing at 0, sampled at the nodes
         assert np.max(np.abs(c - (np.exp(grid.nodes) - 1.0))) < 1e-12
+
+    def test_cumint_reference_is_built_on_first_use(self):
+        # the disk never integrates cumulatively, so building one computes
+        # no reference; shoot1d's cumint() gets the bits of the reference
+        # built afresh, and a second grid of its order reuses the cached one
+        grids._cumint_reference.cache_clear()
+        build_disk(DiskModelConfig(
+            side="exterior", k_max=3, support=(1.0, 3.0),
+            radial_potential=Potential1D.constant(1.5 + 1.0j)))
+        assert grids._cumint_reference.cache_info().currsize == 0
+        model = build_shoot1d(ShootConfig(), panels=4, order=12, fd_nodes=128)
+        q = model.grid.cumint()
+        ref = grids._cumint_reference.__wrapped__(12)
+        want = np.zeros_like(q)
+        offset = np.zeros(q.shape[1])
+        for p in range(model.grid.panels):
+            s = model.grid.panel_slice(p)
+            want[s] = offset
+            want[s, s] += 0.5 * np.diff(model.grid.edges)[p] * ref
+            offset = offset.copy()
+            offset[s] += model.grid.weights[s]
+        assert q.tobytes() == want.tobytes()
+        PanelGrid(graded_edges(0.0, 1.0, 3), 12).cumint()
+        info = grids._cumint_reference.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     def test_graded_grid_still_integrates(self):
         grid = PanelGrid(graded_edges(0.0, 1.0, 10, 5.0, "left"), 14)

@@ -154,7 +154,7 @@ class TestSectorialRecords:
         model = build_fd1d(n=96, length=1.0,
                            potential=Potential1D.from_callable(complex_bump))
         model.certified_threshold()
-        model.hn_spectra()[0].v_kk[0, 0] += 1e-6
+        model.hn_blocks()[0].v_k[0] += 1e-6
         monkeypatch.setattr(harness, "model_from_spec", lambda spec: model)
         records = run_identity_suite(SuiteConfig(models=(_FD1D_V,),
                                                  seed=7)).records
@@ -300,9 +300,9 @@ class FailingResolventModel(ForwardingModel):
 
 
 class FailingSpectraModel(ForwardingModel):
-    """ForwardingModel whose H_N eigendecomposition always fails."""
+    """ForwardingModel whose H_N blocks always fail."""
 
-    def hn_spectra(self):
+    def hn_blocks(self):
         raise NotPositiveDefinite("no spectrum of H_N")
 
 

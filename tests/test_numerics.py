@@ -9,12 +9,11 @@ from btriple import (
     SingularMatrix,
     eig_dense,
     fit_log_slope,
-    herm_inv_sqrt,
     smallest_singular_value,
     solve_linear,
 )
 
-from .oracles import charpoly_eigenvalues, match_sets
+from .oracles import charpoly_eigenvalues, herm_inv_sqrt, match_sets
 
 
 class TestSolveLinear:

@@ -1,6 +1,8 @@
 """Model-independent boundary-triple operations: gamma fields, Weyl maps and
 their identities, Krein resolvents, eigenvalue location, and the sectorial
 factorization, exercised over all three model families."""
+import ast
+import pathlib
 import warnings
 
 import numpy as np
@@ -32,7 +34,6 @@ from btriple import (
     gamma_resolvent_identity_defect,
     gamma_tilde,
     green_defect,
-    herm_inv_sqrt,
     krein_resolvent,
     krein_resolvent_tilde,
     relative_bound_decay,
@@ -56,6 +57,7 @@ from .oracles import (
     ROBIN_LAM_NEG,
     ROBIN_LAMS_POS,
     dense_blocks,
+    herm_inv_sqrt,
     pointwise_weyl,
     robin_eigenfunction_neg,
     robin_eigenfunction_pos,
@@ -595,7 +597,7 @@ def _rng(seed=0):
 
 
 class TestHnBlocks:
-    """The hn_v_blocks contract, and hn_spectra against dense eigh."""
+    """The hn_v_blocks contract, and hn_blocks against dense eigh."""
 
     @pytest.mark.parametrize("name", [
         "fd_v0", "fd_complex", "shoot_v0", "shoot_complex", "disk_int_v0",
@@ -616,16 +618,15 @@ class TestHnBlocks:
             side="exterior", k_max=3, support=(1.0, 3.0),
             radial_potential=Potential1D.constant(1.5 + 1.0j))),
     ], ids=["fd1d", "shoot1d-p4-o12-fd128", "disk-interior", "disk-exterior"])
-    def test_spectra_are_dense_eigh_bit_for_bit(self, build):
-        # dense eigh (LAPACK dsyevr) finds H_N already tridiagonal and runs
-        # dstemr on it, the driver hn_spectra names; eigh_tridiagonal's
-        # "auto" driver is dstevd, which puts the bottom of fd1d's H_N at
-        # -2.9e-12 rather than at 0.0 and fails the probe-ratio test there
+    def test_lowest_eigenpair_matches_dense_eigh(self, build):
+        # LAPACK stebz + stein against the full dense eigh: the bottom to
+        # rounding at the scale of H_N, its eigenvector up to sign
         model = build()
-        for block, (hn, _) in zip(model.hn_spectra(), dense_blocks(model)):
+        for block, (hn, _) in zip(model.hn_blocks(), dense_blocks(model)):
             w, u = sla.eigh(hn)
-            assert block.w.tobytes() == w.tobytes()
-            assert block.u.tobytes() == u.tobytes()
+            assert abs(block.bottom - w[0]) <= 1e-12 * np.abs(w).max()
+            sign = np.sign(u[:, 0] @ block.u0)
+            assert np.abs(sign * block.u0 - u[:, 0]).max() <= 1e-10
 
 
 class TestSectorialFactorization:
@@ -662,24 +663,33 @@ class TestSectorialFactorization:
 
 
 def _exact_sectorial(model, lam):
-    # the dense definitions: max over blocks of ||R - F|| and of ||R|| =
-    # 1 / sigma_min(H_N + V - lam), with R = (H_N + V - lam)^-1 and
-    # F = S (I + C1)^-1 S, S = (H_N - lam)^(-1/2), C1 = S V S
+    # max over blocks of ||R - F|| and of ||R|| = 1 / sigma_min(H_N + V -
+    # lam), with R = (H_N + V - lam)^-1 and F = S (I + C1)^-1 S, S =
+    # (H_N - lam)^(-1/2), C1 = S V S. R and F are the maps that
+    # sectorial_factorization applies to its probes (the gtsv of
+    # H_N + V - lam, and Woodbury on pttrf's solves), here applied to the
+    # unit vectors: a dense F carries rounding of its own, larger than the
+    # difference the probes measure
     defect = norm = 0.0
-    for hn, v in dense_blocks(model):
+    for block, (hn, v) in zip(model.hn_blocks(), dense_blocks(model)):
         eye = np.eye(hn.shape[0])
-        s = herm_inv_sqrt(hn - lam * eye)
-        shifted = hn + v - lam * eye
-        factored = s @ solve_linear(eye + s @ v @ s, s)
-        resolvent = solve_linear(shifted, eye)
+        shifted = block.bands.astype(complex)
+        shifted[1] += block.v - lam
+        resolvent = sla.solve_banded((1, 1), shifted, eye.astype(complex))
+        k = block.support
+        s2, s2_k = triple_core._resolvent_columns(block, lam, eye + 0j)
+        z = solve_linear(np.eye(k.size) + block.v_k[:, None] * s2_k[k],
+                         block.v_k[:, None] * s2[k])
+        factored = s2 - s2_k @ z
         defect = max(defect, float(sla.svdvals(resolvent - factored).max()))
-        norm = max(norm, 1.0 / float(sla.svdvals(shifted).min()))
+        norm = max(norm, 1.0 / float(sla.svdvals(hn + v - lam * eye).min()))
     return defect, norm
 
 
 class TestSectorialProbes:
-    """The probe estimate of ||R - F|| / ||R|| against the dense SVDs, and
-    the guard that keeps the dense path out of sectorial_factorization."""
+    """The probe estimate of ||R - F|| / ||R|| against the SVD of the same
+    maps on every unit vector, and the guard that keeps order-n dense
+    solves and SVDs out of the sectorial layer."""
 
     @pytest.mark.parametrize("build", [
         lambda: build_fd1d(n=96, length=1.0),
@@ -710,8 +720,8 @@ class TestSectorialProbes:
 
     def test_no_order_n_svd_or_solve(self, monkeypatch, disk_ext_const):
         thr = disk_ext_const.certified_threshold()
-        blocks = disk_ext_const.hn_spectra()
-        assert all(0 < block.support.size < block.w.size // 4
+        blocks = disk_ext_const.hn_blocks()
+        assert all(0 < block.support.size < block.v.size // 4
                    for block in blocks)
         calls = []
 
@@ -725,21 +735,37 @@ class TestSectorialProbes:
 
         for owner, name in ((triple_core.sla, "svdvals"),
                             (triple_core.sla, "solve_banded"),
+                            (triple_core.sla, "eigh"),
+                            (triple_core.sla, "eigh_tridiagonal"),
+                            (triple_core, "dpttrs"),
+                            (triple_core, "dgttrs"),
                             (triple_core, "solve_linear"),
                             (triple_core, "smallest_singular_value")):
             monkeypatch.setattr(owner, name,
                                 recorded(name, getattr(owner, name)))
         sectorial_factorization(disk_ext_const, 2.0 * thr, _rng())
+        c1_norm_at(disk_ext_const, 2.0 * thr)
+        relative_bound_decay(disk_ext_const, [2.0 * thr])
         r = triple_core._PROBES
         want = []
         for block in blocks:
-            n, k = block.w.size, block.support.size
-            # C1's norm on K x K, one tridiagonal solve of H_N + V - lam on
-            # the probes and u0, and the |K|-order Woodbury solve on the
+            n, k = block.v.size, block.support.size
+            # one pttrs of H_N - lam on the probes and the unit columns of
+            # K, C1's norm on K x K, one tridiagonal solve of H_N + V - lam
+            # on the probes and u0, and the |K|-order Woodbury solve on the
             # probes
-            want += [("svdvals", (k, k)),
+            want += [("dpttrs", (n,), (n - 1,), (n, 2 * r + k)),
+                     ("svdvals", (k, k)),
                      ("solve_banded", (1, 1), (3, n), (n, r + 1)),
                      ("solve_linear", (k, k), (k, r))]
+        for block in blocks:
+            n, k = block.v.size, block.support.size
+            want += [("dpttrs", (n,), (n - 1,), (n, k)), ("svdvals", (k, k))]
+        for block in blocks:
+            n, k = block.v.size, block.support.size
+            want += [("dgttrs", (n - 1,), (n,), (n - 1,), (n - 2,), (n,),
+                      (n, k)),
+                     ("svdvals", (n, k))]
         assert calls == want
 
 
@@ -762,7 +788,7 @@ def _dense_relative_bound(model, lam):
 
 
 class TestSupportNorms:
-    """The sectorial layer on the cached hn_spectra and the support K of V
+    """The sectorial layer on the cached hn_blocks and the support K of V
     against the dense definitions."""
 
     @pytest.mark.parametrize("name, whole_grid", [
@@ -771,8 +797,8 @@ class TestSupportNorms:
     ])
     def test_matches_dense_definition(self, request, name, whole_grid):
         model = request.getfixturevalue(name)
-        for block in model.hn_spectra():
-            order = block.w.size
+        for block in model.hn_blocks():
+            order = block.v.size
             if whole_grid:
                 assert block.support.size == order
             else:
@@ -789,14 +815,15 @@ class TestSupportNorms:
                                         rel=1e-12)
 
     def test_zero_potential_is_exactly_zero(self, fd_v0):
-        assert fd_v0.hn_spectra()[0].support.size == 0
+        assert fd_v0.hn_blocks()[0].support.size == 0
         assert c1_norm_at(fd_v0, -2.0) == 0.0
         assert sectorial_factorization(fd_v0, -2.0, _rng()).c1_norm == 0.0
         assert relative_bound_decay(fd_v0, [-2.0]) == [(-2.0, 0.0)]
 
     def test_relative_bound_raises_on_neumann_spectrum(self):
         model = build_fd1d(n=96, length=1.0)
-        w = model.hn_spectra()[0].w
+        (hn, _), = dense_blocks(model)
+        w = sla.eigvalsh(hn)
         for lam in (0.0, w[3]):
             with pytest.raises(NotCertified, match="Neumann spectrum"):
                 relative_bound_decay(model, [-10.0, lam])
@@ -809,15 +836,18 @@ class TestSupportNorms:
             radial_potential=Potential1D.constant(1.5 + 1.0j))), 4),
     ])
     def test_one_eigh_per_block(self, monkeypatch, build, blocks):
+        # one call per block and model, and for the lowest eigenpair only:
+        # no eigendecomposition of H_N
         calls = []
 
         def recorded(name, fn):
             def wrapped(*args, **kwargs):
-                calls.append((name, kwargs.get("lapack_driver")))
+                calls.append((name, kwargs.get("select"),
+                              kwargs.get("select_range")))
                 return fn(*args, **kwargs)
             return wrapped
 
-        for name in ("eigh", "eigh_tridiagonal"):
+        for name in ("eigh", "eigh_tridiagonal", "eigvalsh"):
             monkeypatch.setattr(triple_core.sla, name,
                                 recorded(name, getattr(triple_core.sla, name)))
         model = build()
@@ -827,7 +857,25 @@ class TestSupportNorms:
             c1_norm_at(model, lam)
         relative_bound_decay(model, [-10.0, -100.0])
         assert len(model.hn_v_blocks()) == blocks
-        assert calls == [("eigh_tridiagonal", "stemr")] * blocks
+        assert calls == [("eigh_tridiagonal", "i", (0, 0))] * blocks
+
+    def test_no_eigendecomposition_in_the_package(self):
+        # no Hermitian eigendecomposition anywhere: an eigh_tridiagonal
+        # always selects its eigenpairs
+        found = []
+        for path in sorted(pathlib.Path(triple_core.__file__).parent
+                           .glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                keywords = {kw.arg for kw in node.keywords}
+                if name in ("eigh", "eigvalsh", "eig_banded",
+                            "eigvals_banded") or (
+                                name.endswith("_tridiagonal")
+                                and "select" not in keywords):
+                    found.append((path.name, node.lineno, name))
+        assert found == []
 
 
 class TestThresholdScan:
