@@ -52,15 +52,15 @@ DECAY_CSV_SCHEMA = "btriple-decay-csv/1"
 
 # Registry of invariant-backed checks. Which names a run emits depends on
 # the TripleModel hooks of its models: weyl_mode_diagonal needs
-# mode_weyl_values (disks), adjoint_matrices, krein_vs_dense and the
-# bs_hausdorff_dense/bs_kernel_residual pair need dense_robin (fd1d), and
-# bs_reference_match needs reference_robin_eigs (V = 0 interior disk).
+# mode_weyl_values (disks), krein_vs_dense and the bs_hausdorff_dense/
+# bs_kernel_residual pair need dense_robin (fd1d), and bs_reference_match
+# needs reference_robin_eigs (V = 0 interior disk); every family's two Green
+# checks read the one bracket tc.green_defect.
 # tests/test_harness.py::TestRegistryCoverage checks that a small
 # fd1d-plus-disk run emits every name.
 CHECK_REGISTRY = {
     "green_identity": "abstract Green identity on random carrier pairs",
     "green_on_kernels": "Green identity on gamma-field outputs",
-    "adjoint_matrices": "reduced matrices of the pair are mutual adjoints",
     "adjoint_resolvent": "Neumann resolvents of the pair are mutual adjoints",
     "gamma_kernel_ode": "gamma(lambda) columns solve (T - lambda) f = 0",
     "gamma_kernel_trace": "trace0 of gamma(lambda) columns is the identity",
@@ -75,7 +75,6 @@ CHECK_REGISTRY = {
     "weyl_mode_diagonal": "diagonal mode Weyl values match the generic assembly",
     "sectorial_c1_bound": "factorization corrector stays within norm 1/2",
     "sectorial_defect": "sectorial factorization reproduces the resolvent",
-    "c1_zero_potential": "corrector vanishes identically for V = 0",
     "threshold_negative": "certified threshold sits strictly below zero",
     "relative_bound_decreasing": "||V (H_N - lambda)^-1|| decreases along the ray",
     "relative_bound_vanishing": "||V (H_N - lambda)^-1|| tends to zero",
@@ -92,7 +91,6 @@ _DEFAULT_TOLERANCES = {
     ("green_identity", "*"): 1e-8,
     ("green_on_kernels", "fd1d"): 1e-12,
     ("green_on_kernels", "*"): 1e-8,
-    ("adjoint_matrices", "*"): 1e-13,
     ("adjoint_resolvent", "fd1d"): 1e-12,
     ("adjoint_resolvent", "*"): 1e-8,
     ("gamma_kernel_ode", "fd1d"): 1e-10,
@@ -117,7 +115,6 @@ _DEFAULT_TOLERANCES = {
     ("weyl_mode_diagonal", "*"): 1e-9,
     ("sectorial_c1_bound", "*"): 0.5,
     ("sectorial_defect", "*"): 1e-9,
-    ("c1_zero_potential", "*"): 1e-10,
     ("threshold_negative", "*"): 1e-12,
     ("relative_bound_decreasing", "*"): 1e-12,
     ("relative_bound_vanishing", "*"): 1e-2,
@@ -299,7 +296,9 @@ class SuiteConfig:
     """What to verify: model specs, scan regions, tolerance overrides, and
     the non-negative seed that fixes every random draw. The identity suite
     samples the points of ``_LAMBDA_GRID`` below each model's certified
-    threshold."""
+    threshold. A Green record's tolerance is never below the rounding floor
+    of its bracket (``_green_floor``), so an override below that floor is
+    raised to it."""
 
     models: tuple = ({"model": "fd1d"},)
     complex_scan_regions: tuple = ()
@@ -442,13 +441,13 @@ class _Records(list):
         self.config = config
         self.kind = kind
 
-    def add(self, check, params, defect, tolerance_key=None):
-        """Append check's record, its tolerance looked up under
-        tolerance_key (by default the check's own name)."""
+    def add(self, check, params, defect, tolerance_key=None, floor=0.0):
+        """Append check's record at the tolerance of tolerance_key (by
+        default the check's own name), raised to floor."""
+        tolerance = self.config.tolerance(tolerance_key or check, self.kind)
         self.append(CheckRecord(
             check_name=check, model=self.kind, parameters=params,
-            defect=float(defect),
-            tolerance=self.config.tolerance(tolerance_key or check, self.kind)))
+            defect=float(defect), tolerance=max(tolerance, floor)))
 
     @contextmanager
     def guard(self, check, params, *siblings):
@@ -534,6 +533,22 @@ def _random_b(rng, dim, scale=0.7):
     return BoundaryOperator(matrix=m)
 
 
+def _green_floor(model, f, g):
+    """eps (||Tf|| ||g|| + ||f|| ||T~g||): the rounding of green_defect's
+    bulk terms, which grows like eps ||T|| (eps / h^2 on a grid)."""
+    return np.finfo(float).eps * (
+        model.hnorm(model.apply_T(f)) * model.hnorm(g)
+        + model.hnorm(f) * model.hnorm(model.apply_Ttilde(g)))
+
+
+def _add_green(out, check, params, model, f, g, scale):
+    """check's record for the pair (f, g): the Green bracket over scale, at
+    a tolerance raised to the bracket's rounding floor on that scale."""
+    scale = max(scale, 1e-300)
+    out.add(check, params, tc.green_defect(model, f, g) / scale,
+            floor=_green_floor(model, f, g) / scale)
+
+
 def _check_green(out, model, lams, rng):
     proxy = model.v_sup_proxy()
     for i in range(_counts_for(out.kind)["green"]):
@@ -542,16 +557,10 @@ def _check_green(out, model, lams, rng):
         scale = model.hnorm(f) * model.hnorm(g) * (1.0 + proxy)
         params = {"draw": i, "scale": scale}
         with out.guard("green_identity", params):
-            out.add("green_identity", params,
-                    abs(tc.green_defect(model, f, g)) / max(scale, 1e-300))
+            _add_green(out, "green_identity", params, model, f, g, scale)
 
 
 def _check_adjoint(out, model, lams, rng):
-    if model.dense_robin is not None:
-        zero = BoundaryOperator.scalar(0.0, model.boundary_dim)
-        a0 = model.dense_robin(zero)
-        a0t = model.dense_robin(zero, tilde=True)
-        out.add("adjoint_matrices", {}, np.max(np.abs(a0t - a0.conj().T)))
     for i in range(_counts_for(out.kind)["adjoint_res"]):
         lam = lams[i % len(lams)]
         f = model.random_domain_vector(rng)
@@ -620,18 +629,18 @@ def _check_weyl(out, model, lams, rng):
 
 
 def _check_green_kernels(out, model, lams, rng):
+    # gamma(lam) e_j against gamma~(mu) e_j; two disk modes pair to an exact 0
     basis = model.boundary_basis()
     proxy = model.v_sup_proxy()
     pairs = _pairs_of(lams, _counts_for(out.kind)["green_kernel"])
     for i, (lam, mu) in enumerate(pairs):
-        columns = [i % len(basis), (i + 1) % len(basis)]
-        params = {"lambda": lam, "mu": mu, "columns": columns}
+        j = i % len(basis)
+        params = {"lambda": lam, "mu": mu, "column": j}
         with out.guard("green_on_kernels", params):
-            f = model.solve_bvp(lam, basis[columns[0]])
-            g = model.solve_bvp_tilde(mu, basis[columns[1]])
+            f = model.solve_bvp(lam, basis[j])
+            g = model.solve_bvp_tilde(mu, basis[j])
             scale = model.hnorm(f) * model.hnorm(g) * (1.0 + proxy)
-            out.add("green_on_kernels", params,
-                    abs(tc.green_defect(model, f, g)) / max(scale, 1e-300))
+            _add_green(out, "green_on_kernels", params, model, f, g, scale)
 
 
 def _check_resolvent_identity(out, model, lams, rng):
@@ -705,11 +714,6 @@ def _check_sectorial(out, model, lams, rng):
             fact = tc.sectorial_factorization(model, lam, rng)
             out.add("sectorial_c1_bound", params, fact.c1_norm)
             out.add("sectorial_defect", params, fact.defect / fact.resolvent_norm)
-    if not model.has_potential:
-        for lam in lams[:2]:
-            params = {"lambda": lam}
-            with out.guard("c1_zero_potential", params):
-                out.add("c1_zero_potential", params, tc.c1_norm_at(model, lam))
     thr = model.certified_threshold()
     out.add("threshold_negative", {"threshold": thr},  # -inf: none found
             max(0.0, thr + 1e-6) if np.isfinite(thr) else np.inf)

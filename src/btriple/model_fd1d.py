@@ -51,16 +51,15 @@ same way, leaving boundary VALUES times boundary FLUXES only:
 
 with the outward Neumann trace t0 f = (-F_{1/2}(f), +F_{m+1/2}(f)) and the
 Dirichlet trace t1 f = (f_0, f_{n-1}). Every step above is a rearrangement
-of finitely many products, so the identity holds to rounding for arbitrary
-complex carriers; tests pin it at 1e-13 relative. The same half-spacing
-traces are second-order accurate on smooth functions, which is what lets
-the Weyl matrix converge at order 2 even though the edge stencil looks
-first-order.
+of finitely many products, so the identity holds for arbitrary complex
+carriers, to rounding at the operator scale eps ||T||. The same
+half-spacing traces are second-order accurate on smooth functions, which
+is what lets the Weyl matrix converge at order 2 even though the edge
+stencil looks first-order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,24 +155,6 @@ class Fd1dModel(TripleModel):
     def inner(self, f, g):
         m = self.grid.cells
         return self.grid.h * np.vdot(np.asarray(g)[1:m + 1], np.asarray(f)[1:m + 1])
-
-    def green_pairing_defect(self, f, g):
-        """(Tf, g) - (f, T~g) - (t1 f, t0 g) + (t0 f, t1 g) as the module
-        docstring telescopes it: the flux terms cancel exactly, so what is
-        left is h * sum_j (V_j f_j conj(g_j) - f_j conj(conj(V_j) g_j)),
-        the rounding of the cell-by-cell V products, bounded by
-        2 eps ||V|| ||f|| ||g|| (0 for V = 0). Evaluating the whole pairing
-        at the operator scale instead would bury the identity under eps/h^2
-        summation noise; a consistency test ties this form to
-        apply_T/inner at that coarser tolerance.
-        """
-        m = self.grid.cells
-        fc = np.asarray(f, dtype=complex)[1:m + 1]
-        gc = np.asarray(g, dtype=complex)[1:m + 1]
-        dv = (self._v * fc) * np.conjugate(gc) \
-            - fc * np.conjugate(self._v_conj * gc)
-        return abs(self.grid.h * complex(math.fsum(dv.real.tolist()),
-                                         math.fsum(dv.imag.tolist())))
 
     # -- solves ------------------------------------------------------------
 
@@ -289,8 +270,8 @@ class Fd1dModel(TripleModel):
     def hn_v_blocks(self):
         return [(self._hn_bands(), self._v)]
 
-    def dense_robin(self, b, tilde=False):
-        return dense_robin_matrix(self, b, tilde=tilde)
+    def dense_robin(self, b):
+        return dense_robin_matrix(self, b)
 
     def random_domain_vector(self, rng):
         # Green's identity is exact for every carrier, so iid noise is the
@@ -314,7 +295,7 @@ def build_fd1d(n, length=1.0, potential=None):
     return Fd1dModel(FdGrid(n=n, length=length), potential)
 
 
-def dense_robin_matrix(model, b=None, dirichlet=False, tilde=False):
+def dense_robin_matrix(model, b=None, dirichlet=False):
     """Monolithic reduced matrix of the Robin realization A_B.
 
     The two boundary slots are eliminated from the constraint
@@ -324,15 +305,13 @@ def dense_robin_matrix(model, b=None, dirichlet=False, tilde=False):
     stencil rows leaves an (n-2)-square matrix whose spectrum is the dense
     oracle for the Birman-Schwinger machinery. ``dirichlet`` replaces the
     constraint by b = 0 (the B -> infinity limit). B = 0 reproduces the
-    Neumann reduction hn + v exactly. ``tilde`` builds the matrix of the
-    adjoint-side realization A~_B, with conj(V) in place of V.
+    Neumann reduction hn + v exactly.
     """
     if not isinstance(model, Fd1dModel):
         raise TypeError("dense_robin_matrix needs an fd1d model")
     m = model.grid.cells
     h = model.grid.h
-    v = model.v_matrix()
-    a = model.hn_matrix().astype(complex) + (np.conjugate(v) if tilde else v)
+    a = model.hn_matrix().astype(complex) + model.v_matrix()
     if dirichlet:
         # b = 0: the edge stencil keeps its 3/h^2 diagonal
         a[0, 0] += 2.0 / h**2

@@ -78,19 +78,6 @@ class Potential1D:
     def is_zero(self):
         return self.kind == "constant" and self.params["c"] == 0.0
 
-    def conjugate(self):
-        """The potential x -> conj(V(x))."""
-        if self.kind == "constant":
-            return Potential1D("constant", c=self.params["c"].conjugate())
-        if self.kind == "power":
-            q = dict(self.params)
-            q["c"] = q["c"].conjugate()
-            return Potential1D("power", **q)
-        if self.kind == "table":
-            return Potential1D("table", values=self.params["values"].conjugate())
-        fn = self.params["fn"]
-        return Potential1D("callable", fn=lambda x, _f=fn: np.conjugate(_f(x)))
-
     def singular_points(self):
         """Where V is singular: (x0,) for a power singularity, else ()."""
         return (self.params["x0"],) if self.kind == "power" else ()

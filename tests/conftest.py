@@ -32,12 +32,6 @@ def fd_complex():
 
 
 @pytest.fixture(scope="session")
-def fd_complex_fine():
-    return build_fd1d(n=512, length=1.0,
-                      potential=Potential1D.from_callable(complex_bump))
-
-
-@pytest.fixture(scope="session")
 def shoot_v0():
     return build_shoot1d(ShootConfig())
 

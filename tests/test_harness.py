@@ -123,7 +123,7 @@ class TestNoCertifiedThreshold:
                 "potential": {"kind": "constant", "value": [1e7, 0.0]}}
         assert model_from_spec(spec).certified_threshold() == float("-inf")
         config = SuiteConfig(models=(spec,), seed=7)
-        for suite, total in zip(_SUITES, (192, 1, 6)):
+        for suite, total in zip(_SUITES, (191, 1, 6)):
             report = suite(config)
             assert report.summary["total"] == total
             assert not report.passed
@@ -225,6 +225,15 @@ class TestModelKinds:
         assert all(rec.tolerance == 1e-12 for rec in records
                    if rec.check_name == "green_on_kernels")
 
+    def test_override_below_the_rounding_floor_is_raised(self):
+        # the V = 0 bracket is pure rounding, so no override can demand 0
+        config = SuiteConfig(models=({"model": "fd1d", "n": 32},),
+                             tolerances={"green_identity": 1e-30})
+        green = [rec for rec in run_identity_suite(config).records
+                 if rec.check_name == "green_identity"]
+        assert len(green) == 50
+        assert all(rec.passed and rec.tolerance > 1e-30 for rec in green)
+
 
 def _delegate(name):
     def method(self, *args, **kwargs):
@@ -247,7 +256,6 @@ class ForwardingModel(TripleModel):
     kind = _forward("kind")
     has_potential = _forward("has_potential")
     boundary_dim = _forward("boundary_dim")
-    green_pairing_defect = _forward("green_pairing_defect")
     dense_robin = _forward("dense_robin")
     reference_robin_eigs = _forward("reference_robin_eigs")
     _weyl_chunk = _forward("_weyl_chunk")
@@ -288,7 +296,7 @@ class TestContractOnly:
         got = [rec.as_dict() for suite in _SUITES
                for rec in suite(_FD1D_32).records]
         assert len(wrapped) == 3
-        assert len(want) == 206
+        assert len(want) == 203
         assert got == want
 
 
@@ -332,7 +340,7 @@ class TestRecordGuard:
         assert rest == want_rest
         # a guarded krein_pde_residual failure writes a failing
         # krein_bc_residual record too, so no record goes missing
-        assert len(got) == len(fd1d_records) == 206
+        assert len(got) == len(fd1d_records) == 203
         assert [rec.check_name for rec in failed] == \
             [rec.check_name for rec in ok]
         for bad, good in zip(failed, ok):
@@ -349,10 +357,10 @@ class TestRecordGuard:
                             FailingSpectraModel(model_from_spec(spec)))
         got = run_identity_suite(_FD1D_32).records
         want = fd1d_records[:len(got)]
-        assert len(got) == 194
+        assert len(got) == 191
         assert [rec.check_name for rec in got] == \
             [rec.check_name for rec in want]
-        hit = {"sectorial_c1_bound", "sectorial_defect", "c1_zero_potential",
+        hit = {"sectorial_c1_bound", "sectorial_defect",
                "relative_bound_decreasing", "relative_bound_vanishing"}
         for bad, good in zip(got, want):
             if bad.check_name not in hit:
@@ -366,8 +374,7 @@ class TestRecordGuard:
 
 # ordered (check_name, run length) of the fd1d n=32 three-suite run
 _FD1D_32_RUNS = (
-    [("green_identity", 50), ("adjoint_matrices", 1),
-     ("adjoint_resolvent", 20)]
+    [("green_identity", 50), ("adjoint_resolvent", 20)]
     + [("gamma_kernel_ode", 1), ("gamma_kernel_trace", 1)] * 8
     + [("weyl_symmetry", 4), ("difference_identity", 12),
        ("gamma_resolvent_identity", 12), ("green_on_kernels", 12),
@@ -375,7 +382,7 @@ _FD1D_32_RUNS = (
     + [("krein_pde_residual", 1), ("krein_bc_residual", 1)] * 15
     + [("krein_adjoint_mirror", 6), ("krein_vs_dense", 12)]
     + [("sectorial_c1_bound", 1), ("sectorial_defect", 1)] * 3
-    + [("c1_zero_potential", 2), ("threshold_negative", 1),
+    + [("threshold_negative", 1),
        ("relative_bound_decreasing", 1), ("relative_bound_vanishing", 1),
        ("decay_exponent", 1), ("bs_empty_certified", 1)]
     + [("bs_hausdorff_dense", 1), ("bs_kernel_residual", 1)] * 5)
@@ -386,7 +393,7 @@ class TestRecordOrder:
         runs = [(name, len(list(group))) for name, group in
                 itertools.groupby(rec.check_name for rec in fd1d_records)]
         assert runs == _FD1D_32_RUNS
-        assert sum(n for _, n in runs) == 206
+        assert sum(n for _, n in runs) == 203
 
 
 class TestBsCrossCheck:
@@ -414,6 +421,12 @@ class TestRegistryCoverage:
         for suite in _SUITES:
             emitted |= {rec.check_name for rec in suite(config).records}
         assert emitted == set(CHECK_REGISTRY)
+
+    def test_tolerances_name_exactly_the_registered_checks(self):
+        # a deleted check leaves no tolerance and no override key behind;
+        # decay_exponent_bounded is decay_exponent's second tolerance
+        tolerated = {check for check, _ in harness._DEFAULT_TOLERANCES}
+        assert tolerated == set(CHECK_REGISTRY) | {"decay_exponent_bounded"}
 
 
 def _load_tracing(monkeypatch):

@@ -1,0 +1,68 @@
+"""Mutants that the Green records must fail. Each patches one hook of a
+model class at a relative size of 2e-4 or less, and a record that no such
+wrong model can fail verifies nothing (mutation analysis: DeMillo, Lipton
+& Sayward, IEEE Computer 11(4), 1978). The specs are the benchmark's."""
+import pytest
+
+from btriple import DiskModel, Fd1dModel
+from btriple.harness import SuiteConfig, run_identity_suite
+
+_FD1D = {
+    "v0": {"model": "fd1d", "n": 96},
+    "power": {"model": "fd1d", "n": 96,
+              "potential": {"kind": "power", "c": [1.0, -0.5], "x0": 0.4,
+                            "alpha": 0.4, "p": 2.0}},
+}
+_DISK = {
+    "interior": {"model": "disk", "side": "interior", "k_max": 4},
+    "exterior": {"model": "disk", "side": "exterior", "k_max": 3,
+                 "potential": {"kind": "constant", "value": [1.5, 1.0]},
+                 "support": [1.0, 3.0]},
+}
+
+
+def _records(spec, check):
+    records = run_identity_suite(SuiteConfig(models=(spec,), seed=7)).records
+    return [rec for rec in records if rec.check_name == check]
+
+
+def _row_one_scaled(apply):
+    def mutant(self, f, tilde):
+        out = apply(self, f, tilde)
+        out[1] *= 1.0 + 1e-6
+        return out
+    return mutant
+
+
+def _trace0_spacing(trace0):
+    # the boundary flux over 1.0002 h/2 instead of h/2
+    return lambda self, f: trace0(self, f) / 1.0002
+
+
+@pytest.mark.parametrize("name", sorted(_FD1D))
+@pytest.mark.parametrize("hook, mutate", [("_apply", _row_one_scaled),
+                                          ("trace0", _trace0_spacing)],
+                         ids=["apply_row_one", "trace0_spacing"])
+def test_fd1d_green_identity_fails_every_record(monkeypatch, name, hook,
+                                                mutate):
+    spec = _FD1D[name]
+    clean = _records(spec, "green_identity")
+    assert len(clean) == 50 and all(rec.passed for rec in clean)
+    monkeypatch.setattr(Fd1dModel, hook, mutate(getattr(Fd1dModel, hook)))
+    # measured: at least 1.2e6 times the tolerance
+    assert all(rec.defect > 1e5 * rec.tolerance
+               for rec in _records(spec, "green_identity"))
+
+
+@pytest.mark.parametrize("name", sorted(_DISK))
+def test_disk_green_on_kernels_fails(monkeypatch, name):
+    spec = _DISK[name]
+    clean = _records(spec, "green_on_kernels")
+    assert len(clean) == 4 and all(rec.passed for rec in clean)
+    apply = DiskModel._apply
+    monkeypatch.setattr(DiskModel, "_apply", lambda self, f, tilde:
+                        apply(self, f, tilde) * (1.0 + 1e-6))
+    # the fourth record pairs lambda with mu = lambda, where a scale on both
+    # sides of the pair cancels
+    failed = [not rec.passed for rec in _records(spec, "green_on_kernels")]
+    assert failed == [True, True, True, False]

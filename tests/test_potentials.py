@@ -57,19 +57,6 @@ class TestEvaluation:
         with pytest.raises(InvalidPotential):
             v(0.5)
 
-    def test_conjugate(self):
-        v = Potential1D.constant(1.0 + 2.0j)
-        assert v.conjugate()(0.0) == 1.0 - 2.0j
-
-    def test_conjugate_of_callable(self):
-        v = Potential1D.from_callable(lambda x: (1.0 + 1.0j) * x)
-        assert v.conjugate()(3.0) == pytest.approx(3.0 - 3.0j)
-
-    def test_conjugate_involution_on_power(self):
-        v = Potential1D.power_singularity(1.0 - 2.0j, 0.5, 0.3, 2.0)
-        w = v.conjugate().conjugate()
-        assert w(0.9) == pytest.approx(v(0.9))
-
 
 _X0 = 0.4
 
