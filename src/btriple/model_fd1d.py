@@ -56,6 +56,14 @@ carriers, to rounding at the operator scale eps ||T||. The same
 half-spacing traces are second-order accurate on smooth functions, which
 is what lets the Weyl matrix converge at order 2 even though the edge
 stencil looks first-order.
+
+Solves. Two tridiagonal systems carry the single-point solves: the n-slot
+trace-and-kernel system of ``solve_bvp`` and the reduced cell system
+hn + (V - lam) of ``neumann_resolvent``. Each keeps one LAPACK gttrf
+factorization per (lam, side), for at most 4 points, and every solve is one
+gttrs of its own right-hand side, which gives the bits of solve_banded's
+gtsv. The residual guard runs on every solve, against the bands cached with
+the factors.
 """
 
 from __future__ import annotations
@@ -64,6 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import ConstraintSingular, InvalidPotential, MatchingSingular
 from .potentials import Potential1D
@@ -72,19 +81,17 @@ from .triple_core import TripleModel, _bmatrix
 from .triple_core import find_xi2  # noqa: F401
 
 
-def _residual_ok(upper, diag, lower, x, rhs):
-    """Whether each solution x of A x = rhs (A's bands as solve_banded takes
-    them; all may carry trailing batch axes that broadcast) is finite with
-    max |A x - rhs| <= 1e-8 (max |A| max |x| + max |rhs|). The solves do not
-    signal near-singularity, so this flags the Neumann spectrum."""
+def _residual_ok(upper, diag, lower, x, rhs, band_max):
+    """Whether each finite solution x of A x = rhs (A's bands as
+    solve_banded takes them, band_max = max |A|; all may carry trailing
+    batch axes that broadcast) has max |A x - rhs| <= 1e-8 (max |A| max |x|
+    + max |rhs|). The solves do not signal near-singularity, so this flags
+    the Neumann spectrum."""
     lhs = diag * x
     lhs[:-1] += upper[1:] * x[1:]
     lhs[1:] += lower[:-1] * x[:-1]
-    band_max = np.maximum(np.maximum(np.abs(upper).max(), np.abs(lower).max()),
-                          np.abs(diag).max(axis=0))
     scale = band_max * np.abs(x).max(axis=0) + np.abs(rhs).max(axis=0)
-    return (np.isfinite(x).all(axis=0)
-            & (np.abs(lhs - rhs).max(axis=0) <= 1e-8 * scale))
+    return np.abs(lhs - rhs).max(axis=0) <= 1e-8 * scale
 
 
 @dataclass(frozen=True)
@@ -115,6 +122,10 @@ class Fd1dModel(TripleModel):
         self._v = potential.cell_averages(grid.cell_edges())
         self._v_conj = self._v.conjugate()
         self._v_proxy = potential.sup_proxy(0.0, grid.length)
+        # per side, the bands of solve_bvp's system less lam
+        self._bvp_base = {t: self._bvp_bands(t) for t in (False, True)}
+        # per system, (lam, tilde) -> _factors' entry
+        self._cache = {"bvp": {}, "resolvent": {}}
 
     # -- structure -----------------------------------------------------
 
@@ -158,39 +169,58 @@ class Fd1dModel(TripleModel):
 
     # -- solves ------------------------------------------------------------
 
-    def _bvp_bands(self, lam, tilde):
-        # tridiagonal rows: [trace row; kernel rows; trace row]
-        v = self._v_conj if tilde else self._v
-        n = self.grid.n
-        m = self.grid.cells
-        h = self.grid.h
-        upper = np.zeros(n, dtype=complex)
-        diag = np.zeros(n, dtype=complex)
-        lower = np.zeros(n, dtype=complex)
-        diag[0] = 2.0 / h
-        upper[1] = -2.0 / h
-        diag[-1] = 2.0 / h
-        lower[-2] = -2.0 / h
-        diag[1] = 3.0 / h**2 + v[0] - lam
-        upper[2] = -1.0 / h**2
-        lower[0] = -2.0 / h**2
-        diag[m] = 3.0 / h**2 + v[m - 1] - lam
-        lower[m - 1] = -1.0 / h**2
-        upper[m + 1] = -2.0 / h**2
-        if m > 2:
-            diag[2:m] = 2.0 / h**2 + v[1:m - 1] - lam
-            upper[3:m + 1] = -1.0 / h**2
-            lower[1:m - 1] = -1.0 / h**2
-        return np.vstack([upper, diag, lower])
+    def _bvp_bands(self, tilde):
+        # tridiagonal rows: [trace row; kernel rows; trace row], at lam = 0
+        m, h = self.grid.cells, self.grid.h
+        bands = np.zeros((3, self.grid.n), dtype=complex)
+        bands[0, 1], bands[0, 2:m + 1], bands[0, m + 1] = (-2.0 / h, -1.0 / h**2,
+                                                           -2.0 / h**2)
+        bands[2, 0], bands[2, 1:m], bands[2, m] = (-2.0 / h**2, -1.0 / h**2,
+                                                   -2.0 / h)
+        bands[1, [0, -1]] = 2.0 / h
+        diag = np.full(m, 2.0 / h**2)
+        diag[[0, -1]] = 3.0 / h**2
+        bands[1, 1:m + 1] = diag + (self._v_conj if tilde else self._v)
+        return bands
 
-    def _solve_banded(self, bands, rhs, who):
+    def _factors(self, system, lam, tilde):
+        """The bands of ``system`` at (lam, tilde), their largest entry and
+        their gttrf factors, all read-only and memoized for 4 points per
+        system: "bvp", the n-slot system of solve_bvp, or "resolvent", the
+        reduced cell system hn + (V - lam) of neumann_resolvent."""
+        key = (complex(lam), bool(tilde))
+        cache = self._cache[system]
+        entry = cache.get(key)
+        if entry is None:
+            if system == "bvp":
+                bands = self._bvp_base[tilde].copy()
+                bands[1, 1:-1] -= lam  # trace rows carry no -lambda
+            else:
+                bands = self._hn_bands().astype(complex)
+                bands[1] += (self._v_conj if tilde else self._v) - lam
+            np.asarray_chkfinite(bands)  # ValueError unless finite
+            *factors, info = zgttrf(bands[2, :-1], bands[1], bands[0, 1:])
+            if info > 0:
+                raise sla.LinAlgError("singular matrix")
+            for a in (bands, *factors):
+                a.flags.writeable = False
+            if len(cache) >= 4:
+                cache.clear()
+            entry = cache[key] = (bands, np.abs(bands).max(), factors)
+        return entry
+
+    def _solve(self, system, lam, rhs, tilde, who):
+        """One gttrs of rhs on the system's factors at (lam, tilde), behind
+        the residual guard."""
         try:
-            sol = sla.solve_banded((1, 1), bands, rhs)
+            rhs = np.asarray_chkfinite(rhs)
+            bands, band_max, factors = self._factors(system, lam, tilde)
         except (sla.LinAlgError, ValueError) as exc:
             raise MatchingSingular(f"{who}: banded solve failed: {exc}") from exc
+        sol = zgttrs(*factors, rhs)[0]
         if not np.all(np.isfinite(sol)):
             raise MatchingSingular(f"{who}: banded solve overflowed")
-        if not _residual_ok(*bands, sol, rhs):
+        if not _residual_ok(*bands, sol, rhs, band_max):
             raise MatchingSingular(f"{who}: solution residual exceeds 1e-8 of scale; "
                                    "spectral parameter sits on the Neumann spectrum")
         return sol
@@ -200,10 +230,9 @@ class Fd1dModel(TripleModel):
         if g.shape != (2,):
             raise ValueError("boundary data must have length 2")
         rhs = np.zeros(self.grid.n, dtype=complex)
-        rhs[0] = g[0]
-        rhs[-1] = g[1]
-        return self._solve_banded(self._bvp_bands(lam, tilde), rhs,
-                                  "solve_bvp_tilde" if tilde else "solve_bvp")
+        rhs[[0, -1]] = g
+        return self._solve("bvp", lam, rhs, tilde,
+                           "solve_bvp_tilde" if tilde else "solve_bvp")
 
     def _weyl_chunk(self, lams, tilde):
         """Weyl matrices of a chunk of points from one gtsv solve, the one
@@ -212,12 +241,12 @@ class Fd1dModel(TripleModel):
         values of the solutions with Neumann data e_0 and e_1). The band
         couples no two systems, so gtsv eliminates each as it does alone and
         M has the per-point bits. A point that fails the residual guard of
-        ``_solve_banded``, as on the Neumann spectrum, gets a NaN row. A zero
+        ``solve_bvp``, as on the Neumann spectrum, gets a NaN row. A zero
         pivot or a solution that is not finite raises MatchingSingular, and
         ``weyl_batch`` goes point by point: the back substitution would
         carry one system's NaNs into every system before it.
         """
-        base = self._bvp_bands(0.0, tilde)
+        base = self._bvp_base[tilde]
         n, k = self.grid.n, len(lams)
         bands = np.repeat(base[:, None], k, axis=1)
         bands[1, :, 1:-1] -= lams[:, None]  # trace rows carry no -lambda
@@ -232,9 +261,11 @@ class Fd1dModel(TripleModel):
             raise MatchingSingular("weyl chunk: a solution is not finite")
         # the guard runs on contiguous (row, rhs, point) arrays
         x = x.reshape(k, n, 2).transpose(1, 2, 0).copy()
+        band_max = np.maximum(np.abs(base[[0, 2]]).max(),
+                              np.abs(bands[1]).max(axis=1))
         good = _residual_ok(base[0, :, None, None], bands[1].T[:, None],
-                            base[2, :, None, None], x,
-                            rhs[:, :, None]).all(axis=0)
+                            base[2, :, None, None], x, rhs[:, :, None],
+                            band_max).all(axis=0)
         m = np.stack([x[0], x[-1]]).transpose(2, 0, 1)
         m[~good] = np.nan
         return m
@@ -242,10 +273,8 @@ class Fd1dModel(TripleModel):
     def _neumann_resolvent(self, lam, f, tilde):
         # reduced interior system (hn + v - lam) u_c = f_c; the Neumann
         # condition makes the boundary slots copy the adjacent cells
-        bands = self._hn_bands().astype(complex)
-        bands[1] += (self._v_conj if tilde else self._v) - lam
-        sol = self._solve_banded(bands, np.asarray(f, dtype=complex)[1:-1],
-                                 "neumann_resolvent")
+        sol = self._solve("resolvent", lam, np.asarray(f, dtype=complex)[1:-1],
+                          tilde, "neumann_resolvent")
         return np.concatenate(([sol[0]], sol, [sol[-1]]))
 
     # -- matrices and certification -----------------------------------------

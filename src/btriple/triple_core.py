@@ -124,9 +124,9 @@ class TripleModel(abc.ABC):
 
     Threads may share a model: every call above, and the functions of this
     module on it, give the bits of a serial run. The per-point caches are
-    dicts (shoot1d) or held under a lock (the disk's LU storage), and the
-    lazy ``hn_blocks`` and ``certified_threshold`` at worst run twice, to
-    the same bits.
+    dicts (fd1d's read-only factorizations, shoot1d's shots) or held under
+    a lock (the disk's LU storage), and the lazy ``hn_blocks`` and
+    ``certified_threshold`` at worst run twice, to the same bits.
     """
 
     dense_robin = None

@@ -1,7 +1,8 @@
 """Two threads sharing one model get the bits a serial run gets, on every
-family with and without V: weyl, weyl_batch, neumann_resolvent and
-krein_resolvent, each thread on its own spectral points, and the sectorial
-layer on a fresh model, whose threshold and H_N blocks both threads fill."""
+family with and without V: weyl, weyl_batch, solve_bvp, both sides of
+neumann_resolvent and krein_resolvent, each thread on its own spectral
+points, and the sectorial layer on a fresh model, whose threshold and H_N
+blocks both threads fill."""
 import sys
 import threading
 
@@ -36,8 +37,9 @@ _MODELS = {
         radial_potential=Potential1D.constant(1.5 + 1.0j))),
 }
 
-# each thread's own points; more than a disk model caches, so the two
-# threads evict and refill its cache under each other
+# each thread's own points; more than an fd1d model (per system) or a disk
+# model caches, so the two threads evict and refill those caches under each
+# other
 _POINTS = (np.array([-6.0, -10.0 + 2.0j, -25.0, -3.0 - 1.0j, -40.0, -8.0]),
            np.array([-7.0, -12.0 - 2.0j, -30.0, -4.0 + 1.0j, -50.0, -9.0]))
 
@@ -45,11 +47,15 @@ _POINTS = (np.array([-6.0, -10.0 + 2.0j, -25.0, -3.0 - 1.0j, -40.0, -8.0]),
 def _work(model, lams):
     rng = np.random.default_rng(0)
     f = model.random_domain_vector(rng)
+    g = rng.standard_normal(model.boundary_dim) \
+        + 1j * rng.standard_normal(model.boundary_dim)
     b = 0.7 * np.eye(model.boundary_dim)
     out = [model.weyl_batch(lams)]
     for lam in lams:
         out.append(weyl(model, lam, allow_uncertified=True).m)
+        out.append(model.solve_bvp(lam, g))
         out.append(model.neumann_resolvent(lam, f))
+        out.append(model.neumann_resolvent_tilde(lam, f))
         out.append(krein_resolvent(model, b, lam, f, allow_uncertified=True))
     return out
 

@@ -1,10 +1,14 @@
 """Staggered finite-difference interval model: grid geometry, the discrete
 Green bracket to its rounding floor, closed-form Neumann-to-Dirichlet maps,
-and the dense Robin matrices."""
+the dense Robin matrices, and the cached tridiagonal factorizations behind
+the single-point solves."""
+import ast
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from btriple import (
     ConstraintSingular,
@@ -18,6 +22,7 @@ from btriple import (
     green_defect,
     weyl,
 )
+import btriple.model_fd1d as model_fd1d
 from btriple.harness import _green_floor
 from btriple.triple_core import _weyl_matrix
 
@@ -301,3 +306,154 @@ class TestWeylBatch:
         assert np.isnan(batch[[2, 4]]).all()
         for k in (0, 1, 3):
             assert np.array_equal(batch[k], _weyl_matrix(fd_v0, lams[k], False))
+
+
+_POWER = Potential1D.power_singularity(1.0 - 0.5j, 0.4, 0.4, 2.0)
+_POTENTIALS = {"zero": None, "power": _POWER,
+               "constant": Potential1D.constant(3.0 - 2.0j)}
+
+
+def _bvp_bands(model, lam, tilde):
+    # solve_bvp's system written out in solve_banded layout: the trace rows
+    # (2/h)(f_0 - f_1) and (2/h)(f_{n-1} - f_m) around the kernel rows
+    # (T - lam) f, whose diagonal is (c/h^2 + V) - lam, c = 3 at the edges
+    n, m, h = model.grid.n, model.grid.cells, model.grid.h
+    _, v = model.hn_v_blocks()[0]
+    v = v.conj() if tilde else v
+    upper, diag, lower = np.zeros((3, n), dtype=complex)
+    diag[[0, -1]] = 2.0 / h
+    upper[1] = lower[-2] = -2.0 / h
+    upper[m + 1] = lower[0] = -2.0 / h**2
+    upper[2:m + 1] = lower[1:m] = -1.0 / h**2
+    diag[1] = 3.0 / h**2 + v[0] - lam
+    diag[m] = 3.0 / h**2 + v[m - 1] - lam
+    diag[2:m] = 2.0 / h**2 + v[1:m - 1] - lam
+    return np.stack([upper, diag, lower])
+
+
+def _reduced_bands(model, lam, tilde):
+    # neumann_resolvent's system on the cells: H_N + (V - lam)
+    bands, v = model.hn_v_blocks()[0]
+    bands = bands.astype(complex)
+    bands[1] += (v.conj() if tilde else v) - lam
+    return bands
+
+
+class TestCachedSolves:
+    @pytest.mark.parametrize("potential", sorted(_POTENTIALS))
+    @pytest.mark.parametrize("n", [96, 400, 1536])
+    def test_same_bits_as_solve_banded(self, n, potential):
+        model = build_fd1d(n=n, potential=_POTENTIALS[potential])
+        rng = np.random.default_rng(n)
+        for lam in (-0.7, -1.6, -40.0, 2.0 + 1.5j, -10.0 - 7.0j):
+            for tilde in (False, True):
+                # twice per point: the second solve reads the cache
+                for _ in range(2):
+                    g = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                    rhs = np.zeros(n, dtype=complex)
+                    rhs[[0, -1]] = g
+                    want = sla.solve_banded((1, 1),
+                                            _bvp_bands(model, lam, tilde), rhs)
+                    solve = model.solve_bvp_tilde if tilde else model.solve_bvp
+                    assert np.array_equal(solve(lam, g), want)
+                    f = model.random_domain_vector(rng)
+                    want = sla.solve_banded((1, 1),
+                                            _reduced_bands(model, lam, tilde),
+                                            f[1:-1])
+                    resolvent = (model.neumann_resolvent_tilde if tilde
+                                 else model.neumann_resolvent)
+                    got = resolvent(lam, f)
+                    assert np.array_equal(got[1:-1], want)
+                    assert got[0] == want[0] and got[-1] == want[-1]
+
+    def test_one_factorization_per_system_and_side(self, monkeypatch):
+        calls = []
+
+        def recorded(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append((name, len(args[1])))  # the order of the system
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for owner, name in ((model_fd1d, "zgttrf"), (model_fd1d, "zgttrs"),
+                            (model_fd1d.sla, "solve_banded")):
+            monkeypatch.setattr(owner, name,
+                                recorded(name, getattr(owner, name)))
+        model = build_fd1d(n=96, potential=_POWER)
+        f = model.random_domain_vector(np.random.default_rng(3))
+        lam = -6.0 + 1.0j
+        for _ in range(3):
+            model.solve_bvp(lam, [1.0, 0.0])
+            model.solve_bvp(lam, [0.0, 1.0])
+        model.neumann_resolvent(lam, f)
+        model.neumann_resolvent(lam, 2.0 * f)
+        model.solve_bvp_tilde(lam, [1.0, 0.0])
+        model.solve_bvp_tilde(lam, [0.0, 1.0])
+        model.neumann_resolvent_tilde(lam, f)
+        bvp, cells = 96, 94
+        assert calls == ([("zgttrf", bvp)] + [("zgttrs", bvp)] * 6
+                         + [("zgttrf", cells)] + [("zgttrs", cells)] * 2
+                         + [("zgttrf", bvp)] + [("zgttrs", bvp)] * 2
+                         + [("zgttrf", cells), ("zgttrs", cells)])
+
+    def test_fifth_point_evicts(self):
+        model = build_fd1d(n=96, potential=_POWER)
+        first = model.solve_bvp(-1.0, [1.0, 0.5j])
+        for lam in (-2.0, -3.0 + 1.0j, -4.0):
+            model.solve_bvp(lam, [1.0, 0.0])
+        model.neumann_resolvent(-1.0, np.ones(96))
+        assert len(model._cache["bvp"]) == 4
+        assert len(model._cache["resolvent"]) == 1
+        model.solve_bvp_tilde(-1.0, [1.0, 0.0])
+        assert list(model._cache["bvp"]) == [(-1.0 + 0.0j, True)]
+        assert len(model._cache["resolvent"]) == 1
+        # refactored, the evicted point gives the same bits
+        assert np.array_equal(model.solve_bvp(-1.0, [1.0, 0.5j]), first)
+
+    def test_cached_arrays_are_read_only(self):
+        model = build_fd1d(n=96, potential=_POWER)
+        model.solve_bvp(-2.0, [1.0, 0.0])
+        model.neumann_resolvent_tilde(-2.0, np.ones(96))
+        for cache in model._cache.values():
+            (bands, _, factors), = cache.values()
+            for a in (bands, *factors):
+                assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                bands[1, 1] = 0.0
+
+    def test_failures_keep_their_messages_and_are_not_cached(self, fd_v0):
+        # lambda = 0 on V = 0 is an exact zero pivot of both systems
+        with pytest.raises(MatchingSingular,
+                           match="^solve_bvp: banded solve failed: singular"):
+            fd_v0.solve_bvp(0.0, [1.0, 0.0])
+        with pytest.raises(MatchingSingular, match="^neumann_resolvent: "
+                           "banded solve failed: singular"):
+            fd_v0.neumann_resolvent_tilde(0.0, np.ones(96))
+        with pytest.raises(MatchingSingular,
+                           match="infs or NaNs"):
+            fd_v0.solve_bvp_tilde(np.nan, [1.0, 0.0])
+        with pytest.raises(MatchingSingular, match="infs or NaNs"):
+            fd_v0.neumann_resolvent(-1.0, np.full(96, np.inf))
+        with pytest.raises(MatchingSingular,
+                           match="^solve_bvp_tilde: banded solve overflowed"):
+            fd_v0.solve_bvp_tilde(1e308, [1e308, 0.0])
+        assert all((0.0, False) not in cache and (0.0, True) not in cache
+                   for cache in fd_v0._cache.values())
+
+    def test_single_point_solves_have_one_code_path(self):
+        # solve_banded only in the stacked Weyl chunk, gttrf only in the
+        # factorization routine, gttrs only in the solve behind it
+        found = []
+        tree = ast.parse(pathlib.Path(model_fd1d.__file__).read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr",
+                                   getattr(node.func, "id", ""))
+                    if name in ("solve_banded", "solve", "lu_factor",
+                                "zgttrf", "zgttrs", "zgtsv", "gtsv"):
+                        found.append((func.name, name))
+        assert sorted(found) == [("_factors", "zgttrf"), ("_solve", "zgttrs"),
+                                 ("_weyl_chunk", "solve_banded")]
