@@ -52,10 +52,11 @@ DECAY_CSV_SCHEMA = "btriple-decay-csv/1"
 
 # Registry of invariant-backed checks. Which names a run emits depends on
 # the TripleModel hooks of its models: weyl_mode_diagonal needs
-# mode_weyl_values (disks), krein_vs_dense and the bs_hausdorff_dense/
-# bs_kernel_residual pair need dense_robin (fd1d), and bs_reference_match
-# needs reference_robin_eigs (V = 0 interior disk); every family's two Green
-# checks read the one bracket tc.green_defect.
+# mode_weyl_values and no V (the disks' closed Bessel form), krein_vs_dense
+# and the bs_hausdorff_dense/bs_kernel_residual pair need dense_robin
+# (fd1d), and bs_reference_match needs reference_robin_eigs (V = 0 interior
+# disk); every family's two Green checks read the one bracket
+# tc.green_defect.
 # tests/test_harness.py::TestRegistryCoverage checks that a small
 # fd1d-plus-disk run emits every name.
 CHECK_REGISTRY = {
@@ -79,7 +80,6 @@ CHECK_REGISTRY = {
     "relative_bound_decreasing": "||V (H_N - lambda)^-1|| decreases along the ray",
     "relative_bound_vanishing": "||V (H_N - lambda)^-1|| tends to zero",
     "decay_exponent": "fitted log-log decay exponent of ||M(lambda)||",
-    "bs_empty_certified": "no Birman-Schwinger roots on the certified half-line",
     "bs_hausdorff_dense": "indicator roots match the dense eigensolve",
     "bs_reference_match": "indicator roots match the mode reference values",
     "bs_kernel_residual": "lifted kernel vectors are eigenvectors",
@@ -120,7 +120,6 @@ _DEFAULT_TOLERANCES = {
     ("relative_bound_vanishing", "*"): 1e-2,
     ("decay_exponent", "*"): 0.05,
     ("decay_exponent_bounded", "*"): 1e-12,
-    ("bs_empty_certified", "*"): 1e-12,
     ("bs_hausdorff_dense", "*"): 1e-6,
     ("bs_reference_match", "*"): 1e-8,
     ("bs_kernel_residual", "fd1d"): 1e-9,
@@ -616,7 +615,8 @@ def _check_weyl(out, model, lams, rng):
             out.add("gamma_resolvent_identity", params,
                     tc.gamma_resolvent_identity_defect(model, lam, nu,
                                                        basis[j]))
-    for lam in lams[:2]:
+    # with V, mode_weyl_values reads the kernels the assembly below solves
+    for lam in () if model.has_potential else lams[:2]:
         params = {"lambda": lam}
         with out.guard("weyl_mode_diagonal", params):
             fast = model.mode_weyl_values(lam)
@@ -838,18 +838,7 @@ def _in_region(z, region):
 
 def _bs_checks(out, model, seed):
     rng = np.random.default_rng(seed.spawn(1)[0])
-    thr = model.certified_threshold()
     dim = model.boundary_dim
-
-    # B = 0: the certified half-line carries no eigenvalues
-    region0 = (thr * 8.0, thr, -0.5, 0.5)
-    grid0 = (40, 5) if out.kind == "fd1d" else (24, 3)
-    params = {"region": list(region0)}
-    with out.guard("bs_empty_certified", params):
-        eigs0 = tc.robin_eigs(model, BoundaryOperator.scalar(0.0, dim),
-                              region0, grid0)
-        out.add("bs_empty_certified", params, len(eigs0))
-
     if model.dense_robin is not None:
         regions = out.config.complex_scan_regions or ((-20.0, 30.0, -6.0, 6.0),)
         for region in regions:
@@ -894,5 +883,6 @@ def run_bs_cross_check(config=None):
     """Eigenvalues as Birman-Schwinger indicator roots, cross-checked
     against the dense constrained eigensolve where the model provides the
     ``dense_robin`` hook (fd1d) and against closed-form roots where it
-    provides ``reference_robin_eigs`` (the V = 0 interior disk)."""
+    provides ``reference_robin_eigs`` (the V = 0 interior disk); nothing
+    on a model with neither."""
     return _run_suite(config, _bs_checks)

@@ -78,7 +78,6 @@ bound studies; they are statements about the matrices themselves.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -262,8 +261,6 @@ class DiskModel(TripleModel):
         self._vr = self._window_values(self._r)
         self._vr_conj = np.conjugate(self._vr)
         self._cache = {}
-        self._spare_bands = []
-        self._lock = threading.RLock()  # from cache lookup through solve
         self._build_collocation()
         self._blocks = [self._mode_block(k) for k in range(kk + 1)]
 
@@ -415,16 +412,12 @@ class DiskModel(TripleModel):
             self._band_templates.append(ab)
 
     def _mode_data(self, lam, tilde):
-        point = (complex(lam), bool(tilde))  # callers hold self._lock
+        point = (complex(lam), bool(tilde))
         data = self._cache.get(point)
         if data is None:
             if len(self._cache) >= 4:
-                # the next LUs reuse the evicted LUs' band storage
-                self._spare_bands = [old[key][0] for old in self._cache.values()
-                                     for key in old if key[0] == "lu"]
                 self._cache.clear()
-            data = {}
-            self._cache[point] = data
+            data = self._cache[point] = {}
         return data
 
     def _colloc_lu(self, lam, tilde, k):
@@ -435,9 +428,7 @@ class DiskModel(TripleModel):
         lam = complex(lam)
         vr = self._vr_conj if tilde else self._vr
         # the constrained rows keep their template entries on the diagonal
-        ab = (self._spare_bands.pop() if self._spare_bands else
-              np.empty_like(self._band_templates[0], dtype=complex))
-        np.copyto(ab, self._band_templates[min(k, 1)])
+        ab = self._band_templates[min(k, 1)].astype(complex)
         diag = float(k * k) / self._r ** 2 + vr - lam
         mask = self._colloc_mask
         ab[self._kl + self._ku, mask] += diag[mask]
@@ -455,9 +446,8 @@ class DiskModel(TripleModel):
             rhs[self._colloc_mask] = np.asarray(
                 f_vals, dtype=complex)[self._colloc_mask]
         rhs[self._neumann_idx] = neumann
-        with self._lock:
-            lu, piv = self._colloc_lu(lam, tilde, k)
-            u, _ = zgbtrs(lu, self._kl, self._ku, rhs, piv)
+        lu, piv = self._colloc_lu(lam, tilde, k)
+        u, _ = zgbtrs(lu, self._kl, self._ku, rhs, piv)
         if not np.all(np.isfinite(u)):
             raise MatchingSingular(
                 f"mode {k} is Neumann-singular at lambda = {lam}")
@@ -516,17 +506,16 @@ class DiskModel(TripleModel):
         """Kernel-side mode solution of the collocation solve with unit
         Neumann derivative f'(1) = 1: (samples, f(1)). MatchingSingular
         where f(1) is too large for that datum (a Neumann eigenvalue)."""
-        with self._lock:
-            data = self._mode_data(lam, tilde)
-            entry = data.get(("kernel", k))
-            if entry is None:
-                vals = self._colloc_solve(lam, tilde, k, None, 1.0)
-                f1 = complex(self._row_u1 @ vals)
-                if _neumann_singular(f1, 1.0):
-                    raise MatchingSingular(
-                        f"mode {k} is Neumann-singular at lambda = {lam}")
-                entry = data[("kernel", k)] = (vals, f1)
-            return entry
+        data = self._mode_data(lam, tilde)
+        entry = data.get(("kernel", k))
+        if entry is None:
+            vals = self._colloc_solve(lam, tilde, k, None, 1.0)
+            f1 = complex(self._row_u1 @ vals)
+            if _neumann_singular(f1, 1.0):
+                raise MatchingSingular(
+                    f"mode {k} is Neumann-singular at lambda = {lam}")
+            entry = data[("kernel", k)] = (vals, f1)
+        return entry
 
     def mode_weyl_values(self, lam, tilde=False):
         """Diagonal of the Weyl matrix in the mode basis. For V = 0 this is

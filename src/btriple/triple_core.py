@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dgtcon, dgttrf, dgttrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
     BirmanSchwingerSingular,
@@ -68,10 +68,6 @@ _MOMENTS = 6
 # Hankel singular values at or below this fraction of the largest (or of
 # the integrand's mass, whichever is larger) count as zero
 _HANKEL_RTOL = 1e-10
-
-# H_N - lambda counts as singular once LAPACK gtcon's estimate of its
-# reciprocal 1-norm condition number is at most this (condition past 1e14)
-_SPECTRUM_HIT_REL = 1e-14
 
 # spectral points per _weyl_chunk call of weyl_batch; bounds the working
 # arrays of a family's vectorized kernel
@@ -123,9 +119,10 @@ class TripleModel(abc.ABC):
     ``robin_eigs`` evaluates M only through this call.
 
     Threads may share a model: every call above, and the functions of this
-    module on it, give the bits of a serial run. The per-point caches are
-    dicts (fd1d's read-only factorizations, shoot1d's shots) or held under
-    a lock (the disk's LU storage), and the lazy ``hn_blocks`` and
+    module on it, give the bits of a serial run. The per-point caches
+    (fd1d's factorizations, shoot1d's shots, the disk's LUs and kernels) are
+    dicts of arrays written once before they are stored; a full one is
+    cleared, never recycled. The lazy ``hn_blocks`` and
     ``certified_threshold`` at worst run twice, to the same bits.
     """
 
@@ -875,28 +872,26 @@ def relative_bound_decay(model, lam_list):
     """||V (H_N - lam)^-1|| along lam_list; tends to 0 as lam -> -inf, the
     operator expression of V being relatively bounded with bound zero.
 
-    Each block's norm is ||V_KK [(H_N - lam)^-1]_{K,:}||, from one LAPACK
-    gttrf of H_N - lam and its solves on the unit columns of K, so lam may
-    lie between eigenvalues of H_N. NotCertified when lam hits the Neumann
-    spectrum, gtcon's reciprocal condition of H_N - lam at or below
-    _SPECTRUM_HIT_REL, whether or not V vanishes.
+    Each block's norm is ||V_KK [(H_N - lam)^-1]_{K,:}||, from the one
+    pttrf of H_N - lam that _resolvent_columns runs and its solves on the
+    unit columns of K. NotCertified when lam is not below the bottom of
+    H_N, the Neumann spectrum, whether or not V vanishes.
     """
     out = []
     for lam in lam_list:
         lam = float(lam)
         norm = 0.0
         for block in model.hn_blocks():
-            d, e = block.bands[1] - lam, block.bands[2, :-1]
-            factors = dgttrf(e, d, e)[:5]
-            edges = np.abs(np.concatenate(([0.0], e, [0.0])))
-            anorm = float((np.abs(d) + edges[:-1] + edges[1:]).max())
-            if dgtcon(*factors, anorm)[0] <= _SPECTRUM_HIT_REL:
-                raise NotCertified(f"lambda = {lam} hits the Neumann spectrum")
+            if lam >= block.bottom:
+                raise NotCertified(
+                    f"lambda = {lam} is not below the Neumann spectrum "
+                    f"(the bottom of H_N is {block.bottom:.6g})")
             if block.support.size:
                 # (H_N - lam)^-1 is symmetric: its rows K are x's columns.
                 # Rows below eps^2 of x's largest entry move the norm far
                 # below rounding; dropped, they feed the SVD no underflow
-                x, _ = dgttrs(*factors, np.eye(d.size)[:, block.support])
+                _, x = _resolvent_columns(
+                    block, lam, np.empty((block.v.size, 0), complex))
                 rows = np.abs(x).max(axis=1)
                 x = x[rows > np.finfo(float).eps ** 2 * rows.max()]
                 norm = max(norm, float(sla.svdvals(x * block.v_k).max()))

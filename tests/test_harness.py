@@ -107,6 +107,14 @@ class TestSuiteConfig:
         with pytest.raises(ConfigError, match="green_identity"):
             SuiteConfig(tolerances={"green_identity": True})
 
+    @pytest.mark.parametrize("key", ["bs_empty_certified",
+                                     "bs_empty_certified:fd1d"])
+    def test_deleted_check_has_no_override_key(self, key):
+        # the B = 0 scan could not fail (I - 0 M(lambda) = I has no root),
+        # so it went with its tolerance and override keys
+        with pytest.raises(ConfigError, match="unknown tolerance override"):
+            SuiteConfig(tolerances={key: 1e-12})
+
     def test_tolerance_key_with_a_kind_is_accepted(self):
         config = SuiteConfig(tolerances={"green_identity:fd1d": 1e-30,
                                          "decay_exponent_bounded": 1e-3})
@@ -123,10 +131,13 @@ class TestNoCertifiedThreshold:
                 "potential": {"kind": "constant", "value": [1e7, 0.0]}}
         assert model_from_spec(spec).certified_threshold() == float("-inf")
         config = SuiteConfig(models=(spec,), seed=7)
-        for suite, total in zip(_SUITES, (191, 1, 6)):
+        # no Birman-Schwinger record reads the threshold, so that report
+        # passes
+        for suite, total, passed in zip(_SUITES, (191, 1, 5),
+                                        (False, False, True)):
             report = suite(config)
             assert report.summary["total"] == total
-            assert not report.passed
+            assert report.passed is passed
         # no certified half-line is a failure of its own, not a pass
         record, = [rec for rec in run_identity_suite(config).records
                    if rec.check_name == "threshold_negative"]
@@ -296,7 +307,7 @@ class TestContractOnly:
         got = [rec.as_dict() for suite in _SUITES
                for rec in suite(_FD1D_32).records]
         assert len(wrapped) == 3
-        assert len(want) == 203
+        assert len(want) == 202
         assert got == want
 
 
@@ -340,7 +351,7 @@ class TestRecordGuard:
         assert rest == want_rest
         # a guarded krein_pde_residual failure writes a failing
         # krein_bc_residual record too, so no record goes missing
-        assert len(got) == len(fd1d_records) == 203
+        assert len(got) == len(fd1d_records) == 202
         assert [rec.check_name for rec in failed] == \
             [rec.check_name for rec in ok]
         for bad, good in zip(failed, ok):
@@ -384,7 +395,7 @@ _FD1D_32_RUNS = (
     + [("sectorial_c1_bound", 1), ("sectorial_defect", 1)] * 3
     + [("threshold_negative", 1),
        ("relative_bound_decreasing", 1), ("relative_bound_vanishing", 1),
-       ("decay_exponent", 1), ("bs_empty_certified", 1)]
+       ("decay_exponent", 1)]
     + [("bs_hausdorff_dense", 1), ("bs_kernel_residual", 1)] * 5)
 
 
@@ -393,7 +404,7 @@ class TestRecordOrder:
         runs = [(name, len(list(group))) for name, group in
                 itertools.groupby(rec.check_name for rec in fd1d_records)]
         assert runs == _FD1D_32_RUNS
-        assert sum(n for _, n in runs) == 203
+        assert sum(n for _, n in runs) == 202
 
 
 class TestBsCrossCheck:
@@ -407,6 +418,44 @@ class TestBsCrossCheck:
         draw2 = [r for r in records if r.check_name == "bs_hausdorff_dense"
                  and r.parameters["draw"] == 2]
         assert draw2[0].parameters["found"] == draw2[0].parameters["dense"] == 2
+
+
+_DISK_INTERIOR = {"model": "disk", "side": "interior", "k_max": 4}
+_DISK_EXTERIOR = {"model": "disk", "side": "exterior", "k_max": 3,
+                  "potential": {"kind": "constant", "value": [1.5, 1.0]},
+                  "support": [1.0, 3.0]}
+_SHOOT_V = {"model": "shoot1d", "panels": 4, "order": 12, "fd_nodes": 128,
+            "potential": {"kind": "constant", "value": [3.0, -2.0]}}
+
+
+class TestBsWithoutComparator:
+    @pytest.mark.parametrize("spec", [_DISK_EXTERIOR, _SHOOT_V],
+                             ids=["disk-exterior", "shoot1d"])
+    def test_no_scan_and_no_record(self, monkeypatch, spec):
+        # neither dense_robin nor reference_robin_eigs: nothing to compare
+        # indicator roots with, so the suite scans nothing
+        calls = []
+        robin_eigs = harness.tc.robin_eigs
+        monkeypatch.setattr(harness.tc, "robin_eigs", lambda *args:
+                            calls.append(args) or robin_eigs(*args))
+        report = run_bs_cross_check(SuiteConfig(models=(spec,), seed=7))
+        assert report.records == [] and report.summary["total"] == 0
+        assert calls == []
+
+
+class TestWeylModeDiagonal:
+    @pytest.mark.parametrize("spec, count", [(_DISK_INTERIOR, 2),
+                                             (_DISK_EXTERIOR, 0)],
+                             ids=["interior-v0", "exterior-v"])
+    def test_written_only_on_the_closed_form(self, spec, count):
+        # with V, mode_weyl_values reads the kernel solves the generic
+        # assembly reads, so a record there compares one code path with
+        # itself
+        records = [rec for rec in run_identity_suite(
+            SuiteConfig(models=(spec,), seed=7)).records
+            if rec.check_name == "weyl_mode_diagonal"]
+        assert len(records) == count
+        assert all(rec.passed and rec.defect > 0.0 for rec in records)
 
 
 class TestRegistryCoverage:

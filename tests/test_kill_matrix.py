@@ -105,3 +105,17 @@ def test_disk_green_on_kernels_fails(monkeypatch, name):
                         apply(self, f, tilde) * (1.0 + 1e-6))
     failed = [not rec.passed for rec in _records(spec, "green_on_kernels")]
     assert failed == [True] * 4
+
+
+def test_disk_weyl_mode_diagonal_fails(monkeypatch):
+    # the V = 0 interior disk's closed Bessel form against trace1 of the
+    # collocation kernels (a disk with V writes no such record)
+    spec = _DISK["interior"]
+    clean = _records(spec, "weyl_mode_diagonal")
+    assert len(clean) == 2 and all(rec.passed for rec in clean)
+    trace1 = DiskModel.trace1
+    monkeypatch.setattr(DiskModel, "trace1", lambda self, f:
+                        trace1(self, f) * (1.0 + 1e-6))
+    # measured: about 1e3 times the tolerance
+    assert all(rec.defect > 1e2 * rec.tolerance
+               for rec in _records(spec, "weyl_mode_diagonal"))

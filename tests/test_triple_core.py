@@ -745,7 +745,6 @@ class TestSectorialProbes:
                             (triple_core.sla, "eigh"),
                             (triple_core.sla, "eigh_tridiagonal"),
                             (triple_core, "dpttrs"),
-                            (triple_core, "dgttrs"),
                             (triple_core, "solve_linear"),
                             (triple_core, "smallest_singular_value")):
             monkeypatch.setattr(owner, name,
@@ -770,9 +769,7 @@ class TestSectorialProbes:
             want += [("dpttrs", (n,), (n - 1,), (n, k)), ("svdvals", (k, k))]
         for block in blocks:
             n, k = block.v.size, block.support.size
-            want += [("dgttrs", (n - 1,), (n,), (n - 1,), (n - 2,), (n,),
-                      (n, k)),
-                     ("svdvals", (n, k))]
+            want += [("dpttrs", (n,), (n - 1,), (n, k)), ("svdvals", (n, k))]
         assert calls == want
 
 
