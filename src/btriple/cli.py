@@ -31,9 +31,10 @@ from . import triple_core as tc
 from .errors import (BirmanSchwingerSingular, BTripleError, ConfigError,
                      InvalidPotential, MatchingSingular, NotAnEigenvalue,
                      NotCertified)
-from .harness import (SuiteConfig, VerificationReport, _as_complex,
-                      _as_numbers, decay_samples_csv, model_from_spec,
-                      run_bs_cross_check, run_decay_suite, run_identity_suite)
+from .harness import (_SCAN_GRID, _SCAN_REGION, SuiteConfig,
+                      VerificationReport, _as_complex, _as_numbers,
+                      decay_samples_csv, model_from_spec, run_bs_cross_check,
+                      run_decay_suite, run_identity_suite)
 from .triple_core import BoundaryOperator
 
 WEYL_CSV_SCHEMA = "btriple-weyl-csv/1"
@@ -49,7 +50,7 @@ EXIT_SINGULAR = 4
 _SECTIONS = {"model", "potential", "boundary_operator", "lambda", "region",
              "output"}
 
-_DEFAULT_REGION = {"rect": (-20.0, 30.0, -6.0, 6.0), "grid": (96, 33)}
+_DEFAULT_REGION = {"rect": _SCAN_REGION, "grid": _SCAN_GRID}
 _DEFAULT_LAMBDAS = (-1.0, -2.5, -6.0)
 
 
@@ -100,15 +101,10 @@ class CliConfig:
                                   "region.rect")
         self.grid = _as_numbers(region.get("grid", _DEFAULT_REGION["grid"]),
                                 "region.grid", integer=True)
-        if len(self.region) != 4:
-            raise ConfigError("region.rect must be [re_min, re_max, im_min, im_max]")
-        if self.region[0] == self.region[1] and self.region[2] == self.region[3]:
-            raise ConfigError("region.rect must not be a single point")
-        if self.region[0] > self.region[1] or self.region[2] > self.region[3]:
-            raise ConfigError("region.rect must have re_min <= re_max and "
-                              "im_min <= im_max")
-        if len(self.grid) != 2 or min(self.grid) < 2:
-            raise ConfigError("region.grid must be [n_re, n_im], both >= 2")
+        try:
+            self.region, self.grid = tc.scan_window(self.region, self.grid)
+        except ValueError as exc:
+            raise ConfigError(f"region section: {exc}") from exc
 
         output = data.get("output", {})
         if not isinstance(output, dict) or set(output) - {"stem"}:

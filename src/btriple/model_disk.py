@@ -37,7 +37,7 @@ and resolvent outputs satisfy the strong equation at the grid nodes up to
 the LU backward error.
 
 For V = 0 the Weyl values bypass collocation: with s = sqrt(-lam),
-Re s > 0, the mode Weyl values are
+Re s >= 0 and s != 0, the mode Weyl values are
 
     interior  m_k = I_k(s) / (s I_k'(s)),
     exterior  m_k = (K_k + rho I_k)(s) / (-s (K_k' + rho I_k')(s)),
@@ -133,12 +133,13 @@ def bessel_i(k, z):
 
 
 def bessel_k(k, z):
-    """(kve(k, z), scaled K_k'(z)) for Re z > 0: both carry the factor e^{z},
-    and K_k' = -(K_{k-1} + K_{k+1}) / 2 with K_{-1} = K_1. k and z may be
-    arrays that broadcast."""
+    """(kve(k, z), scaled K_k'(z)) for Re z >= 0, z != 0 (kve is finite on
+    the imaginary axis): both carry the factor e^{z}, and K_k' =
+    -(K_{k-1} + K_{k+1}) / 2 with K_{-1} = K_1. k and z may be arrays that
+    broadcast."""
     orders, z = _neighbour_orders(k, z)
-    if (z.real <= 0.0).any():
-        raise ValueError("K_k requires Re z > 0")
+    if (z.real < 0.0).any() or (z == 0.0).any():
+        raise ValueError("K_k requires Re z >= 0 and z != 0")
     lo, mid, hi = _by_distinct_order(kve, orders, z)
     return mid, -0.5 * (lo + hi)
 
@@ -465,8 +466,7 @@ class DiskModel(TripleModel):
     def _exact_scalars(self, s, k):
         """Boundary data (f(1), f'(1)) of the V = 0 kernel solution of mode
         k, both scaled by one common factor (module docstring), at s from
-        _s_of: nonzero, and Re s > 0 on the exterior. k and s may be arrays
-        that broadcast."""
+        _s_of, nonzero. k and s may be arrays that broadcast."""
         ib, ibp = bessel_i(k, s)
         if self.config.side == "interior":
             return ib, s * ibp
@@ -484,13 +484,12 @@ class DiskModel(TripleModel):
         1-D array lams as an (N, k_max + 1) array, and an (N,) mask of the
         points whose Bessel data are not finite (|s| past the 2^30 that
         scipy's ive and kve reach). An entry is NaN where
-        mode_weyl_values raises: lambda = 0 or not finite, lambda on
-        [0, inf) for the exterior (K_k needs Re s > 0), Bessel data that are
-        not finite, or a mode that _neumann_singular flags."""
+        mode_weyl_values raises: lambda = 0 or not finite, Bessel data that
+        are not finite, or a mode that _neumann_singular flags. On (0, inf)
+        s is imaginary, where ive and kve are finite, so both sides are
+        evaluated there too."""
         s = self._s_of(lams)
         ok = np.isfinite(s) & (s != 0.0)
-        if self.config.side == "exterior":
-            ok &= s.real > 0.0
         out = np.full((len(s), self.config.k_max + 1), np.nan, dtype=complex)
         lost = np.zeros(len(s), dtype=bool)
         f1, df1 = self._exact_scalars(

@@ -373,10 +373,10 @@ class HnBlock:
 @dataclass(frozen=True)
 class SectorialFactorization:
     """Neumann-resolvent factorization data at real lambda < 0, maxima over
-    blocks."""
+    blocks. ||C1|| <= 1/2 holds there by the choice of the threshold
+    (find_xi2); c1_norm_at evaluates it."""
 
     lam: float
-    c1_norm: float         # ||C1||, at most 1/2 below the threshold
     defect: float          # probe bound on ||R - F||, fails w.p. < 1e-8
     resolvent_norm: float  # ||R u0||, a lower bound on ||R||
 
@@ -596,6 +596,26 @@ def _merged(roots):
     return kept
 
 
+def scan_window(region, grid):
+    """(region, grid) as robin_eigs reads them, or ValueError: a region is
+    four finite numbers, no minimum above its maximum and not one point, a
+    grid two ints of at least 2."""
+    region = tuple(map(float, region))
+    grid = tuple(map(int, grid))
+    if len(region) != 4:
+        raise ValueError(f"region {list(region)} is not four numbers")
+    if len(grid) != 2 or min(grid) < 2:
+        raise ValueError("grid must have at least 2 nodes per axis")
+    if not np.all(np.isfinite(region)):
+        raise ValueError(f"region {list(region)} is not finite")
+    if region[0] == region[1] and region[2] == region[3]:
+        raise ValueError("region must not be a single point")
+    if region[0] > region[1] or region[2] > region[3]:
+        raise ValueError(f"region {list(region)} is inverted: a minimum "
+                         "exceeds its maximum")
+    return region, grid
+
+
 def robin_eigs(model, b, region, grid):
     """Eigenvalues of A_B inside a rectangular region of the plane.
 
@@ -636,22 +656,10 @@ def robin_eigs(model, b, region, grid):
     Raises NoConvergence when even the deepest cuts find no two agreeing
     levels, or meet a node where ``weyl_batch`` gives a NaN row (the
     Neumann spectrum) or I - B M is singular (an eigenvalue). ValueError
-    for a grid with fewer than 2 nodes per axis, a region with a NaN or
-    infinite bound, with a minimum above its maximum or that is a single
-    point, and a B that is not a square finite matrix of the boundary
-    dimension.
+    for a region or grid that scan_window refuses, and a B that is not a
+    square finite matrix of the boundary dimension.
     """
-    region = tuple(map(float, region))
-    n_re, n_im = grid = tuple(map(int, grid))
-    if n_re < 2 or n_im < 2:
-        raise ValueError("grid must have at least 2 nodes per axis")
-    if not np.all(np.isfinite(region)):
-        raise ValueError(f"region {list(region)} is not finite")
-    if region[0] == region[1] and region[2] == region[3]:
-        raise ValueError("region must not be a single point")
-    if region[0] > region[1] or region[2] > region[3]:
-        raise ValueError(f"region {list(region)} is inverted: a minimum "
-                         "exceeds its maximum")
+    region, grid = scan_window(region, grid)
     bm = _bmatrix(b, model.boundary_dim)
     return _merged(_split_roots(model, bm, region, grid, (region, grid),
                                 _CONTOUR_SPLITS))
@@ -753,44 +761,28 @@ def _resolvent_columns(block, lam, probes):
     return np.ascontiguousarray(x[:, :j]).view(complex), x[:, j:]
 
 
-def _c1_norm(block, lam, gram):
-    # C1 = S V S = A V_KK A* with A = S restricted to the columns K, and
-    # A* A = G = [(H_N - lam)^-1]_KK = R* R, so ||C1|| = ||R V_KK R*||: a
-    # |K|-square problem whatever the order of the block
-    if block.support.size == 0:
-        return 0.0
-    try:
-        r = sla.cholesky(gram)
-    except sla.LinAlgError as exc:
-        raise NotPositiveDefinite(f"[(H_N - lambda)^-1]_KK at lambda = "
-                                  f"{lam}: {exc}") from exc
-    return float(sla.svdvals((r * block.v_k) @ r.T).max())
-
-
 def sectorial_factorization(model, lam, rng):
     """Factor (A0 - lam)^-1 = S (I + C1)^-1 S with S = (H_N - lam)^(-1/2)
-    and C1 = S V S at real lam below the certified threshold, per block.
-    ||C1|| is computed on K as in c1_norm_at. F = S (I + C1)^-1 S is
-    checked against R, one gtsv of H_N + V - lam independent of F, on r = 8
-    standard complex Gaussian probes w_i drawn from rng. F w_i is Woodbury
-    on K, S^2 w_i - S^2[:, K] (I + V_KK G)^-1 V_KK (S^2 w_i)_K, from the
-    pttrf that gives G: no order-n inverse or SVD. defect = alpha sqrt(2/pi)
-    max_i ||(R - F) w_i||, alpha = 10, bounds ||R - F|| except with
-    probability below 1e-8; resolvent_norm = ||R u0|| <= ||R||, u0 the
-    lowest eigenvector of H_N (equal for V = 0).
+    and C1 = S V S at real lam below the certified threshold, per block,
+    and check F = S (I + C1)^-1 S against R, one gtsv of H_N + V - lam
+    independent of F, on r = 8 standard complex Gaussian probes w_i drawn
+    from rng. F w_i is Woodbury on K, S^2 w_i - S^2[:, K] (I + V_KK G)^-1
+    V_KK (S^2 w_i)_K with G = [(H_N - lam)^-1]_KK, from one pttrf of
+    H_N - lam: no order-n inverse, no Cholesky and no SVD. defect =
+    alpha sqrt(2/pi) max_i ||(R - F) w_i||, alpha = 10, bounds ||R - F||
+    except with probability below 1e-8; resolvent_norm = ||R u0|| <= ||R||,
+    u0 the lowest eigenvector of H_N (equal for V = 0).
     """
     lam = float(lam)
     if lam >= model.certified_threshold():
         raise NotCertified(
             f"sectorial factorization requires lambda < {model.certified_threshold():.6g}"
         )
-    c1_norm = defect = resolvent_norm = 0.0
+    defect = resolvent_norm = 0.0
     for block in model.hn_blocks():
         k = block.support
         probes = rng.standard_normal((block.v.size, _PROBES, 2)) @ [1, 1j] / 2**0.5
         s2_w, s2_k = _resolvent_columns(block, lam, probes)
-        gram = s2_k[k]
-        c1_norm = max(c1_norm, _c1_norm(block, lam, gram))
         shifted = block.bands.astype(complex)
         shifted[1] += block.v - lam
         try:  # a zero pivot or an overflow: H_N + V - lam is singular
@@ -801,21 +793,23 @@ def sectorial_factorization(model, lam, rng):
         except sla.LinAlgError as exc:
             raise SingularMatrix(f"H_N + V - lambda: {exc}") from exc
         v_k = block.v_k[:, None]
-        z = solve_linear(np.eye(k.size) + v_k * gram, v_k * s2_w[k])
+        z = solve_linear(np.eye(k.size) + v_k * s2_k[k], v_k * s2_w[k])
         err = res[:, :-1] - (s2_w - s2_k @ z)  # (R - F) w
         defect = max(defect, _PROBE_ALPHA * np.sqrt(2.0 / np.pi)
                      * float(np.linalg.norm(err, axis=0).max()))
         resolvent_norm = max(resolvent_norm, float(np.linalg.norm(res[:, -1])))
-    return SectorialFactorization(lam=lam, c1_norm=c1_norm, defect=defect,
+    return SectorialFactorization(lam=lam, defect=defect,
                                   resolvent_norm=resolvent_norm)
 
 
 def c1_norm_at(model, lam):
-    """max block norm of C1(lambda) = S V S without the resolvent defect.
+    """max block norm of C1(lambda) = S V S, S = (H_N - lam)^(-1/2).
 
-    Each block's norm is ||R V_KK R*|| with R* R = G = [(H_N - lam)^-1]_KK
-    (one Cholesky of order |K|), G from one pttrf of H_N - lam and its
-    solves on the unit columns of K; 0 where V vanishes.
+    C1 = A V_KK A* with A = S restricted to the columns K of V's support,
+    and A* A = G = [(H_N - lam)^-1]_KK = R* R (one Cholesky of order |K|),
+    so each block's norm is ||R V_KK R*||: a |K|-square problem whatever
+    the order of the block. G comes from one pttrf of H_N - lam and its
+    solves on the unit columns of K; the norm is 0 where V vanishes.
     NotPositiveDefinite when lam is not below the bottom of H_N.
     """
     lam = float(lam)
@@ -823,7 +817,14 @@ def c1_norm_at(model, lam):
     for block in model.hn_blocks():
         _, s2_k = _resolvent_columns(block, lam, np.empty((block.v.size, 0),
                                                           complex))
-        norm = max(norm, _c1_norm(block, lam, s2_k[block.support]))
+        if block.support.size == 0:
+            continue
+        try:
+            r = sla.cholesky(s2_k[block.support])
+        except sla.LinAlgError as exc:
+            raise NotPositiveDefinite(f"[(H_N - lambda)^-1]_KK at lambda = "
+                                      f"{lam}: {exc}") from exc
+        norm = max(norm, float(sla.svdvals((r * block.v_k) @ r.T).max()))
     return norm
 
 

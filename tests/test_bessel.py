@@ -150,10 +150,15 @@ class TestDistinctOrders:
 
 class TestDomainGuards:
     def test_k_needs_right_half_plane(self):
+        # the closed half-plane but its origin: kve is finite on the
+        # imaginary axis, where K_k is a Hankel function
         with pytest.raises(ValueError):
             bessel_k(0, -1.0)
         with pytest.raises(ValueError):
-            bessel_k(2, 0.0 + 3.0j)
+            bessel_k(2, 0.0)
+        vk, dvk = bessel_k(2, 0.0 + 3.0j)
+        want = complex(mp.exp(mp.mpc(0, 3)) * mp_kv(2, mp.mpc(0, 3)))
+        assert abs(vk - want) < 1e-12 * abs(want) and np.isfinite(dvk)
 
     def test_negative_order(self):
         with pytest.raises(ValueError):

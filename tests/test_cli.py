@@ -150,13 +150,20 @@ class TestExitCodes:
         assert _run_subprocess(tmp_path, "eigs", config) == cli.EXIT_CONFIG
 
     def test_neumann_point_of_disk_exits_4(self, tmp_path):
-        # the interior disk at its Neumann point, and the V = 0 exterior
-        # disk on [0, inf), where its K_k scalars are undefined
-        for side, lam in (("interior", 0.0), ("exterior", 5.0)):
+        # lambda = 0 is a Neumann point of both V = 0 disks
+        for side in ("interior", "exterior"):
             config = {"model": {"family": "disk", "side": side, "k_max": 2},
-                      "lambda": {"points": [lam]}}
+                      "lambda": {"points": [0.0]}}
             assert _run(tmp_path, "weyl", config, "--allow-uncertified") == \
                 cli.EXIT_SINGULAR
+
+    def test_exterior_disk_on_the_positive_axis_exits_0(self, tmp_path):
+        # M of the V = 0 exterior disk is finite at lambda = 5, where s is
+        # imaginary; it once exited 4 there
+        config = {"model": {"family": "disk", "side": "exterior", "k_max": 2},
+                  "lambda": {"points": [5.0]}}
+        assert _run(tmp_path, "weyl", config, "--allow-uncertified") == \
+            cli.EXIT_OK
 
     @pytest.mark.parametrize("command", ["weyl", "resolve"])
     def test_uncertified_lambda_exits_2_naming_the_flag(self, tmp_path,

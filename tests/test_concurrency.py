@@ -124,8 +124,7 @@ def _sectorial_work(model, k):
     out = [thr]
     for lam in (thr * (1.5 + k), thr * (4.0 + k)):
         sf = sectorial_factorization(model, lam, rng)
-        out += [c1_norm_at(model, lam), sf.c1_norm, sf.defect,
-                sf.resolvent_norm]
+        out += [c1_norm_at(model, lam), sf.defect, sf.resolvent_norm]
     out += [norm for _, norm in relative_bound_decay(model, [-10.0 - k,
                                                               -1e3])]
     return out

@@ -131,8 +131,8 @@ class TestZeroPotentialScalars:
 
 class TestPositiveAxis:
     def test_exterior_robin_scan_crosses_the_cut(self):
-        # the V = 0 exterior scalars are singular on [0, inf); those grid
-        # nodes drop out of the scan instead of ending it
+        # the window straddles (0, inf), where the truncated exterior's
+        # eigenvalues lie; the contour's nodes never lie on the real axis
         model = build_disk(DiskModelConfig(side="exterior", k_max=2))
         roots = robin_eigs(model, np.eye(model.boundary_dim),
                            (0.3, 10.3, -0.5, 0.5), (20, 5))
@@ -183,8 +183,18 @@ class TestZeroPotentialBatch:
         with pytest.raises(MatchingSingular):
             model.mode_weyl_values(0.0)
         assert np.isfinite(batch[1]).all()
-        # [0, inf) holds no exterior K_k data, but is regular inside
-        assert np.isnan(batch[2]).all() == (side == "exterior")
+        # (0, inf) is regular off the Neumann spectrum on both sides: s is
+        # imaginary there, where ive and kve are finite
+        assert np.isfinite(batch[2]).all()
+
+    @pytest.mark.parametrize("lam", [0.3, 5.0, 40.0])
+    def test_exterior_positive_axis_matches_mpmath(self, disk_ext_v0, lam):
+        got = disk_ext_v0.mode_weyl_values(lam)
+        want = np.array([disk_weyl_v0("exterior", abs(int(k)), lam)
+                         for k in disk_ext_v0.mode_numbers])
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+        batch = disk_ext_v0.weyl_batch([lam])[0]
+        assert np.all(np.abs(np.diag(batch) - want) <= 1e-10 * np.abs(want))
 
     @pytest.mark.parametrize("side", ["interior", "exterior"])
     def test_chunks_are_solved_independently(self, side, disk_int_v0,

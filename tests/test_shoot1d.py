@@ -597,7 +597,7 @@ class TestIdentitySuite:
                 "potential": {"kind": "constant", "value": [3.0, -2.0]},
                 "substeps": 2}
         records = run_identity_suite(SuiteConfig(models=(spec,))).records
-        assert len(records) == 63
+        assert len(records) == 59
         assert [r.check_name for r in records if not r.passed] == []
 
 
