@@ -74,9 +74,9 @@ def test_fd1d_green_identity_fails_every_record(monkeypatch, name, hook,
                for rec in _records(spec, "green_identity"))
 
 
-@_kills("green_on_kernels")
 # the power spec's points lie far left (lambda < -40), where the column-1
 # kernel, with Neumann data at x = L, has all but vanished at row 1
+@_kills("green_on_kernels")
 @pytest.mark.parametrize("name, hook, mutate, failed", [
     ("v0", "_apply", _row_one_scaled, [True] * 12),
     ("power", "_apply", _row_one_scaled, [True, False] * 6),
