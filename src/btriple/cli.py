@@ -330,12 +330,14 @@ def build_parser():
         p = sub.add_parser(name, help=help_text, epilog=_BLAS_NOTE)
         p.add_argument("--config", default=None, metavar="PATH",
                        help="JSON configuration file")
-        p.add_argument("--allow-uncertified", action="store_true",
-                       help="evaluate at lambda outside the certified half-line")
+        if name in ("weyl", "resolve"):  # the commands that gate lambda
+            p.add_argument("--allow-uncertified", action="store_true",
+                           help="evaluate outside the certified half-line")
         p.add_argument("--out", default=".", metavar="DIR",
                        help="output directory")
-        p.add_argument("--seed", type=_seed, default=7, metavar="N",
-                       help="seed for every random draw")
+        if name in ("resolve", "decay", "verify"):  # the commands that draw
+            p.add_argument("--seed", type=_seed, default=7, metavar="N",
+                           help="seed for every random draw")
     return parser
 
 

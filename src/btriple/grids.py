@@ -15,13 +15,12 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 
-def graded_edges(a, b, panels, ratio=1.0, toward="left"):
+def graded_edges(a, b, panels, ratio=1.0):
     """Panel edges on [a, b] with geometrically growing widths.
 
     ``ratio`` is the width quotient between neighboring panels; widths grow
-    away from the graded end, so the smallest panels cluster at ``a`` when
-    ``toward`` is "left" and at ``b`` when "right". ratio = 1 gives uniform
-    panels.
+    away from ``a``, so the smallest panel sits at ``a``. ratio = 1 gives
+    uniform panels.
     """
     if panels < 1:
         raise ValueError("need at least one panel")
@@ -30,10 +29,6 @@ def graded_edges(a, b, panels, ratio=1.0, toward="left"):
     if ratio <= 0.0:
         raise ValueError("ratio must be positive")
     widths = ratio ** np.arange(panels, dtype=float)
-    if toward == "right":
-        widths = widths[::-1]
-    elif toward != "left":
-        raise ValueError(f"unknown grading direction {toward!r}")
     widths *= (b - a) / widths.sum()
     edges = np.empty(panels + 1)
     edges[0] = a

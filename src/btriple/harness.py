@@ -5,7 +5,7 @@ Every check lands in the report as a record {check_name, model, parameters,
 defect, tolerance, pass}; failures are entries, never exceptions, so the
 report is always complete. A suite builds each configured model and hands
 it to a per-model body that writes its records through ``_Records``:
-``add`` appends a record at the configured tolerance, and a check that can
+``add`` appends a record at its registered tolerance, and a check that can
 fail runs inside ``guard(check, params, *siblings)``, which turns a
 BTripleError, or the ValueError of a library input gate (the non-finite
 points of a model whose certified threshold is -inf), into a failing record
@@ -30,7 +30,7 @@ import platform
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -120,12 +120,6 @@ _DEFAULT_TOLERANCES = {
     ("bs_kernel_residual", "fd1d"): 1e-9,
     ("bs_kernel_residual", "*"): 1e-7,
 }
-
-# the keys a tolerance override may take: "check" or "check:kind", with kind
-# the TripleModel.kind of a family
-_OVERRIDE_KEYS = {check + suffix for check, _ in _DEFAULT_TOLERANCES
-                  for suffix in ("", ":fd1d", ":shoot1d", ":disk-interior",
-                                 ":disk-exterior")}
 
 
 def _json_float(value):
@@ -229,7 +223,7 @@ def potential_from_spec(spec):
 _MODEL_KEYS = {
     "fd1d": {"n", "length", "potential"},
     "shoot1d": {"length", "potential", "substeps", "panels", "order",
-                "fd_nodes", "rtol", "atol"},  # ShootConfig refuses the last two
+                "fd_nodes"},
     "disk": {"side", "k_max", "potential", "support", "radial_grid", "r_cut",
              "quad_panels", "quad_order"},
 }
@@ -258,8 +252,7 @@ def model_from_spec(spec):
                               pot)
         if name == "shoot1d":
             cfg = ShootConfig(length=number("length", 1.0), potential=pot,
-                              substeps=number("substeps", 16, True),
-                              rtol=spec.get("rtol"), atol=spec.get("atol"))
+                              substeps=number("substeps", 16, True))
             return build_shoot1d(cfg, panels=number("panels", 8, True),
                                  order=number("order", 16, True),
                                  fd_nodes=number("fd_nodes", 512, True))
@@ -277,7 +270,7 @@ def model_from_spec(spec):
         if "r_cut" in spec:
             kwargs["r_cut"] = number("r_cut")
         return build_disk(DiskModelConfig(**kwargs))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid {name} parameters: {exc}") from exc
 
 
@@ -292,16 +285,14 @@ _SCAN_REGION, _SCAN_GRID = (-20.0, 30.0, -6.0, 6.0), (96, 33)
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """What to verify: model specs, scan regions, tolerance overrides, and
-    the non-negative seed that fixes every random draw. The identity suite
-    samples the points of ``_LAMBDA_GRID`` below each model's certified
-    threshold. A Green record's tolerance is never below the rounding floor
-    of its bracket (``_green_floor``), so an override below that floor is
-    raised to it."""
+    """What to verify: model specs, scan regions, and the non-negative seed
+    that fixes every random draw. The identity suite samples the points of
+    ``_LAMBDA_GRID`` below each model's certified threshold. A record's
+    tolerance is its row of ``_DEFAULT_TOLERANCES``, raised on a Green
+    record to the rounding floor of its bracket (``_green_floor``)."""
 
     models: tuple = ({"model": "fd1d"},)
     complex_scan_regions: tuple = ()
-    tolerances: dict = field(default_factory=dict)
     seed: int = 7
 
     def __post_init__(self):
@@ -316,26 +307,9 @@ class SuiteConfig:
             except ValueError as exc:
                 raise ConfigError(f"scan region: {exc}") from exc
         object.__setattr__(self, "complex_scan_regions", tuple(regions))
-        unknown = set(self.tolerances) - _OVERRIDE_KEYS
-        if unknown:
-            raise ConfigError(
-                f"unknown tolerance override keys {sorted(map(str, unknown))}: "
-                "a key is a check name, or check:kind with a model kind")
-        for key, value in self.tolerances.items():
-            if not _as_real(value, f"tolerance override {key!r}") > 0.0:
-                raise ConfigError(f"tolerance override {key!r} must be positive")
         object.__setattr__(self, "seed", _as_real(self.seed, "seed", True))
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative: {self.seed}")
-
-    def tolerance(self, check, kind):
-        for key in (f"{check}:{kind}", check):
-            if key in self.tolerances:
-                return float(self.tolerances[key])
-        for key in ((check, kind), (check, "*")):
-            if key in _DEFAULT_TOLERANCES:
-                return float(_DEFAULT_TOLERANCES[key])
-        raise KeyError(f"no tolerance registered for check {check!r}")
 
 
 @dataclass(frozen=True)
@@ -444,9 +418,12 @@ class _Records(list):
         self.kind = kind
 
     def add(self, check, params, defect, tolerance_key=None, floor=0.0):
-        """Append check's record at the tolerance of tolerance_key (by
-        default the check's own name), raised to floor."""
-        tolerance = self.config.tolerance(tolerance_key or check, self.kind)
+        """Append check's record at tolerance_key's row (by default check's)
+        for this kind, or else its "*" row, raised to floor."""
+        key = tolerance_key or check
+        tolerance = _DEFAULT_TOLERANCES.get((key, self.kind))
+        if tolerance is None:
+            tolerance = _DEFAULT_TOLERANCES[(key, "*")]
         self.append(CheckRecord(
             check_name=check, model=self.kind, parameters=params,
             defect=float(defect), tolerance=max(tolerance, floor)))

@@ -249,7 +249,7 @@ class DiskModel(TripleModel):
             edges = graded_edges(0.0, 1.0, config.quad_panels)
         else:
             edges = graded_edges(1.0, config.r_cut, config.quad_panels,
-                                 ratio=1.3, toward="left")
+                                 ratio=1.3)
         self._has_v = not config.radial_potential.is_zero
         if self._has_v:
             edges = _support_aligned(edges, config.support)

@@ -36,11 +36,11 @@ studies are statements about those matrices themselves.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MatchingSingular, NoConvergence
+from .errors import MatchingSingular, NoConvergence
 from .grids import PanelGrid, graded_edges
 from .potentials import Potential1D
 from .triple_core import TripleModel
@@ -72,13 +72,8 @@ class ShootConfig:
     length: float = 1.0
     potential: Potential1D = None
     substeps: int = 16
-    rtol: InitVar[float] = None  # the adaptive integrator's keys, refused
-    atol: InitVar[float] = None
 
-    def __post_init__(self, rtol, atol):
-        if rtol is not None or atol is not None:
-            raise ConfigError("rtol and atol are gone: shoot1d steps on a "
-                              "fixed mesh; set substeps instead")
+    def __post_init__(self):
         if self.length <= 0.0:
             raise ValueError("length must be positive")
         if self.substeps < 2 or self.substeps % 2:

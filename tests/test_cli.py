@@ -100,12 +100,27 @@ class TestExitCodes:
         ("model", {"family": "fd1d", "length": float("nan")}),
         ("model", {"family": "fd1d", "length": float("inf")}),
         ("model", {"family": "shoot1d", "length": float("nan")}),
+        # leggauss raised OverflowError, which exited 1 with a traceback
+        ("model", {"family": "shoot1d", "order": 1e30}),
     ])
     def test_malformed_numbers_exit_2(self, tmp_path, section, value):
         # eigs is the command that scans region.grid
         config = {"model": {"family": "fd1d", "n": 32}, section: value}
         for command in ("resolve", "eigs"):
             assert _run(tmp_path, command, config) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, flags", [
+        ("weyl", ["--seed", "7"]), ("eigs", ["--seed", "7"]),
+        ("eigs", ["--allow-uncertified"]), ("decay", ["--allow-uncertified"]),
+        ("verify", ["--allow-uncertified"])])
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys,
+                                                    command, flags):
+        # a subcommand takes --seed and --allow-uncertified only if it reads
+        # them, so the parser turns an ignored one away before any work
+        with pytest.raises(SystemExit) as exc:
+            _run(tmp_path, command, None, *flags)
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, seed", [("verify", "-1"),
                                                ("resolve", "-3")])
@@ -217,10 +232,12 @@ class TestFixedSeedOutputs:
                   "region": {"rect": [-20.0, 30.0, -6.0, 6.0],
                              "grid": [24, 9]}}
         outputs = []
+        # weyl and eigs draw nothing, so they take no --seed
+        flags = ["--seed", "7"] if command in ("resolve", "decay") else []
         for run in ("first", "second"):
             out = tmp_path / run
             out.mkdir()
-            assert _run(out, command, config, "--seed", "7") == cli.EXIT_OK
+            assert _run(out, command, config, *flags) == cli.EXIT_OK
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()
                             if p.name != "config.json"})
         assert len(outputs[0]) == 1

@@ -66,8 +66,11 @@ class TestReportJson:
 
 class TestSuiteConfig:
     def test_jobs_key_is_gone(self):
-        with pytest.raises(TypeError):
-            SuiteConfig(jobs=2)
+        # neither a thread pool nor tolerance overrides: a record's tolerance
+        # is the registry's
+        for key, value in (("jobs", 2), ("tolerances", {"green_identity": 1})):
+            with pytest.raises(TypeError):
+                SuiteConfig(**{key: value})
         assert SuiteConfig(seed=3).seed == 3
 
     def test_negative_seed_is_rejected(self):
@@ -77,12 +80,6 @@ class TestSuiteConfig:
     def test_lambda_grid_is_no_field(self):
         with pytest.raises(TypeError):
             SuiteConfig(lambda_grid=(-1.0, -2.0, -4.0))
-
-    @pytest.mark.parametrize("key", ["gren_identity", "green_identity:fd1",
-                                     "green_identity:"])
-    def test_misspelt_tolerance_key_is_rejected(self, key):
-        with pytest.raises(ConfigError, match="unknown tolerance override"):
-            SuiteConfig(tolerances={key: 1e-30})
 
     @pytest.mark.parametrize("seed", [7.9, True, "7"])
     def test_seed_must_be_an_integer(self, seed):
@@ -105,28 +102,6 @@ class TestSuiteConfig:
             run_bs_cross_check(SuiteConfig(
                 models=({"model": "fd1d", "n": 32},),
                 complex_scan_regions=(region,)))
-
-    def test_boolean_tolerance_is_rejected(self):
-        with pytest.raises(ConfigError, match="green_identity"):
-            SuiteConfig(tolerances={"green_identity": True})
-
-    @pytest.mark.parametrize("key", ["bs_empty_certified",
-                                     "bs_empty_certified:fd1d",
-                                     "sectorial_c1_bound",
-                                     "relative_bound_decreasing:disk-exterior"])
-    def test_deleted_check_has_no_override_key(self, key):
-        # the B = 0 scan could not fail (I - 0 M(lambda) = I has no root),
-        # and ||C1|| <= 1/2 and the monotone relative bound hold by the
-        # choice of the threshold: each went with its tolerance and
-        # override keys
-        with pytest.raises(ConfigError, match="unknown tolerance override"):
-            SuiteConfig(tolerances={key: 1e-12})
-
-    def test_tolerance_key_with_a_kind_is_accepted(self):
-        config = SuiteConfig(tolerances={"green_identity:fd1d": 1e-30,
-                                         "decay_exponent_bounded": 1e-3})
-        assert config.tolerance("green_identity", "fd1d") == 1e-30
-        assert config.tolerance("green_identity", "disk") == 1e-8
 
 
 class TestNoCertifiedThreshold:
@@ -168,8 +143,8 @@ class TestSectorialRecords:
 
 
 class TestModelKinds:
-    # users see these strings: every record carries one, and tolerance
-    # overrides are keyed "check:kind"
+    # users see these strings: every record carries one, and the tolerance
+    # table is keyed (check, kind)
     @pytest.mark.parametrize("spec, kind", [
         ({"model": "fd1d", "n": 32}, "fd1d"),
         ({"model": "shoot1d", "panels": 2, "order": 8, "fd_nodes": 32},
@@ -196,9 +171,12 @@ class TestModelKinds:
                                         "value": [1.0, False]}},
         {"model": "fd1d", "potential": {"kind": "power", "c": 1.0,
                                         "x0": True, "alpha": 0.4, "p": 2.0}},
+        {"model": "shoot1d", "order": 1e30},
+        {"model": "disk", "quad_order": 1e30},
     ])
     def test_booleans_and_non_integral_integers_are_rejected(self, spec):
-        # int() and float() would build n = 96, k_max = 1 or V = 1
+        # int() and float() would build n = 96, k_max = 1 or V = 1; an
+        # order past the index range raised OverflowError in leggauss
         with pytest.raises(ConfigError):
             model_from_spec(spec)
 
@@ -218,23 +196,39 @@ class TestModelKinds:
     def test_integral_float_is_an_integer(self):
         assert model_from_spec({"model": "fd1d", "n": 32.0}).grid.n == 32
 
-    def test_tolerance_override_by_kind(self):
-        config = SuiteConfig(models=({"model": "fd1d", "n": 32},),
-                             tolerances={"green_identity:fd1d": 1e-3})
-        records = run_identity_suite(config).records
-        green = [rec for rec in records if rec.check_name == "green_identity"]
-        assert green and all(rec.tolerance == 1e-3 for rec in green)
-        assert all(rec.tolerance == 1e-12 for rec in records
-                   if rec.check_name == "green_on_kernels")
+    def test_records_carry_their_kinds_tolerance_row(self, fd1d_records):
+        # fd1d has a gamma_kernel_ode row of its own; shoot1d reads the "*"
+        # row
+        ode = [rec.tolerance for rec in fd1d_records
+               if rec.check_name == "gamma_kernel_ode"]
+        assert ode and set(ode) == {1e-10}
+        config = SuiteConfig(models=({"model": "shoot1d", "panels": 2,
+                                      "order": 8, "fd_nodes": 32},), seed=7)
+        ode = [rec.tolerance for rec in run_identity_suite(config).records
+               if rec.check_name == "gamma_kernel_ode"]
+        assert ode and set(ode) == {1e-7}
 
-    def test_override_below_the_rounding_floor_is_raised(self):
-        # the V = 0 bracket is pure rounding, so no override can demand 0
-        config = SuiteConfig(models=({"model": "fd1d", "n": 32},),
-                             tolerances={"green_identity": 1e-30})
-        green = [rec for rec in run_identity_suite(config).records
+    def test_green_tolerance_is_raised_to_the_rounding_floor(self,
+                                                            monkeypatch):
+        # each green_identity record holds max(its row, _green_floor / scale)
+        floors = {}
+        add_green = harness._add_green
+
+        def spy(out, check, params, model, f, g, scale):
+            if check == "green_identity":
+                floors[params["draw"]] = harness._green_floor(
+                    model, f, g) / max(scale, 1e-300)
+            add_green(out, check, params, model, f, g, scale)
+
+        monkeypatch.setattr(harness, "_add_green", spy)
+        green = [rec for rec in run_identity_suite(_FD1D_32).records
                  if rec.check_name == "green_identity"]
-        assert len(green) == 50
-        assert all(rec.passed and rec.tolerance > 1e-30 for rec in green)
+        assert len(green) == len(floors) == 50
+        assert all(rec.passed and rec.tolerance == max(
+            1e-12, floors[rec.parameters["draw"]]) for rec in green)
+        # measured: the V = 0 bracket is pure rounding, and the floor binds
+        # on 33 of the 50 draws
+        assert sum(rec.tolerance > 1e-12 for rec in green) == 33
 
 
 def _delegate(name):
@@ -468,7 +462,7 @@ class TestRegistryCoverage:
         assert emitted == set(CHECK_REGISTRY)
 
     def test_tolerances_name_exactly_the_registered_checks(self):
-        # a deleted check leaves no tolerance and no override key behind;
+        # a deleted check leaves no tolerance behind;
         # decay_exponent_bounded is decay_exponent's second tolerance
         tolerated = {check for check, _ in harness._DEFAULT_TOLERANCES}
         assert tolerated == set(CHECK_REGISTRY) | {"decay_exponent_bounded"}

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import btriple.triple_core as triple_core
-from btriple import DiskModel, Fd1dModel, ThresholdNotFound, TripleModel
+from btriple import (DiskModel, Fd1dModel, Shoot1dModel, ThresholdNotFound,
+                     TripleModel)
 from btriple.harness import (CHECK_REGISTRY, SuiteConfig, run_bs_cross_check,
                              run_decay_suite, run_identity_suite)
 
@@ -144,7 +145,14 @@ def test_disk_weyl_mode_diagonal_fails(monkeypatch):
                for rec in _records(spec, "weyl_mode_diagonal"))
 
 
+_SHOOT1D_V0 = {"model": "shoot1d", "panels": 4, "order": 12, "fd_nodes": 128}
+_SHOOT1D = {
+    "v0": _SHOOT1D_V0,
+    "constant": dict(_SHOOT1D_V0,
+                     potential={"kind": "constant", "value": [3.0, -2.0]}),
+}
 _SPECS = {**{f"fd1d-{name}": spec for name, spec in _FD1D.items()},
+          **{f"shoot1d-{name}": spec for name, spec in _SHOOT1D.items()},
           **{f"disk-{name}": spec for name, spec in _DISK.items()}}
 _SUITES = {"identity": run_identity_suite, "decay": run_decay_suite,
            "bs": run_bs_cross_check}
@@ -236,6 +244,26 @@ _ROWS = {
     "tilde_neumann_resolvent": _Row(
         "fd1d-v0", "identity", Fd1dModel, "_neumann_resolvent", _tilde_times,
         ("adjoint_resolvent", "krein_adjoint_mirror")),
+    # each shoot1d row on both specs: the three contract bodies, and the T~
+    # side of the two that take tilde in the Krein and Weyl records
+    **{f"shoot1d-{spec}-{name}": _Row(f"shoot1d-{spec}", "identity",
+                                      Shoot1dModel, attr, mutate, checks)
+       for spec in _SHOOT1D
+       for name, attr, mutate, checks in (
+           ("apply", "_apply", _times,
+            ("green_identity", "gamma_kernel_ode", "green_on_kernels",
+             "krein_pde_residual")),
+           ("solve_bvp", "_solve_bvp", _times,
+            ("gamma_kernel_trace", "difference_identity",
+             "krein_bc_residual")),
+           ("neumann_resolvent", "_neumann_resolvent", _times,
+            ("gamma_resolvent_identity", "resolvent_first_identity",
+             "krein_pde_residual")),
+           ("tilde_neumann_resolvent", "_neumann_resolvent", _tilde_times,
+            ("adjoint_resolvent", "krein_adjoint_mirror")),
+           ("tilde_solve_bvp", "_solve_bvp", _tilde_times,
+            ("weyl_symmetry", "difference_identity",
+             "krein_adjoint_mirror")))},
     "tilde_kernel": _Row("disk-exterior", "identity", DiskModel, "_kernel",
                          _tilde_kernel_times, ("weyl_symmetry",)),
     "v_kk": _Row("fd1d-power", "identity", TripleModel, "hn_blocks",
