@@ -74,8 +74,9 @@ _HANKEL_RTOL = 1e-10
 _BATCH_CHUNK = 256
 
 # probes r and safety factor alpha of the sectorial defect's randomized
-# norm bound (Dixon 1983; Halko, Martinsson & Tropp 2011, sec. 4.3)
-_PROBES, _PROBE_ALPHA = 8, 10.0
+# norm bound (Dixon 1983; Halko, Martinsson & Tropp 2011, sec. 4.3), and
+# the power steps per block of find_xi2's lower bound of ||C1|| (sec. 4.4)
+_PROBES, _PROBE_ALPHA, _POWER_STEPS = 8, 10.0, 3
 
 
 class TripleModel(abc.ABC):
@@ -237,7 +238,8 @@ class TripleModel(abc.ABC):
         computed once per model: -0.5 when V = 0, else the least of
         find_xi2, the bottom of H_N less sup |V| (over the blocks of
         hn_blocks), and -1e-6. -inf stands in for find_xi2 when its scan
-        finds no threshold."""
+        finds no threshold. Its scan pays one SVD per block with V's support,
+        at the point it returns; find_xi2 says why."""
         if getattr(self, "_threshold", None) is None:
             if not self.has_potential:
                 self._threshold = -0.5
@@ -802,23 +804,28 @@ def sectorial_factorization(model, lam, rng):
                                   resolvent_norm=resolvent_norm)
 
 
+def _support_columns(model, lam):
+    """(block, (H_N - lam)^-1 on the unit columns of K) per block where V
+    does not vanish, lazily; each block's pttrf runs as it is reached."""
+    for block in model.hn_blocks():
+        _, s2_k = _resolvent_columns(block, lam, np.empty((block.v.size, 0),
+                                                          complex))
+        if block.support.size:
+            yield block, s2_k
+
+
 def c1_norm_at(model, lam):
     """max block norm of C1(lambda) = S V S, S = (H_N - lam)^(-1/2).
 
     C1 = A V_KK A* with A = S restricted to the columns K of V's support,
     and A* A = G = [(H_N - lam)^-1]_KK = R* R (one Cholesky of order |K|),
-    so each block's norm is ||R V_KK R*||: a |K|-square problem whatever
-    the order of the block. G comes from one pttrf of H_N - lam and its
-    solves on the unit columns of K; the norm is 0 where V vanishes.
-    NotPositiveDefinite when lam is not below the bottom of H_N.
+    so each block's norm is ||R V_KK R*||: one SVD of order |K| whatever
+    the order of the block, 0 where V vanishes. NotPositiveDefinite when
+    lam is not below the bottom of H_N. find_xi2 runs it only at the first
+    scan point its power bound does not reject.
     """
-    lam = float(lam)
     norm = 0.0
-    for block in model.hn_blocks():
-        _, s2_k = _resolvent_columns(block, lam, np.empty((block.v.size, 0),
-                                                          complex))
-        if block.support.size == 0:
-            continue
+    for block, s2_k in _support_columns(model, float(lam)):
         try:
             r = sla.cholesky(s2_k[block.support])
         except sla.LinAlgError as exc:
@@ -828,10 +835,31 @@ def c1_norm_at(model, lam):
     return norm
 
 
+def _c1_power_ratios(model, lam):
+    """Lower bounds ||C1 u||^2 / ||u||^2 <= ||C1(lambda)||^2, lazily, per
+    block after each of _POWER_STEPS power steps on C1* C1 from u = A w, w
+    = u0[K] (A, G as in c1_norm_at): ||u||^2 = w* G w, C1 u = A y with y =
+    V_KK G w, and w <- conj(V_KK) G y, normalized, gives C1* C1 u = A w."""
+    for block, s2_k in _support_columns(model, lam):
+        g = s2_k[block.support].astype(complex)
+        w = block.u0[block.support]
+        for _ in range(_POWER_STEPS):
+            g_w = g @ w
+            y = block.v_k * g_w
+            yield np.vdot(y, g @ y).real / np.vdot(w, g_w).real
+            w = block.v_k.conj() * (g @ y)
+            w /= np.linalg.norm(w)
+
+
 def find_xi2(model):
     """Empirical contraction threshold: the first point of the geometric
     scan -0.5 * 2^k, k = 0..20, with ||C1|| <= 1/2 there.
     ThresholdNotFound past the end of the scan.
+
+    A point is rejected without an SVD once a ratio of _c1_power_ratios
+    exceeds (1/2)^2 (1 + 1e-8), a proof of ||C1|| > 1/2 with room for
+    rounding. c1_norm_at runs on the first point not rejected, so the scan
+    returns the point a scan of c1_norm_at alone would.
 
     ||C1(lambda)|| is monotone on the real ray below the bottom of H_N: for
     lambda1 < lambda2 there, S(lambda1) = S(lambda2) T with T =
@@ -840,10 +868,11 @@ def find_xi2(model):
     the first passing one therefore passes too.
     """
     start, doublings = -0.5, 20
-    for k in range(doublings + 1):
+    for lam in (start * 2.0**k for k in range(doublings + 1)):
         try:
-            if c1_norm_at(model, start * 2.0**k) <= 0.5:
-                return start * 2.0**k
+            if (all(r <= 0.25 + 2.5e-9 for r in _c1_power_ratios(model, lam))
+                    and c1_norm_at(model, lam) <= 0.5):
+                return lam
         except NotPositiveDefinite:
             continue  # not below the bottom of H_N yet
     raise ThresholdNotFound(
@@ -873,28 +902,24 @@ def relative_bound_decay(model, lam_list):
     """||V (H_N - lam)^-1|| along lam_list; tends to 0 as lam -> -inf, the
     operator expression of V being relatively bounded with bound zero.
 
-    Each block's norm is ||V_KK [(H_N - lam)^-1]_{K,:}||, from the one
-    pttrf of H_N - lam that _resolvent_columns runs and its solves on the
-    unit columns of K. NotCertified when lam is not below the bottom of
+    Each block's norm is ||V_KK [(H_N - lam)^-1]_{K,:}||, from
+    _support_columns. NotCertified when lam is not below the bottom of
     H_N, the Neumann spectrum, whether or not V vanishes.
     """
     out = []
-    for lam in lam_list:
-        lam = float(lam)
+    bottom = min(block.bottom for block in model.hn_blocks())
+    for lam in map(float, lam_list):
+        if lam >= bottom:
+            raise NotCertified(
+                f"lambda = {lam} is not below the Neumann spectrum "
+                f"(the bottom of H_N is {bottom:.6g})")
         norm = 0.0
-        for block in model.hn_blocks():
-            if lam >= block.bottom:
-                raise NotCertified(
-                    f"lambda = {lam} is not below the Neumann spectrum "
-                    f"(the bottom of H_N is {block.bottom:.6g})")
-            if block.support.size:
-                # (H_N - lam)^-1 is symmetric: its rows K are x's columns.
-                # Rows below eps^2 of x's largest entry move the norm far
-                # below rounding; dropped, they feed the SVD no underflow
-                _, x = _resolvent_columns(
-                    block, lam, np.empty((block.v.size, 0), complex))
-                rows = np.abs(x).max(axis=1)
-                x = x[rows > np.finfo(float).eps ** 2 * rows.max()]
-                norm = max(norm, float(sla.svdvals(x * block.v_k).max()))
+        # (H_N - lam)^-1 is symmetric: its rows K are x's columns. Rows
+        # below eps^2 of x's largest entry move the norm far below
+        # rounding; dropped, they feed the SVD no underflow
+        for block, x in _support_columns(model, lam):
+            rows = np.abs(x).max(axis=1)
+            x = x[rows > np.finfo(float).eps ** 2 * rows.max()]
+            norm = max(norm, float(sla.svdvals(x * block.v_k).max()))
         out.append((lam, norm))
     return out

@@ -2,6 +2,7 @@
 their identities, Krein resolvents, eigenvalue location, and the sectorial
 factorization, exercised over all three model families."""
 import ast
+import functools
 import pathlib
 import warnings
 
@@ -20,6 +21,7 @@ from btriple import (
     NotPositiveDefinite,
     Potential1D,
     ShootConfig,
+    ThresholdNotFound,
     bs_kernel_lift,
     build_disk,
     build_fd1d,
@@ -36,6 +38,7 @@ from btriple import (
     green_defect,
     krein_resolvent,
     krein_resolvent_tilde,
+    model_from_spec,
     relative_bound_decay,
     robin_eigs,
     sectorial_factorization,
@@ -886,6 +889,56 @@ class TestSupportNorms:
         assert found == []
 
 
+def _rotating_phase(x):
+    return 3.0 * np.exp(2j * np.pi * x)
+
+
+_FD1D_POWER = {"kind": "power", "c": [1.0, -0.5], "x0": 0.4, "alpha": 0.4,
+               "p": 2.0}
+_SHOOT1D_SPEC = {"model": "shoot1d", "panels": 4, "order": 12, "fd_nodes": 128}
+_THRESHOLD_SPECS = {
+    "fd1d-v0": {"model": "fd1d", "n": 96},
+    "fd1d-power": {"model": "fd1d", "n": 96, "potential": _FD1D_POWER},
+    "fd1d-constant": {"model": "fd1d", "n": 96, "potential": {
+        "kind": "constant", "value": [2.0, -1.0]}},
+    # ||C1|| > 1/2 on the whole scan: the threshold is -inf
+    "fd1d-1e7": {"model": "fd1d", "n": 32, "potential": {
+        "kind": "constant", "value": [1e7, 0.0]}},
+    "shoot1d-v0": _SHOOT1D_SPEC,
+    "shoot1d-constant": dict(_SHOOT1D_SPEC, potential={
+        "kind": "constant", "value": [3.0, -2.0]}),
+    "disk-interior": {"model": "disk", "side": "interior", "k_max": 4},
+    "disk-exterior": {"model": "disk", "side": "exterior", "k_max": 3,
+                      "potential": {"kind": "constant", "value": [1.5, 1.0]},
+                      "support": [1.0, 3.0]},
+}
+_THRESHOLD_MODELS = {
+    **{name: functools.partial(model_from_spec, spec)
+       for name, spec in _THRESHOLD_SPECS.items()},
+    "disk-power-ring": lambda: build_disk(DiskModelConfig(
+        side="interior", k_max=3, support=(0.5, 1.0),
+        radial_potential=Potential1D.power_singularity(1.0 - 0.5j, 0.7, 0.4,
+                                                       2.0))),
+    # V's phase turns once, so C1 is not a multiple of a Hermitian matrix
+    "fd1d-rotating": lambda: build_fd1d(n=96, potential=Potential1D
+                                        .from_callable(_rotating_phase)),
+    # the default grid: one block of order 512 with |K| = 510
+    "shoot1d-default-power": lambda: build_shoot1d(ShootConfig(
+        potential=Potential1D.power_singularity(1.0 - 0.5j, 0.4, 0.4, 2.0))),
+}
+
+
+def _exact_norm_scan(model):
+    # find_xi2's scan with c1_norm_at at every point and no power bound
+    for lam in (-0.5 * 2.0**k for k in range(21)):
+        try:
+            if c1_norm_at(model, lam) <= 0.5:
+                return lam
+        except NotPositiveDefinite:
+            continue
+    raise ThresholdNotFound("no point of the scan passes")
+
+
 class TestThresholdScan:
     def test_zero_potential_first_point(self, fd_v0):
         assert find_xi2(fd_v0) == -0.5
@@ -893,7 +946,9 @@ class TestThresholdScan:
     def test_constant_potential_oracle(self, monkeypatch):
         # constant V = c on the interval: ||C1(lam)|| = |c| / (-lam) with
         # the bottom of H_N at 0, so the scan passes first at -0.5 * 2^8;
-        # ||C1|| is monotone, so that point needs no confirmation below it
+        # ||C1|| is monotone, so that point needs no confirmation below it.
+        # The power bound rejects the eight points before it, so the exact
+        # norm runs there only
         c = 30.0 - 20.0j
         model = build_fd1d(n=32, potential=Potential1D.constant(c))
         calls = []
@@ -904,10 +959,61 @@ class TestThresholdScan:
 
         monkeypatch.setattr(triple_core, "c1_norm_at", counting)
         assert find_xi2(model) == -128.0
-        assert calls == [-0.5 * 2.0**k for k in range(9)]
+        assert calls == [-128.0]
         assert c1_norm_at(model, -128.0) == pytest.approx(abs(c) / 128.0,
                                                           rel=1e-12)
         assert c1_norm_at(model, -64.0) > 0.5
+
+    @pytest.mark.parametrize("build", _THRESHOLD_MODELS.values(),
+                             ids=_THRESHOLD_MODELS.keys())
+    def test_threshold_is_the_exact_norm_scan(self, monkeypatch, build):
+        # the power bound only rejects points a scan of c1_norm_at alone
+        # rejects too: the same threshold, bit for bit (-inf included)
+        got = build().certified_threshold()
+        monkeypatch.setattr(triple_core, "find_xi2", _exact_norm_scan)
+        assert repr(got) == repr(build().certified_threshold())
+
+    @pytest.mark.parametrize("name, rel", [
+        ("fd1d-power", 0.01), ("fd1d-constant", 0.01), ("fd1d-1e7", 0.01),
+        ("shoot1d-constant", 0.01), ("disk-exterior", 0.01),
+        ("disk-power-ring", 0.01),
+        # measured worst 0.963; power steps on C1^2 in place of C1* C1 give
+        # 0.889 (with a phase of V that does not turn, the two agree)
+        ("fd1d-rotating", 0.05)])
+    def test_power_bound_is_a_close_lower_bound(self, name, rel):
+        # every ratio bounds ||C1||^2 from below; after the fixed steps the
+        # best is within 1% where V's phase is constant (measured worst
+        # 0.9912, the disk's power ring)
+        model = _THRESHOLD_MODELS[name]()
+        checked = 0
+        for lam in (-0.5 * 2.0**k for k in range(21)):
+            try:
+                exact = c1_norm_at(model, lam)
+            except NotPositiveDefinite:
+                continue
+            bound = max(triple_core._c1_power_ratios(model, lam)) ** 0.5
+            assert (1.0 - rel) * exact <= bound <= exact * (1.0 + 1e-12)
+            checked += 1
+        assert checked >= 17
+
+    @pytest.mark.parametrize("name, svds", [
+        ("fd1d-power", 1), ("shoot1d-constant", 1), ("disk-exterior", 4),
+        ("fd1d-1e7", 0)])
+    def test_one_svd_per_block_with_support(self, monkeypatch, name, svds):
+        # the exact norm runs once, at the returned point (not at all when
+        # the bound rejects the whole scan): one SVD per block with support
+        model = _THRESHOLD_MODELS[name]()
+        model.hn_blocks()
+        calls = []
+        svdvals = triple_core.sla.svdvals
+
+        def counting(a):
+            calls.append(a)
+            return svdvals(a)
+
+        monkeypatch.setattr(triple_core.sla, "svdvals", counting)
+        model.certified_threshold()
+        assert len(calls) == svds
 
     def test_doubling_potential_weakly_lowers_threshold(self):
         m1 = build_fd1d(n=96, potential=Potential1D.constant(1.0 + 1.0j))
